@@ -83,7 +83,14 @@ json_escape(const std::string& s)
     return out;
 }
 
-/** Best-effort commit id: $ORION_GIT_SHA, then $GITHUB_SHA, else unknown. */
+#ifndef ORION_CONFIGURED_GIT_SHA
+#define ORION_CONFIGURED_GIT_SHA ""
+#endif
+
+/**
+ * Best-effort commit id: $ORION_GIT_SHA, then $GITHUB_SHA, then the HEAD
+ * CMake saw at configure time, else unknown.
+ */
 inline std::string
 git_sha()
 {
@@ -92,7 +99,8 @@ git_sha()
             if (env[0] != '\0') return env;
         }
     }
-    return "unknown";
+    const std::string configured = ORION_CONFIGURED_GIT_SHA;
+    return configured.empty() ? "unknown" : configured;
 }
 
 inline void

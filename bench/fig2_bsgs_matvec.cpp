@@ -6,11 +6,98 @@
  * CKKS substrate for the slot-sized case.
  */
 
+#include <string>
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "src/ckks/serial.h"
 
 using namespace orion;
+
+namespace {
+
+/**
+ * The giant-group inner sum sum_t ct_t * pt_t at N = 2^13, level 8, one
+ * thread: the eager per-term loop (a ciphertext copy, a PMult, and an
+ * HAdd per term) against Evaluator::mul_plain_sum's one lazy-reduction
+ * pass. Returns false if the two ever differ in a single residue.
+ */
+bool
+inner_sum_table()
+{
+    const core::ScopedNumThreads serial(1);
+    const ckks::Context ctx(ckks::CkksParams::network());
+    const ckks::Encoder enc(ctx);
+    ckks::KeyGenerator keygen(ctx, 7);
+    const ckks::PublicKey pk = keygen.make_public_key();
+    ckks::Encryptor encryptor(ctx, pk);
+    const ckks::Evaluator eval(ctx, enc);
+
+    const int level = 8;
+    const std::vector<std::size_t> term_counts = {4, 8, 16, 32, 64};
+    const std::size_t max_terms = term_counts.back();
+    const double w_scale = static_cast<double>(ctx.q(level).value());
+    std::vector<ckks::Ciphertext> cts;
+    std::vector<ckks::Plaintext> pts;
+    for (std::size_t t = 0; t < max_terms; ++t) {
+        cts.push_back(encryptor.encrypt(enc.encode(
+            bench::random_vector(ctx.slot_count(), 1.0, 100 + t), level,
+            ctx.scale())));
+        pts.push_back(enc.encode(
+            bench::random_vector(ctx.slot_count(), 0.5, 300 + t), level,
+            w_scale));
+    }
+    std::vector<const ckks::Ciphertext*> ct_ptrs;
+    std::vector<const ckks::Plaintext*> pt_ptrs;
+    for (std::size_t t = 0; t < max_terms; ++t) {
+        ct_ptrs.push_back(&cts[t]);
+        pt_ptrs.push_back(&pts[t]);
+    }
+
+    std::printf("\nGiant-group inner sum per term, eager vs fused "
+                "(N = 2^13, level %d, 1 thread):\n", level);
+    std::printf("%8s %14s %14s %10s %10s\n", "terms", "eager us/term",
+                "fused us/term", "speedup", "output");
+    bool identical = true;
+    for (const std::size_t terms : term_counts) {
+        const auto eager = [&] {
+            ckks::Ciphertext sum = eval.mul_plain(cts[0], pts[0]);
+            for (std::size_t t = 1; t < terms; ++t) {
+                eval.add_inplace(sum, eval.mul_plain(cts[t], pts[t]));
+            }
+            return sum;
+        };
+        const auto fused = [&] {
+            return eval.mul_plain_sum({ct_ptrs.data(), terms},
+                                      {pt_ptrs.data(), terms});
+        };
+        const double t_eager =
+            bench::time_median(bench::reps(7), [&] { (void)eager(); });
+        const double t_fused =
+            bench::time_median(bench::reps(7), [&] { (void)fused(); });
+        const ckks::Ciphertext a = eager();
+        const ckks::Ciphertext b = fused();
+        const bool same = ckks::serial::serialize(a) ==
+                          ckks::serial::serialize(b);
+        identical = identical && same;
+        const double per = 1e6 / static_cast<double>(terms);
+        std::printf("%8zu %14.1f %14.1f %9.2fx %10s\n", terms, t_eager * per,
+                    t_fused * per, t_eager / t_fused,
+                    same ? "identical" : "DIFFERS");
+        const std::string suffix = "_T" + std::to_string(terms);
+        bench::json_metric("inner_sum_eager_us_per_term" + suffix,
+                           t_eager * per);
+        bench::json_metric("inner_sum_fused_us_per_term" + suffix,
+                           t_fused * per);
+    }
+    if (!identical) {
+        std::fprintf(stderr, "FAIL: fused inner sum differs from the eager "
+                             "mul_plain + add_inplace loop\n");
+    }
+    return identical;
+}
+
+}  // namespace
 
 int
 main(int argc, char** argv)
@@ -121,5 +208,5 @@ main(int argc, char** argv)
                              "from num_threads=1\n");
         return 1;
     }
-    return 0;
+    return inner_sum_table() ? 0 : 1;
 }

@@ -197,34 +197,42 @@ HePolyEvaluator::eval_node(const std::vector<double>& coeffs, int bs,
 
     if (d < bs) {
         // Leaf: sum of c_k T_k brought to a common scale via the free
-        // constants, one rescale to land on the target.
+        // constants (one PMult-accumulate pass), one rescale to land on
+        // the target.
         const int work = target_level + 1;
         const double q_work = static_cast<double>(
             ctx_->q(work).value());
-        std::optional<ckks::Ciphertext> sum;
+        // T_k dropped to the work level, and the constants. Reserved so
+        // no push_back reallocates under the pointers taken below.
+        std::vector<ckks::Ciphertext> dropped;
+        std::vector<ckks::Plaintext> consts;
+        dropped.reserve(static_cast<std::size_t>(d));
+        consts.reserve(static_cast<std::size_t>(d));
+        std::vector<const ckks::Ciphertext*> cts;
+        std::vector<const ckks::Plaintext*> pts;
         for (int k = 1; k <= d; ++k) {
             const double c = coeffs[static_cast<std::size_t>(k)];
             if (std::abs(c) <= kCoeffTol) continue;
-            const ckks::Ciphertext tk = at_level(power(basis, k), work);
-            const ckks::Plaintext pc = eval_->encoder().encode_constant(
-                c, work, target_scale * q_work / tk.scale);
-            ckks::Ciphertext term = eval_->mul_plain(tk, pc);
-            // All terms share scale target_scale * q_work by construction;
-            // pin the double to avoid ulp drift across additions.
-            term.scale = target_scale * q_work;
-            if (sum.has_value()) {
-                eval_->add_inplace(*sum, term);
-            } else {
-                sum = std::move(term);
+            const ckks::Ciphertext* tk = &power(basis, k);
+            if (tk->level() != work) {
+                dropped.push_back(at_level(*tk, work));
+                tk = &dropped.back();
             }
+            consts.push_back(eval_->encoder().encode_constant(
+                c, work, target_scale * q_work / tk->scale));
+            cts.push_back(tk);
+            pts.push_back(&consts.back());
         }
-        ORION_ASSERT(sum.has_value());
+        ckks::Ciphertext sum = eval_->mul_plain_sum(cts, pts);
+        // All terms share scale target_scale * q_work by construction;
+        // pin the double to avoid ulp drift.
+        sum.scale = target_scale * q_work;
         if (std::abs(coeffs[0]) > kCoeffTol) {
-            eval_->add_constant_inplace(*sum, coeffs[0]);
+            eval_->add_constant_inplace(sum, coeffs[0]);
         }
-        eval_->rescale_inplace(*sum);
-        ORION_ASSERT(ckks::scales_match(sum->scale, target_scale));
-        sum->scale = target_scale;
+        eval_->rescale_inplace(sum);
+        ORION_ASSERT(ckks::scales_match(sum.scale, target_scale));
+        sum.scale = target_scale;
         return {std::move(sum), 0.0};
     }
 

@@ -102,22 +102,18 @@ Encoder::encode(std::span<const double> values, int level, double scale) const
 Plaintext
 Encoder::encode_constant(double value, int level, double scale) const
 {
-    // A constant across all slots embeds to the constant polynomial, so the
-    // special FFT can be skipped entirely.
+    // A constant across all slots embeds to the constant polynomial c, so
+    // the special FFT can be skipped entirely; and the NTT of a constant
+    // polynomial is c at every evaluation point, so the NTT can be too.
     Plaintext pt;
     pt.scale = scale;
-    pt.poly = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/false);
+    pt.poly = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/true);
     const i128 c = round_scaled(static_cast<long double>(value), scale);
     const u64 n = ctx_->degree();
     for (int i = 0; i < pt.poly.num_limbs(); ++i) {
-        const Modulus& q = pt.poly.limb_modulus(i);
-        const u64 r = reduce_signed_128(c, q);
-        u64* limb = pt.poly.limb(i);
-        for (u64 j = 0; j < n; ++j) limb[j] = (j == 0) ? r : 0;
-        // Constant polynomial: only coefficient 0 is set.
-        limb[0] = r;
+        const u64 r = reduce_signed_128(c, pt.poly.limb_modulus(i));
+        std::fill(pt.poly.limb(i), pt.poly.limb(i) + n, r);
     }
-    pt.poly.to_ntt();
     return pt;
 }
 

@@ -1,7 +1,10 @@
 #include "src/ckks/evaluator.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/ckks/kernels.h"
+#include "src/core/arena.h"
 #include "src/core/telemetry.h"
 #include "src/core/thread_pool.h"
 
@@ -93,6 +96,63 @@ Evaluator::mul_plain_inplace(Ciphertext& a, const Plaintext& p) const
     a.c1.mul_pointwise_inplace(p.poly);
     a.scale *= p.scale;
     ctx_->counters().pmult += 1;
+}
+
+Ciphertext
+Evaluator::mul_plain_sum(std::span<const Ciphertext* const> cts,
+                         std::span<const Plaintext* const> pts) const
+{
+    ORION_CHECK(!cts.empty(), "mul_plain_sum needs at least one term");
+    ORION_CHECK(cts.size() == pts.size(),
+                "mul_plain_sum: " << cts.size() << " ciphertexts vs "
+                                  << pts.size() << " plaintexts");
+    const int level = cts[0]->level();
+    const double scale = cts[0]->scale * pts[0]->scale;
+    for (std::size_t t = 0; t < cts.size(); ++t) {
+        ORION_CHECK(cts[t]->level() == level && pts[t]->level() == level,
+                    "level mismatch in mul_plain_sum term "
+                        << t << ": ciphertext " << cts[t]->level()
+                        << ", plaintext " << pts[t]->level() << ", term 0 "
+                        << level);
+        ORION_CHECK(scales_match(cts[t]->scale * pts[t]->scale, scale),
+                    "scale mismatch in mul_plain_sum term "
+                        << t << ": " << cts[t]->scale * pts[t]->scale
+                        << " vs term 0 " << scale);
+        ORION_ASSERT(cts[t]->c0.is_ntt() && cts[t]->c1.is_ntt() &&
+                     pts[t]->poly.is_ntt());
+    }
+
+    // The key-switch inner-product kernel computes exactly this sum: xs =
+    // plaintext limbs, bs = c0 limbs, as = c1 limbs, accumulated in u128
+    // with one Barrett reduction per output. Canonical [0, q) inputs make
+    // the residues those of the eager mul_mod + add_mod loop. Slices of at
+    // most kSlice terms keep the kernel at 3 * 16 input streams; wider
+    // calls thrash the caches, and the partial sums carry in o0/o1.
+    constexpr std::size_t kSlice = 16;
+    const std::size_t terms = cts.size();
+    const u64 n = ctx_->degree();
+    Ciphertext out;
+    out.scale = scale;
+    out.c0 = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/true);
+    out.c1 = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/true);
+    core::parallel_for(0, out.c0.num_limbs(), [&](i64 li) {
+        const int i = static_cast<int>(li);
+        core::ScratchVec<const u64*> xs(terms), bs(terms), as(terms);
+        for (std::size_t t = 0; t < terms; ++t) {
+            xs[t] = pts[t]->poly.limb(i);
+            bs[t] = cts[t]->c0.limb(i);
+            as[t] = cts[t]->c1.limb(i);
+        }
+        const Modulus& q = out.c0.limb_modulus(i);
+        for (std::size_t b = 0; b < terms; b += kSlice) {
+            kernels::active().ks_inner_product(
+                out.c0.limb(i), out.c1.limb(i), xs.data() + b, bs.data() + b,
+                as.data() + b, std::min(kSlice, terms - b), n, q);
+        }
+    });
+    ctx_->counters().pmult += terms;
+    ctx_->counters().hadd += terms - 1;
+    return out;
 }
 
 Ciphertext

@@ -14,6 +14,8 @@
  * by every BSGS matrix-vector product in Orion.
  */
 
+#include <span>
+
 #include "src/ckks/ciphertext.h"
 #include "src/ckks/encoder.h"
 #include "src/ckks/keyswitch.h"
@@ -52,6 +54,15 @@ class Evaluator {
     /** PMult: plaintext-ciphertext product; output scale is the product. */
     Ciphertext mul_plain(const Ciphertext& a, const Plaintext& p) const;
     void mul_plain_inplace(Ciphertext& a, const Plaintext& p) const;
+    /**
+     * PMult-accumulate: sum_t cts[t] * pts[t] in one lazy-reduction pass
+     * per limb, with no per-term ciphertext temporaries. Every operand
+     * must sit at one level and every product at one scale (the output's
+     * scale is the first product's). Counts as T PMults and T - 1 HAdds,
+     * and the residues are byte-identical to mul_plain + add_inplace.
+     */
+    Ciphertext mul_plain_sum(std::span<const Ciphertext* const> cts,
+                             std::span<const Plaintext* const> pts) const;
     /** HMult with relinearization; output scale is the product. */
     Ciphertext mul(const Ciphertext& a, const Ciphertext& b) const;
     Ciphertext square(const Ciphertext& a) const;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 
+#include "src/core/arena.h"
 #include "src/core/thread_pool.h"
 #include "src/linalg/bsgs_detail.h"
 
@@ -45,23 +47,21 @@ hoisted_baby_rotations(const ckks::Evaluator& eval,
     return cts;
 }
 
-std::optional<ckks::Ciphertext>
+ckks::Ciphertext
 group_inner_sum(const ckks::Evaluator& eval,
                 const std::vector<BsgsPlan::Term>& terms,
                 const std::vector<ckks::Plaintext>& encoded,
                 const std::map<u64, const ckks::Ciphertext*>& babies)
 {
-    std::optional<ckks::Ciphertext> inner;
+    ORION_ASSERT(terms.size() == encoded.size());
+    core::ScratchVec<const ckks::Ciphertext*> cts(terms.size());
+    core::ScratchVec<const ckks::Plaintext*> pts(terms.size());
     for (std::size_t t = 0; t < terms.size(); ++t) {
-        ckks::Ciphertext part =
-            eval.mul_plain(*babies.at(terms[t].baby), encoded[t]);
-        if (inner.has_value()) {
-            eval.add_inplace(*inner, part);
-        } else {
-            inner = std::move(part);
-        }
+        cts[t] = babies.at(terms[t].baby);
+        pts[t] = &encoded[t];
     }
-    return inner;
+    return eval.mul_plain_sum({cts.data(), cts.size()},
+                              {pts.data(), pts.size()});
 }
 
 void
@@ -73,10 +73,9 @@ accumulate_group_sums(const ckks::Evaluator& eval,
     if (tasks.empty()) return;
     auto run_task = [&](const GroupTask& task,
                         ckks::Evaluator::RotationAccumulator& acc) {
-        std::optional<ckks::Ciphertext> inner =
+        const ckks::Ciphertext inner =
             group_inner_sum(eval, *task.terms, *task.encoded, babies);
-        ORION_ASSERT(inner.has_value());
-        eval.accumulate_rotation(acc, *inner, static_cast<int>(task.giant));
+        eval.accumulate_rotation(acc, inner, static_cast<int>(task.giant));
     };
 
     const i64 chunks = core::chunk_count(static_cast<i64>(tasks.size()));

@@ -9,7 +9,6 @@
  */
 
 #include <map>
-#include <optional>
 
 #include "src/ckks/encoder.h"
 #include "src/ckks/evaluator.h"
@@ -45,10 +44,11 @@ std::vector<ckks::Ciphertext> hoisted_baby_rotations(
     std::map<u64, const ckks::Ciphertext*>* lookup);
 
 /**
- * One giant group's inner sum of PMults, in fixed term order:
- * sum_t babies[terms[t].baby] * encoded[t].
+ * One giant group's inner sum of PMults, sum_t babies[terms[t].baby] *
+ * encoded[t], as a single Evaluator::mul_plain_sum pass. `terms` must be
+ * nonempty.
  */
-std::optional<ckks::Ciphertext> group_inner_sum(
+ckks::Ciphertext group_inner_sum(
     const ckks::Evaluator& eval, const std::vector<BsgsPlan::Term>& terms,
     const std::vector<ckks::Plaintext>& encoded,
     const std::map<u64, const ckks::Ciphertext*>& babies);

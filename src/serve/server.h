@@ -172,8 +172,10 @@ class InferenceServer {
   public:
     /**
      * Builds (or adopts) the shared PreparedProgram and starts the worker
-     * pool. The network must be bootstrap-free (the repo's bootstrapper
-     * is a secret-key oracle; see ROADMAP) and compiled with matrices.
+     * pool. The network must be compiled with matrices. Bootstrap
+     * instructions run as the public-key circuit under each session's
+     * registered keys, so the context needs l_eff + l_boot levels
+     * (construction fails otherwise, naming the instruction).
      */
     InferenceServer(const core::CompiledNetwork& cn,
                     const ckks::Context& ctx, ServeOptions opts = {},

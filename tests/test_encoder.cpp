@@ -145,6 +145,46 @@ TEST(Encoder, ConstantEncodeMatchesVectorEncode)
     for (double v : decoded) EXPECT_NEAR(v, 0.37, 1e-6);
 }
 
+TEST(Encoder, ConstantEncodeMatchesCoefficientFormReference)
+{
+    // The reference is the coefficient-form construction: the constant in
+    // coefficient 0 of every limb, then a forward NTT. encode_constant
+    // writes the NTT form directly; the residues must agree exactly.
+    CkksEnv& env = CkksEnv::shared();
+    const u64 n = env.ctx.degree();
+    for (const double value : {0.0, 1.0, -1.0, 0.37, -2.5e-3, 123.456}) {
+        for (const double scale :
+             {env.ctx.scale(), static_cast<double>(env.ctx.q(2).value()),
+              std::ldexp(1.0, 70)}) {
+            for (int level = 0; level <= env.ctx.max_level(); ++level) {
+                const Plaintext got =
+                    env.encoder.encode_constant(value, level, scale);
+                ckks::RnsPoly want(env.ctx, level, /*extended=*/false,
+                                   /*ntt_form=*/false);
+                const long double x = static_cast<long double>(value) *
+                                      static_cast<long double>(scale);
+                // No value here lands on a half, so any rounding agrees.
+                const i128 c = static_cast<i128>(std::floor(x + 0.5L));
+                for (int i = 0; i < want.num_limbs(); ++i) {
+                    want.limb(i)[0] =
+                        ckks::reduce_signed_128(c, want.limb_modulus(i));
+                }
+                want.to_ntt();
+                ASSERT_TRUE(got.poly.is_ntt());
+                EXPECT_EQ(got.scale, scale);
+                ASSERT_EQ(got.poly.num_limbs(), want.num_limbs());
+                for (int i = 0; i < want.num_limbs(); ++i) {
+                    EXPECT_TRUE(std::equal(got.poly.limb(i),
+                                           got.poly.limb(i) + n,
+                                           want.limb(i)))
+                        << "value " << value << " scale " << scale
+                        << " level " << level << " limb " << i;
+                }
+            }
+        }
+    }
+}
+
 TEST(Encoder, EncodeAtPrimeScale)
 {
     // The errorless scale trick encodes weights at scale q_j; the encoder

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "src/ckks/kernels.h"
+#include "src/core/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace orion::test {
@@ -385,6 +389,184 @@ TEST(Evaluator, OpCountersTrackRotationsAndMults)
     EXPECT_EQ(c.hmult, 1u);
     EXPECT_EQ(c.total_rotations(), 2u);
     EXPECT_EQ(c.keyswitch, 3u);
+}
+
+// ---------------------------------------------------------------------
+// PMult-accumulate (mul_plain_sum) against the eager reference
+// ---------------------------------------------------------------------
+
+/**
+ * 61-bit primes (the largest the lazy-reduction bounds admit), so q - 1
+ * residues put every u128 partial sum of a 16-term slice at its ceiling.
+ */
+const ckks::Context&
+wide_prime_context()
+{
+    static const ckks::Context ctx([] {
+        ckks::CkksParams p;
+        p.poly_degree = u64(1) << 10;
+        p.log_scale = 61;
+        p.first_prime_bits = 61;
+        p.num_scale_primes = 2;
+        p.special_prime_bits = 61;
+        p.digit_size = 1;
+        return p;
+    }());
+    return ctx;
+}
+
+/**
+ * Uniform canonical residues, except that limb 0 and every fourth
+ * coefficient of the other limbs are q - 1.
+ */
+ckks::RnsPoly
+edge_poly(const ckks::Context& ctx, int level, std::mt19937_64& rng)
+{
+    ckks::RnsPoly p(ctx, level, /*extended=*/false, /*ntt_form=*/true);
+    for (int i = 0; i < p.num_limbs(); ++i) {
+        const u64 q = p.limb_modulus(i).value();
+        std::uniform_int_distribution<u64> dist(0, q - 1);
+        u64* limb = p.limb(i);
+        for (u64 j = 0; j < ctx.degree(); ++j) {
+            limb[j] = (i == 0 || j % 4 == 0) ? q - 1 : dist(rng);
+        }
+    }
+    return p;
+}
+
+struct SumOperands {
+    std::vector<Ciphertext> cts;
+    std::vector<Plaintext> pts;
+    std::vector<const Ciphertext*> ct_ptrs;
+    std::vector<const Plaintext*> pt_ptrs;
+};
+
+SumOperands
+make_sum_operands(const ckks::Context& ctx, std::size_t terms, int level,
+                  u64 seed)
+{
+    std::mt19937_64 rng(seed);
+    SumOperands ops;
+    ops.cts.resize(terms);
+    ops.pts.resize(terms);
+    for (std::size_t t = 0; t < terms; ++t) {
+        ops.cts[t].c0 = edge_poly(ctx, level, rng);
+        ops.cts[t].c1 = edge_poly(ctx, level, rng);
+        ops.cts[t].scale = ctx.scale();
+        ops.pts[t].poly = edge_poly(ctx, level, rng);
+        ops.pts[t].scale = 1024.0;
+    }
+    for (std::size_t t = 0; t < terms; ++t) {
+        ops.ct_ptrs.push_back(&ops.cts[t]);
+        ops.pt_ptrs.push_back(&ops.pts[t]);
+    }
+    return ops;
+}
+
+/** The eager loop mul_plain_sum replaced: one PMult and HAdd per term. */
+Ciphertext
+eager_sum(const ckks::Evaluator& eval, const SumOperands& ops)
+{
+    Ciphertext sum = eval.mul_plain(ops.cts[0], ops.pts[0]);
+    for (std::size_t t = 1; t < ops.cts.size(); ++t) {
+        eval.add_inplace(sum, eval.mul_plain(ops.cts[t], ops.pts[t]));
+    }
+    return sum;
+}
+
+bool
+same_residues(const ckks::RnsPoly& a, const ckks::RnsPoly& b)
+{
+    if (a.num_limbs() != b.num_limbs() || a.is_ntt() != b.is_ntt()) {
+        return false;
+    }
+    const std::size_t words =
+        static_cast<std::size_t>(a.num_limbs()) * a.degree();
+    return std::equal(a.limb(0), a.limb(0) + words, b.limb(0));
+}
+
+TEST(MulPlainSum, ByteIdenticalToEagerLoopAcrossIsasAndThreads)
+{
+    const ckks::Context& ctx = wide_prime_context();
+    const ckks::Encoder encoder(ctx);
+    const ckks::Evaluator eval(ctx, encoder);
+    const int level = ctx.max_level();
+    namespace k = ckks::kernels;
+    const k::Isa saved = k::active_isa();
+
+    for (const std::size_t terms : {1, 2, 15, 16, 17, 32, 33, 64}) {
+        const SumOperands ops = make_sum_operands(ctx, terms, level, terms);
+        k::set_isa(k::Isa::kScalar);
+        const Ciphertext want = [&] {
+            const core::ScopedNumThreads serial(1);
+            return eager_sum(eval, ops);
+        }();
+        for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2,
+                                 k::Isa::kAvx512}) {
+            if (!k::isa_supported(isa)) continue;
+            k::set_isa(isa);
+            for (const int threads : {1, 2, 4}) {
+                const core::ScopedNumThreads scoped(threads);
+                const Ciphertext got =
+                    eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs);
+                EXPECT_TRUE(same_residues(got.c0, want.c0) &&
+                            same_residues(got.c1, want.c1))
+                    << terms << " terms, " << k::isa_name(isa) << ", "
+                    << threads << " threads";
+                EXPECT_EQ(got.level(), want.level());
+                EXPECT_EQ(got.scale, want.scale);
+            }
+        }
+    }
+    k::set_isa(saved);
+}
+
+TEST(MulPlainSum, CountsOnePmultPerTermAndOneHaddPerJoin)
+{
+    const ckks::Context& ctx = wide_prime_context();
+    const ckks::Encoder encoder(ctx);
+    const ckks::Evaluator eval(ctx, encoder);
+    for (const std::size_t terms : {1, 17}) {
+        const SumOperands ops = make_sum_operands(ctx, terms, 1, 3);
+        ctx.counters().reset();
+        (void)eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs);
+        EXPECT_EQ(ctx.counters().pmult, terms);
+        EXPECT_EQ(ctx.counters().hadd, terms - 1);
+    }
+}
+
+TEST(MulPlainSum, RejectsMismatchedTermsNamingTheTerm)
+{
+    const ckks::Context& ctx = wide_prime_context();
+    const ckks::Encoder encoder(ctx);
+    const ckks::Evaluator eval(ctx, encoder);
+    SumOperands ops = make_sum_operands(ctx, 6, 2, 5);
+
+    ops.cts[4].c0.drop_to_level(1);
+    ops.cts[4].c1.drop_to_level(1);
+    expect_throw_contains<Error>(
+        [&] { (void)eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs); },
+        "level mismatch in mul_plain_sum term 4");
+
+    ops = make_sum_operands(ctx, 6, 2, 5);
+    ops.pts[2].poly.drop_to_level(1);
+    expect_throw_contains<Error>(
+        [&] { (void)eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs); },
+        "level mismatch in mul_plain_sum term 2");
+
+    ops = make_sum_operands(ctx, 6, 2, 5);
+    ops.cts[3].scale *= 2.0;
+    expect_throw_contains<Error>(
+        [&] { (void)eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs); },
+        "scale mismatch in mul_plain_sum term 3");
+
+    ops.cts[3].scale /= 2.0;
+    ops.pt_ptrs.pop_back();
+    expect_throw_contains<Error>(
+        [&] { (void)eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs); },
+        "6 ciphertexts vs 5 plaintexts");
+    expect_throw_contains<Error>(
+        [&] { (void)eval.mul_plain_sum({}, {}); }, "at least one term");
 }
 
 }  // namespace

@@ -1,0 +1,101 @@
+/**
+ * @file
+ * Cross-commit golden fingerprints: FNV-1a over the serialized output
+ * ciphertexts of fixed-seed real-CKKS runs.
+ *
+ * Other suites check that outputs are byte-identical across thread counts
+ * and kernel ISAs within one build. The pinned values here extend that
+ * check across commits: a kernel, evaluator, or encoder change that moves
+ * a single output residue fails this suite. A change that is meant to
+ * alter outputs must re-record the constants and say why.
+ */
+
+#include <gtest/gtest.h>
+
+#include "src/ckks/kernels.h"
+#include "src/ckks/serial.h"
+#include "src/core/executor.h"
+#include "src/core/thread_pool.h"
+#include "src/nn/models.h"
+#include "tests/test_util.h"
+
+namespace orion::test {
+namespace {
+
+namespace k = ckks::kernels;
+
+/** FNV-1a (64-bit) over the concatenated serializations. */
+u64
+fingerprint(const std::vector<ckks::Ciphertext>& cts)
+{
+    u64 h = 1469598103934665603ull;
+    for (const ckks::Ciphertext& ct : cts) {
+        for (const u8 b : ckks::serial::serialize(ct)) {
+            h ^= b;
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+/** Restores the active ISA on scope exit (set_isa is process-global). */
+struct IsaGuard {
+    k::Isa saved = k::active_isa();
+    ~IsaGuard() { k::set_isa(saved); }
+};
+
+/**
+ * Compiles the micro MLP for `ctx` at l_eff, encrypts one fixed input
+ * under seed-7 keys, and checks the output fingerprint at every
+ * supported ISA and each of `threads`.
+ */
+void
+expect_golden(const ckks::Context& ctx, int l_eff, int l_boot,
+              u64 bootstraps, const std::vector<int>& threads, u64 want)
+{
+    const nn::Network net = nn::make_micro_mlp();
+    core::CompileOptions opt;
+    opt.slots = ctx.slot_count();
+    opt.l_eff = l_eff;
+    opt.cost = core::CostModel::for_params(ctx.degree(), 3, 3, l_boot);
+    opt.calibration_samples = 3;
+    opt.structural_only = false;
+    const core::CompiledNetwork cn = core::compile(net, opt);
+    ASSERT_EQ(cn.num_bootstraps, bootstraps);
+    core::CkksExecutor exec(cn, ctx, /*seed=*/7);
+    const std::vector<ckks::Ciphertext> in =
+        exec.encrypt_input(random_vector(64, 1.0, 1201));
+
+    const IsaGuard guard;
+    for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2,
+                             k::Isa::kAvx512}) {
+        if (!k::isa_supported(isa)) continue;
+        k::set_isa(isa);
+        for (const int t : threads) {
+            const core::ScopedNumThreads scoped(t);
+            const u64 got = fingerprint(exec.run_encrypted(in).outputs);
+            EXPECT_EQ(got, want) << std::hex << "0x" << got << " at "
+                                 << k::isa_name(isa) << ", " << std::dec
+                                 << t << " threads";
+        }
+    }
+}
+
+TEST(Golden, MicroMlpToyOutputsArePinned)
+{
+    const ckks::Context ctx(ckks::CkksParams::toy());
+    expect_golden(ctx, /*l_eff=*/4, /*l_boot=*/3, /*bootstraps=*/0, {1, 2, 4},
+                  0x0eba10338fe146afull);
+}
+
+TEST(Golden, BootstrappedMicroMlpOutputsArePinned)
+{
+    // l_eff = 2 is one level short of the micro MLP's depth, so placement
+    // must insert a bootstrap: the real CtS -> EvalMod -> StC circuit.
+    const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(2));
+    expect_golden(ctx, /*l_eff=*/2, /*l_boot=*/13, /*bootstraps=*/1, {1, 2, 4},
+                  0x53133aae74945d06ull);
+}
+
+}  // namespace
+}  // namespace orion::test
