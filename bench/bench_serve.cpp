@@ -495,7 +495,7 @@ run_batch(int target_batch)
         const auto reply =
             s1.submit(c1.make_request(inputs[0])).get();
         single_outs.push_back(c1.decrypt_response(reply.response));
-        (void)sB.submit(cB.make_request_batch(inputs)).get();
+        (void)sB.submit(cB.make_request(inputs)).get();
     }
 
     // Single-sample pass: B sequential requests per round.
@@ -522,13 +522,13 @@ run_batch(int target_batch)
     std::vector<std::vector<double>> batched_outs;
     for (int r = 0; r < rounds; ++r) {
         const auto t0 = std::chrono::steady_clock::now();
-        const auto reply = sB.submit(cB.make_request_batch(inputs)).get();
+        const auto reply = sB.submit(cB.make_request(inputs)).get();
         const double wall = std::chrono::duration<double>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();
         bN_image_ms.push_back(1e3 * wall / static_cast<double>(B));
         if (r == 0) {
-            batched_outs = cB.decrypt_response_batch(
+            batched_outs = cB.decrypt_response(
                 reply.response, static_cast<int>(inputs.size()));
         }
     }

@@ -5,8 +5,8 @@
  *
  * PMult and HRot are *measured* on the from-scratch CKKS substrate at a
  * functional ring degree; bootstrap latency comes from the analytic cost
- * model (the functional bootstrap is an oracle, see DESIGN.md) at the
- * paper's N = 2^16 scale, and the measured rotation at the top level
+ * model at the paper's N = 2^16 scale (bench_bootstrap --paper measures
+ * the real circuit there), and the measured rotation at the top level
  * calibrates the model's single constant. The paper's qualitative shape -
  * roughly linear growth for PMult/HRot in level, superlinear growth of
  * bootstrap latency with L_eff - is the reproduction target.

@@ -7,9 +7,11 @@
  *   encrypt -> serialize -> submit -> (scheduler) -> execute ->
  *   serialize -> decrypt
  *
- * and each result is validated against a direct in-process CkksExecutor
- * run of the same compiled program (the paper's Section 6 deployment
- * model: the server computes on ciphertexts it cannot read).
+ * and each result is validated against the Session's own in-process run
+ * of the same compiled program (Session::run: the session client
+ * encrypts, an executor holding only evaluation keys computes, the
+ * client decrypts — the paper's Section 6 deployment model, where the
+ * server computes on ciphertexts it cannot read).
  *
  * With `--connect host:port` the same two-client workload runs over TCP
  * instead: the peer is an orion_served shard or an orion_router front

@@ -29,53 +29,4 @@ Bootstrapper::Bootstrapper(const Context& ctx, const Encoder& encoder,
 {
 }
 
-OracleBootstrapper::OracleBootstrapper(const Context& ctx,
-                                       const Encoder& encoder,
-                                       const SecretKey& sk,
-                                       const OracleBootstrapConfig& config)
-    : ctx_(&ctx), encoder_(&encoder), config_(config), decryptor_(ctx, sk),
-      encryptor_(ctx, sk, /*seed=*/0x626f6f74ULL),
-      noise_(/*seed=*/0x6e6f6973ULL)
-{
-    ORION_CHECK(config.l_boot >= 1 && config.l_boot < ctx.max_level(),
-                "l_boot out of range: " << config.l_boot);
-}
-
-Ciphertext
-OracleBootstrapper::bootstrap(const Ciphertext& ct)
-{
-    // Accept inputs whose scale drifted (e.g. after a square activation);
-    // like a real bootstrapper, the output is always at the canonical
-    // scale Delta.
-    ORION_CHECK(ct.scale > 0.25 * ctx_->scale() &&
-                    ct.scale < 4.0 * ctx_->scale(),
-                "bootstrap input scale implausible: " << ct.scale);
-    // The oracle's heavy ops all run on the parallel kernel substrate:
-    // decrypt and encrypt fan out per RNS limb, and decode/encode run the
-    // special FFT — the clear-text twin of the real circuit's
-    // CoeffToSlot/SlotToCoeff stages — with its butterflies fanned out
-    // per stage (see special_fft.cpp). Only the noise loop below is
-    // serial.
-    const Plaintext pt = decryptor_.decrypt(ct);
-    std::vector<std::complex<double>> slots = encoder_->decode_complex(pt);
-
-    // A real EvalMod only approximates the modular reduction well inside
-    // [-input_range, input_range]; emulate the same contract. This loop
-    // must stay serial: the noise samples come from one sequential RNG
-    // stream, and the output has to be bit-identical at any thread count.
-    for (std::complex<double>& v : slots) {
-        ORION_CHECK(std::abs(v.real()) <= config_.input_range * 1.05,
-                    "bootstrap input out of range: " << v.real()
-                        << " (range estimation should have prevented this)");
-        v += std::complex<double>(noise_.sample_normal(config_.noise_std),
-                                  noise_.sample_normal(config_.noise_std));
-    }
-
-    const Plaintext fresh = encoder_->encode_complex(
-        slots, l_eff(), ctx_->scale());
-    Ciphertext out = encryptor_.encrypt(fresh);
-    ctx_->counters().bootstrap += 1;
-    return out;
-}
-
 }  // namespace orion::ckks

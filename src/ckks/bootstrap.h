@@ -6,24 +6,14 @@
  * Bootstrapping (Section 2.5.4): raises a level-exhausted ciphertext back
  * to the effective level L_eff = L - L_boot.
  *
- * The default Bootstrapper is a *real* public-key bootstrap: the
- * CoeffToSlot -> EvalMod -> SlotToCoeff circuit of
- * src/ckks/bootstrap_circuit.h, evaluated under Galois and
- * relinearization keys only. It is what the serving path runs on an
- * untrusted server.
- *
- * The decrypt/re-encrypt oracle that earlier revisions used as a
- * stand-in survives as OracleBootstrapper, an explicit test fixture: it
- * holds the secret key and reproduces the compiler-visible semantics of
- * a bootstrap (level reset, canonical output scale, bounded added noise,
- * inputs in [-1, 1]) without the circuit's level budget, which is what
- * lets toy parameter sets (6-level chains) exercise bootstrap-bearing
- * programs in unit tests. See DESIGN.md, "Substitutions".
+ * Bootstrapper is a real public-key bootstrap: the CoeffToSlot ->
+ * EvalMod -> SlotToCoeff circuit of src/ckks/bootstrap_circuit.h,
+ * evaluated under Galois and relinearization keys only, with no secret
+ * key anywhere. It is what the serving path runs on an untrusted server.
  */
 
 #include "src/ckks/bootstrap_circuit.h"
 #include "src/ckks/encoder.h"
-#include "src/ckks/encryptor.h"
 
 namespace orion::ckks {
 
@@ -76,52 +66,6 @@ class Bootstrapper {
 
   private:
     BootstrapCircuit circuit_;
-};
-
-/** Oracle behaviour knobs. */
-struct OracleBootstrapConfig {
-    /** Levels consumed by the modeled bootstrap circuit (paper: 13-15). */
-    int l_boot = 3;
-    /**
-     * Standard deviation of the noise the oracle adds to each slot,
-     * relative to a unit-scaled message (about 20 bits of precision, in
-     * line with production CKKS bootstrappers).
-     */
-    double noise_std = 1e-6;
-    /** Inputs must lie in [-range, range] (Section 6, range estimation). */
-    double input_range = 1.0;
-};
-
-/**
- * Functional bootstrap oracle — TEST FIXTURE ONLY. Decrypts with the
- * secret key, injects noise matching a configurable bootstrap precision,
- * and re-encrypts at L_eff. Kept so toy parameter sets too shallow for
- * the real circuit can still execute bootstrap-bearing programs in
- * single-party tests; the serving path never constructs one.
- */
-class OracleBootstrapper {
-  public:
-    OracleBootstrapper(const Context& ctx, const Encoder& encoder,
-                       const SecretKey& sk,
-                       const OracleBootstrapConfig& config = {});
-
-    /** Maximum achievable level after bootstrapping (Table 1's L_eff). */
-    int l_eff() const { return ctx_->max_level() - config_.l_boot; }
-    const OracleBootstrapConfig& config() const { return config_; }
-
-    /**
-     * Bootstraps ct to level l_eff at the canonical scale Delta. The input
-     * may be at any level; its scale must be (approximately) Delta.
-     */
-    Ciphertext bootstrap(const Ciphertext& ct);
-
-  private:
-    const Context* ctx_;
-    const Encoder* encoder_;
-    OracleBootstrapConfig config_;
-    Decryptor decryptor_;
-    Encryptor encryptor_;
-    Sampler noise_;
 };
 
 }  // namespace orion::ckks

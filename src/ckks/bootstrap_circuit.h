@@ -5,9 +5,7 @@
  * @file
  * The public-key CKKS bootstrap circuit: ModRaise, CoeffToSlot, EvalMod,
  * SlotToCoeff — evaluated entirely under Galois and relinearization keys.
- * No secret key appears anywhere in this pipeline; the decrypt/re-encrypt
- * oracle of earlier revisions survives only as ckks::OracleBootstrapper
- * (a test fixture; see bootstrap.h).
+ * No secret key appears anywhere in this pipeline.
  *
  * Pipeline, in value terms (Delta = the canonical scale, q_0 = the first
  * prime, n = slot count, s_in = the input's exact symbolic scale):
@@ -165,8 +163,8 @@ struct BootstrapStats {
  *
  * `input_scale` is the exact symbolic scale of the ciphertexts this
  * circuit will bootstrap (the compiler's scale resolution knows it per
- * instruction); the default 0 means the canonical scale Delta. Like the
- * retired oracle, the output is always at exactly Delta.
+ * instruction); the default 0 means the canonical scale Delta. The
+ * output is always at exactly Delta.
  */
 class BootstrapCircuit {
   public:

@@ -5,7 +5,7 @@
  * @file
  * Encryption (Section 2.3) and decryption. Encryption supports both the
  * public-key path (used by a data owner) and the symmetric path (used by
- * tests and the bootstrapping oracle).
+ * tests).
  */
 
 #include "src/ckks/ciphertext.h"

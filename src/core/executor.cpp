@@ -208,9 +208,6 @@ SimExecutor::run(const std::vector<double>& input)
             break;
         }
         }
-        if (inspect && ins.op != Instruction::Op::kOutput) {
-            inspect(ins, values.at(ins.value));
-        }
     }
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -234,10 +231,10 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
                 "context needs more levels than l_eff");
     const ckks::Encoder encoder(ctx);
 
-    // Symbolic scale propagation mirrors execute_program(); every linear
-    // layer encodes
-    // its diagonals at the repair scale Delta * q_level / in_scale
-    // (Figure 7), so scales between layers are exactly Delta.
+    // Symbolic scale propagation mirrors run_encrypted(); every linear
+    // layer encodes its diagonals at the repair scale
+    // Delta * q_level / in_scale (Figure 7), so scales between layers are
+    // exactly Delta.
     const double delta = ctx.scale();
     prepared_.resize(cn.program.size());
     bias_.resize(cn.program.size());
@@ -268,8 +265,8 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
             break;
         case Instruction::Op::kBootstrap:
             // The operand's exact symbolic scale feeds the circuit's
-            // CoeffToSlot constant (the circuit, like the old oracle,
-            // re-normalizes to the canonical scale).
+            // CoeffToSlot constant (the circuit re-normalizes to the
+            // canonical scale).
             (void)consume(ins.a);
             scale_of[ins.value] = delta;
             break;
@@ -413,8 +410,8 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
     // ---- Phase C: the public-key bootstrap circuit ----
     // One plan (a pure function of the parameters), one encoded circuit
     // per distinct symbolic input scale. A chain too short for the
-    // circuit leaves boot_circuits_ empty: only a self-keyed executor
-    // can then run the program, through the oracle test fixture.
+    // circuit leaves boot_circuits_ empty, and executor construction
+    // then rejects the program.
     if (cn.num_bootstraps > 0) {
         boot_plan_ = ckks::BootstrapPlan::cached(ctx.params());
         if (ckks::BootstrapCircuit::supported(ctx, *boot_plan_, cn.l_eff)) {
@@ -469,26 +466,6 @@ PreparedProgram::conjugation_level() const
     return boot_plan_->conjugation_level(cn_->l_eff);
 }
 
-// ---------------------------------------------------------------------
-// Input/output packing helpers (shared with the serving client)
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** The program's (unique) input instruction. */
-const Instruction&
-input_instruction(const CompiledNetwork& cn)
-{
-    for (const Instruction& ins : cn.program) {
-        if (ins.op == Instruction::Op::kInput) return ins;
-    }
-    ORION_CHECK(false, "program has no input instruction");
-    // Unreachable; silences the missing-return warning.
-    return cn.program.front();
-}
-
-}  // namespace
-
 GaloisRequirements
 required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
 {
@@ -511,165 +488,9 @@ required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
     return out;
 }
 
-std::vector<ckks::Ciphertext>
-encrypt_network_input(const CompiledNetwork& cn, const ckks::Context& ctx,
-                      const ckks::Encoder& encoder,
-                      ckks::Encryptor& encryptor,
-                      const std::vector<double>& input)
-{
-    ORION_CHECK(input.size() == cn.input_shape.size(),
-                "input size mismatch: got " << input.size() << ", program "
-                                            << "expects "
-                                            << cn.input_shape.size());
-    const Instruction& ins = input_instruction(cn);
-    std::vector<double> normalized(input.size());
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        normalized[i] = cn.input_nu * input[i];
-    }
-    const u64 padded = ins.cts * cn.slots;
-    const std::vector<double> packed =
-        cn.input_layout.pack(normalized, padded);
-    const double delta = ctx.scale();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(ins.cts);
-    for (u64 c = 0; c < ins.cts; ++c) {
-        const std::span<const double> chunk(packed.data() + c * cn.slots,
-                                            cn.slots);
-        cts.push_back(
-            encryptor.encrypt(encoder.encode(chunk, ins.level, delta)));
-    }
-    return cts;
-}
-
-std::vector<ckks::Ciphertext>
-encrypt_network_input_batch(const CompiledNetwork& cn,
-                            const ckks::Context& ctx,
-                            const ckks::Encoder& encoder,
-                            ckks::Encryptor& encryptor,
-                            const std::vector<std::vector<double>>& inputs)
-{
-    ORION_CHECK(!inputs.empty(), "batch must have at least one sample");
-    ORION_CHECK(inputs.size() <= static_cast<std::size_t>(cn.batch),
-                "batch_count " << inputs.size() << " > program capacity "
-                               << cn.batch << " for layer "
-                               << cn.batch_limit_layer);
-    std::vector<std::vector<double>> normalized(inputs.size());
-    for (std::size_t b = 0; b < inputs.size(); ++b) {
-        const std::vector<double>& input = inputs[b];
-        ORION_CHECK(input.size() == cn.input_shape.size(),
-                    "input size mismatch: got "
-                        << input.size() << ", program expects "
-                        << cn.input_shape.size());
-        normalized[b].resize(input.size());
-        for (std::size_t i = 0; i < input.size(); ++i) {
-            normalized[b][i] = cn.input_nu * input[i];
-        }
-    }
-    const Instruction& ins = input_instruction(cn);
-    const u64 padded = ins.cts * cn.slots;
-    const std::vector<double> packed =
-        cn.input_layout.pack_batch(normalized, padded);
-    const double delta = ctx.scale();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(ins.cts);
-    for (u64 c = 0; c < ins.cts; ++c) {
-        const std::span<const double> chunk(packed.data() + c * cn.slots,
-                                            cn.slots);
-        cts.push_back(
-            encryptor.encrypt(encoder.encode(chunk, ins.level, delta)));
-    }
-    return cts;
-}
-
-std::vector<double>
-decrypt_network_output(const CompiledNetwork& cn,
-                       const ckks::Encoder& encoder,
-                       const ckks::Decryptor& decryptor,
-                       const std::vector<ckks::Ciphertext>& outputs)
-{
-    std::vector<double> slots;
-    slots.reserve(outputs.size() * cn.slots);
-    for (const ckks::Ciphertext& ct : outputs) {
-        const std::vector<double> part =
-            encoder.decode(decryptor.decrypt(ct));
-        slots.insert(slots.end(), part.begin(), part.end());
-    }
-    slots.resize(std::max<u64>(cn.output_layout.total_slots(), slots.size()),
-                 0.0);
-    std::vector<double> logical = cn.output_layout.unpack(slots);
-    logical.resize(cn.output_size);
-    for (double& x : logical) x /= cn.output_nu;
-    return logical;
-}
-
-std::vector<std::vector<double>>
-decrypt_network_output_batch(const CompiledNetwork& cn,
-                             const ckks::Encoder& encoder,
-                             const ckks::Decryptor& decryptor,
-                             const std::vector<ckks::Ciphertext>& outputs,
-                             int batch_count)
-{
-    ORION_CHECK(batch_count >= 1 && batch_count <= cn.batch,
-                "batch_count " << batch_count << " > program capacity "
-                               << cn.batch << " for layer "
-                               << cn.batch_limit_layer);
-    std::vector<double> slots;
-    slots.reserve(outputs.size() * cn.slots);
-    for (const ckks::Ciphertext& ct : outputs) {
-        const std::vector<double> part =
-            encoder.decode(decryptor.decrypt(ct));
-        slots.insert(slots.end(), part.begin(), part.end());
-    }
-    slots.resize(std::max<u64>(cn.output_layout.total_slots(), slots.size()),
-                 0.0);
-    std::vector<std::vector<double>> logical =
-        cn.output_layout.unpack_batch(slots, batch_count);
-    for (std::vector<double>& sample : logical) {
-        sample.resize(cn.output_size);
-        for (double& x : sample) x /= cn.output_nu;
-    }
-    return logical;
-}
-
 // ---------------------------------------------------------------------
 // CkksExecutor
 // ---------------------------------------------------------------------
-
-CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
-                           const ckks::Context& ctx, u64 seed,
-                           std::optional<OrionConfig> cfg,
-                           std::shared_ptr<const PreparedProgram> prepared)
-    : cn_(&cn), ctx_(&ctx), cfg_(std::move(cfg)), encoder_(ctx),
-      prep_(prepared ? std::move(prepared)
-                     : std::make_shared<const PreparedProgram>(cn, ctx)),
-      keygen_(std::in_place, ctx, seed),
-      pk_(keygen_->make_public_key()),
-      own_relin_(keygen_->make_relin_key()),
-      encryptor_(std::in_place, ctx, *pk_),
-      decryptor_(std::in_place, ctx, keygen_->secret_key()),
-      eval_(ctx, encoder_)
-{
-    ORION_CHECK(prep_->cn_ == &cn && prep_->ctx_ == &ctx,
-                "prepared program belongs to a different network or context");
-    // Galois keys: exactly the union of rotation steps the compiled
-    // program and (when present) the bootstrap circuit use, each key
-    // pruned to the highest level it is used at.
-    const std::vector<ckks::GaloisKeyRequest> requests =
-        prep_->galois_requests();
-    own_galois_ = keygen_->make_galois_keys(
-        std::span<const ckks::GaloisKeyRequest>(requests),
-        prep_->needs_conjugation(),
-        prep_->needs_conjugation() ? prep_->conjugation_level() : -1);
-    // Chains too short for the real circuit keep the explicit oracle as
-    // a single-party test fixture (see bootstrap.h).
-    if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
-        oracle_boot_.emplace(
-            ctx, encoder_, keygen_->secret_key(),
-            ckks::OracleBootstrapConfig{ctx.max_level() - cn.l_eff, 1e-6,
-                                        1.0});
-    }
-    bind_session_keys(&*own_relin_, &*own_galois_);
-}
 
 CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
                            const ckks::Context& ctx,
@@ -678,8 +499,7 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
     : cn_(&cn), ctx_(&ctx), cfg_(std::move(cfg)), encoder_(ctx),
       prep_(std::move(prepared)), eval_(ctx, encoder_)
 {
-    ORION_CHECK(prep_ != nullptr,
-                "external-key executor requires a prepared program");
+    ORION_CHECK(prep_ != nullptr, "executor requires a prepared program");
     ORION_CHECK(prep_->cn_ == &cn && prep_->ctx_ == &ctx,
                 "prepared program belongs to a different network or context");
     if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
@@ -693,7 +513,7 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
         ORION_ASSERT(boot_ins != nullptr);
         const ckks::BootstrapPlan* plan = prep_->bootstrap_plan();
         ORION_CHECK(false,
-                    "cannot serve "
+                    "cannot execute "
                         << describe_instruction(*boot_ins)
                         << ": the public-key bootstrap circuit needs l_eff "
                         << cn.l_eff << " + l_boot "
@@ -728,46 +548,18 @@ CkksExecutor::drop_all(const std::vector<ckks::Ciphertext>& in,
     return out;
 }
 
-std::vector<ckks::Ciphertext>
-CkksExecutor::encrypt_input(const std::vector<double>& input)
-{
-    ORION_CHECK(encryptor_.has_value(),
-                "encrypt_input requires a self-keyed executor");
-    return encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, input);
-}
-
-std::vector<ckks::Ciphertext>
-CkksExecutor::encrypt_input_batch(
-    const std::vector<std::vector<double>>& inputs)
-{
-    ORION_CHECK(encryptor_.has_value(),
-                "encrypt_input_batch requires a self-keyed executor");
-    return encrypt_network_input_batch(*cn_, *ctx_, encoder_, *encryptor_,
-                                       inputs);
-}
-
-std::vector<double>
-CkksExecutor::decrypt_output(const std::vector<ckks::Ciphertext>& outputs)
-    const
-{
-    ORION_CHECK(decryptor_.has_value(),
-                "decrypt_output requires a self-keyed executor");
-    return decrypt_network_output(*cn_, encoder_, *decryptor_, outputs);
-}
-
-std::vector<std::vector<double>>
-CkksExecutor::decrypt_output_batch(
-    const std::vector<ckks::Ciphertext>& outputs, int batch_count) const
-{
-    ORION_CHECK(decryptor_.has_value(),
-                "decrypt_output_batch requires a self-keyed executor");
-    return decrypt_network_output_batch(*cn_, encoder_, *decryptor_,
-                                        outputs, batch_count);
-}
-
 EncryptedResult
-CkksExecutor::execute_program(const std::vector<ckks::Ciphertext>& input)
+CkksExecutor::run_encrypted(const std::vector<ckks::Ciphertext>& input)
 {
+    ORION_CHECK(relin_ != nullptr || galois_ != nullptr,
+                "run_encrypted requires bound evaluation keys "
+                "(bind_session_keys)");
+    // A pinned config governs every kernel underneath this call via a
+    // thread-local override (concurrent executors with different budgets
+    // cannot interfere). Without one, kernels follow the ambient setting
+    // (global pool or the caller's own override).
+    std::optional<ScopedPoolOverride> scoped_threads;
+    if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
     const auto t0 = std::chrono::steady_clock::now();
     const approx::HePolyEvaluator polyeval(eval_);
     const double delta = ctx_->scale();
@@ -802,26 +594,11 @@ CkksExecutor::execute_program(const std::vector<ckks::Ciphertext>& input)
             break;
         }
         case Instruction::Op::kBootstrap: {
+            // The real public-key circuit under the bound session keys.
+            const ckks::BootstrapCircuit* circuit = prep_->circuit_for(idx);
             Value v;
-            if (prep_->bootstrap_supported()) {
-                // The real public-key circuit, under whatever evaluation
-                // keys are bound (a serving session's, or our own).
-                const ckks::BootstrapCircuit* circuit =
-                    prep_->circuit_for(idx);
-                for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                    v.cts.push_back(circuit->bootstrap(eval_, ct));
-                }
-            } else {
-                ORION_CHECK(oracle_boot_.has_value(),
-                            "cannot execute "
-                                << describe_instruction(ins)
-                                << ": the chain is too short for the "
-                                << "public-key bootstrap circuit and only "
-                                << "self-keyed executors may fall back to "
-                                << "the oracle fixture");
-                for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                    v.cts.push_back(oracle_boot_->bootstrap(ct));
-                }
+            for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
+                v.cts.push_back(circuit->bootstrap(eval_, ct));
             }
             values[ins.value] = std::move(v);
             result.bootstraps += ins.cts;
@@ -920,72 +697,16 @@ CkksExecutor::execute_program(const std::vector<ckks::Ciphertext>& input)
             break;
         }
         }
-        // Per-layer attribution covers the op itself, not the inspect
-        // callback below (which decrypts and only runs in tests).
         charge_layer(result.layer_times, ins.layer_id,
                      std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - ins_t0)
                          .count());
-        if (inspect && ins.op != Instruction::Op::kOutput) {
-            ORION_CHECK(decryptor_.has_value(),
-                        "inspect requires a self-keyed executor");
-            std::vector<double> slots;
-            for (const ckks::Ciphertext& ct : values.at(ins.value).cts) {
-                const std::vector<double> part =
-                    encoder_.decode(decryptor_->decrypt(ct));
-                slots.insert(slots.end(), part.begin(), part.end());
-            }
-            inspect(ins, slots);
-        }
     }
 
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     return result;
-}
-
-ExecutionResult
-CkksExecutor::run(const std::vector<double>& input)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    ORION_CHECK(encryptor_.has_value() && decryptor_.has_value(),
-                "run() requires a self-keyed executor; serving mode uses "
-                "run_encrypted()");
-    // A pinned config governs every kernel underneath this call via a
-    // thread-local override (concurrent executors with different budgets
-    // cannot interfere). Without one, kernels follow the ambient setting
-    // (global pool or the caller's own override).
-    std::optional<ScopedPoolOverride> scoped_threads;
-    if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
-
-    const std::vector<ckks::Ciphertext> in_cts =
-        encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, input);
-    EncryptedResult er = execute_program(in_cts);
-
-    ExecutionResult result;
-    result.output =
-        decrypt_network_output(*cn_, encoder_, *decryptor_, er.outputs);
-    result.bootstraps = er.bootstraps;
-    result.rotations = er.rotations;
-    result.pmults = er.pmults;
-    result.layer_times = std::move(er.layer_times);
-    result.modeled_latency = cn_->modeled_latency;
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return result;
-}
-
-EncryptedResult
-CkksExecutor::run_encrypted(const std::vector<ckks::Ciphertext>& input)
-{
-    ORION_CHECK(relin_ != nullptr || galois_ != nullptr,
-                "run_encrypted requires bound evaluation keys "
-                "(bind_session_keys)");
-    std::optional<ScopedPoolOverride> scoped_threads;
-    if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
-    return execute_program(input);
 }
 
 }  // namespace orion::core

@@ -11,17 +11,14 @@
  * how ImageNet-scale rows of Table 2 are produced. CkksExecutor runs the
  * same instruction stream under real RNS-CKKS encryption end to end.
  *
- * CkksExecutor has two key modes:
- *  - self-keyed: the executor generates its own secret, can encrypt inputs
- *    and decrypt outputs, and supports bootstrap instructions (the oracle
- *    bootstrapper holds the secret). This is the single-party mode used by
- *    tests, benches, and the paper's tables.
- *  - external-key (serving): the executor holds only a client's evaluation
- *    keys (relinearization + Galois). It can run run_encrypted() -
- *    ciphertexts in, ciphertexts out - but never sees a secret key. The
- *    expensive key-independent preparation (encoded diagonals, bias
- *    plaintexts, resolved scales) lives in a shared PreparedProgram so a
- *    pool of serving executors amortizes it across sessions.
+ * CkksExecutor never holds a secret. It holds only a client's evaluation
+ * keys (relinearization + Galois), bound per run, and runs
+ * run_encrypted(): ciphertexts in, ciphertexts out. Encryption and
+ * decryption belong to the key owner (serve::ServeClient). The expensive
+ * key-independent preparation (encoded diagonals, bias plaintexts,
+ * resolved scales, the bootstrap circuit) lives in a shared
+ * PreparedProgram so a pool of serving executors amortizes it across
+ * sessions.
  */
 
 #include <memory>
@@ -66,14 +63,6 @@ struct EncryptedResult {
     std::vector<LayerTiming> layer_times;
 };
 
-/**
- * Optional per-instruction observer: receives the instruction and the
- * (logical/decrypted) slot values it produced. Used by integration tests
- * to localize divergence between backends.
- */
-using InspectFn =
-    std::function<void(const Instruction&, const std::vector<double>&)>;
-
 /** Functional simulation backend. */
 class SimExecutor {
   public:
@@ -81,8 +70,6 @@ class SimExecutor {
                          double bootstrap_noise_std = 1e-6, u64 seed = 5);
 
     ExecutionResult run(const std::vector<double>& input);
-
-    InspectFn inspect;  ///< optional per-instruction observer
 
   private:
     const CompiledNetwork* cn_;
@@ -116,9 +103,8 @@ class PreparedProgram {
     /**
      * True when every bootstrap instruction can run as the real circuit
      * (the context has l_eff + l_boot levels). False either because the
-     * program is bootstrap-free or because the chain is too short — in
-     * the latter case only a self-keyed executor can run the program,
-     * via the oracle test fixture.
+     * program is bootstrap-free or because the chain is too short, in
+     * which case no executor can run the program.
      */
     bool bootstrap_supported() const { return !boot_circuits_.empty(); }
 
@@ -172,138 +158,58 @@ GaloisRequirements required_galois(const CompiledNetwork& cn,
                                    const ckks::Context& ctx);
 
 /**
- * Packs and encrypts a network input exactly as the program's kInput
- * instruction expects (normalization, layout packing, level, scale).
- * Shared by CkksExecutor::run and the serving client.
- */
-std::vector<ckks::Ciphertext> encrypt_network_input(
-    const CompiledNetwork& cn, const ckks::Context& ctx,
-    const ckks::Encoder& encoder, ckks::Encryptor& encryptor,
-    const std::vector<double>& input);
-
-/**
- * Packs up to CompiledNetwork::batch samples into their slot lanes and
- * encrypts them as one ciphertext set (the batched kInput form). The
- * program executes once for the whole batch.
- */
-std::vector<ckks::Ciphertext> encrypt_network_input_batch(
-    const CompiledNetwork& cn, const ckks::Context& ctx,
-    const ckks::Encoder& encoder, ckks::Encryptor& encryptor,
-    const std::vector<std::vector<double>>& inputs);
-
-/**
- * Decrypts, unpacks, and de-normalizes program outputs exactly as the
- * kOutput instruction does.
- */
-std::vector<double> decrypt_network_output(
-    const CompiledNetwork& cn, const ckks::Encoder& encoder,
-    const ckks::Decryptor& decryptor,
-    const std::vector<ckks::Ciphertext>& outputs);
-
-/** Batched decrypt: the first batch_count lanes as per-sample outputs. */
-std::vector<std::vector<double>> decrypt_network_output_batch(
-    const CompiledNetwork& cn, const ckks::Encoder& encoder,
-    const ckks::Decryptor& decryptor,
-    const std::vector<ckks::Ciphertext>& outputs, int batch_count);
-
-/*
- * CkksExecutor honors OrionConfig::num_threads: run() installs a
- * thread-local pool override for its duration, so the executor knob
+ * Real-FHE backend over the from-scratch CKKS substrate.
+ *
+ * CkksExecutor honors OrionConfig::num_threads: run_encrypted() installs
+ * a thread-local pool override for its duration, so the executor knob
  * controls every parallel kernel underneath it without touching global
  * state (concurrent executors with different budgets are safe).
  * num_threads = 1 is bit-identical to any other setting; it simply runs
  * the kernels serially. SimExecutor is pure cleartext simulation and has
  * no parallel kernels today.
  */
-
-/** Real-FHE backend over the from-scratch CKKS substrate. */
 class CkksExecutor {
   public:
     /**
-     * Self-keyed mode: generates keys for every required rotation step and
-     * prepares the program (or reuses `prepared` when given). Requires the
-     * program to have been compiled with matrices (structural_only =
-     * false) and with l_eff < the context's max level.
-     */
-    /**
-     * When `cfg` is given, run() pins its kernels to cfg.num_threads via a
-     * thread-local pool override. Without it, the executor follows the
-     * ambient setting at run() time (core::set_num_threads or a caller's
-     * ScopedPoolOverride), so late thread-count changes take effect.
-     */
-    CkksExecutor(const CompiledNetwork& cn, const ckks::Context& ctx,
-                 u64 seed = 7,
-                 std::optional<OrionConfig> cfg = std::nullopt,
-                 std::shared_ptr<const PreparedProgram> prepared = nullptr);
-
-    /**
-     * External-key (serving) mode: no key material of its own; callers
-     * bind a session's evaluation keys before each run_encrypted().
-     * Bootstrap instructions run as the real public-key circuit under
-     * the bound Galois/relinearization keys; the context must therefore
-     * have l_eff + l_boot levels (construction fails otherwise, naming
-     * the offending instruction).
+     * Binds the executor to a prepared program; it has no key material of
+     * its own. Bootstrap instructions run as the real public-key circuit
+     * under the bound Galois/relinearization keys; the context must
+     * therefore have l_eff + l_boot levels (construction fails otherwise,
+     * naming the offending instruction).
+     *
+     * When `cfg` is given, run_encrypted() pins its kernels to
+     * cfg.num_threads via a thread-local pool override. Without it, the
+     * executor follows the ambient setting at call time
+     * (core::set_num_threads or a caller's ScopedPoolOverride), so late
+     * thread-count changes take effect.
      */
     CkksExecutor(const CompiledNetwork& cn, const ckks::Context& ctx,
                  std::shared_ptr<const PreparedProgram> prepared,
                  std::optional<OrionConfig> cfg = std::nullopt);
 
     /**
-     * Binds per-session evaluation keys (external-key mode, or to override
-     * the self-generated keys). The pointed-to keys must outlive every
-     * subsequent run_encrypted() call.
+     * Binds a session's evaluation keys. The pointed-to keys must outlive
+     * every subsequent run_encrypted() call.
      */
     void bind_session_keys(const ckks::KswitchKey* relin,
                            const ckks::GaloisKeys* galois);
 
     /**
-     * Full inference: encrypt, execute, decrypt. Self-keyed mode only.
-     * Safe to call repeatedly on one instance: all per-run state (values,
-     * levels, stats) is local to the call.
-     */
-    ExecutionResult run(const std::vector<double>& input);
-
-    /**
      * Encrypted-domain inference: validates the input ciphertexts against
      * the program's kInput contract (count, level, scale), executes, and
-     * returns the still-encrypted outputs. Works in both modes; the
-     * serving path never touches a secret key. Reported rotation /
-     * bootstrap / pmult counts are the program's deterministic operation
-     * counts with SimExecutor's accounting (race-free when many executors
-     * share one Context): rotations equal the measured kernel counts
-     * (asserted against Context counters by the compiler integration
-     * test); pmults cover linear layers and explicit scales but not the
-     * plaintext products inside polynomial activation evaluation.
+     * returns the still-encrypted outputs. Safe to call repeatedly on one
+     * instance: all per-run state (values, stats) is local to the call.
+     * Reported rotation / bootstrap / pmult counts are the program's
+     * deterministic operation counts with SimExecutor's accounting
+     * (race-free when many executors share one Context): rotations equal
+     * the measured kernel counts (asserted against Context counters by
+     * the compiler integration test); pmults cover linear layers and
+     * explicit scales but not the plaintext products inside polynomial
+     * activation evaluation.
      */
     EncryptedResult run_encrypted(const std::vector<ckks::Ciphertext>& input);
 
-    /** Encrypts a logical input (self-keyed mode). */
-    std::vector<ckks::Ciphertext> encrypt_input(
-        const std::vector<double>& input);
-    /** Encrypts up to CompiledNetwork::batch samples into slot lanes. */
-    std::vector<ckks::Ciphertext> encrypt_input_batch(
-        const std::vector<std::vector<double>>& inputs);
-    /** Decrypts encrypted-domain outputs (self-keyed mode). */
-    std::vector<double> decrypt_output(
-        const std::vector<ckks::Ciphertext>& outputs) const;
-    /** Decrypts the first batch_count lanes as per-sample outputs. */
-    std::vector<std::vector<double>> decrypt_output_batch(
-        const std::vector<ckks::Ciphertext>& outputs, int batch_count) const;
-
-    /** The pinned config, or the current global one when not pinned. */
-    OrionConfig exec_config() const { return cfg_ ? *cfg_ : config(); }
-    void set_exec_config(const OrionConfig& cfg) { cfg_ = cfg; }
-
-    bool self_keyed() const { return keygen_.has_value(); }
-
-    InspectFn inspect;  ///< optional observer (decrypts intermediates!)
-
-    const ckks::SecretKey& secret_key() const
-    {
-        ORION_CHECK(keygen_.has_value(),
-                    "external-key executor holds no secret key");
-        return keygen_->secret_key();
-    }
+    /** Bytes of the bound Galois keys (0 when none are bound). */
     std::size_t galois_key_bytes() const
     {
         return galois_ ? galois_->byte_size() : 0;
@@ -312,26 +218,13 @@ class CkksExecutor {
   private:
     std::vector<ckks::Ciphertext> drop_all(
         const std::vector<ckks::Ciphertext>& in, int level) const;
-    /** The shared instruction walk behind run() and run_encrypted(). */
-    EncryptedResult execute_program(
-        const std::vector<ckks::Ciphertext>& input);
 
     const CompiledNetwork* cn_;
     const ckks::Context* ctx_;
     std::optional<OrionConfig> cfg_;
     ckks::Encoder encoder_;
     std::shared_ptr<const PreparedProgram> prep_;
-    // Self-key material; absent in external-key (serving) mode.
-    std::optional<ckks::KeyGenerator> keygen_;
-    std::optional<ckks::PublicKey> pk_;
-    std::optional<ckks::KswitchKey> own_relin_;
-    std::optional<ckks::GaloisKeys> own_galois_;
-    std::optional<ckks::Encryptor> encryptor_;
-    std::optional<ckks::Decryptor> decryptor_;
-    // Oracle fallback: only for self-keyed executors on chains too short
-    // for the real circuit (toy test parameters); see bootstrap.h.
-    std::optional<ckks::OracleBootstrapper> oracle_boot_;
-    // Bound evaluation keys (own keys, or a session's external keys).
+    // Bound evaluation keys (a session's, owned by its client).
     const ckks::KswitchKey* relin_ = nullptr;
     const ckks::GaloisKeys* galois_ = nullptr;
     ckks::Evaluator eval_;

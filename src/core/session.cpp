@@ -1,7 +1,10 @@
 #include "src/core/session.h"
 
+#include <chrono>
 #include <random>
 #include <utility>
+
+#include "src/core/thread_pool.h"
 
 namespace orion {
 
@@ -61,7 +64,7 @@ Session::compile(const nn::Network& net, core::CompileOptions opt)
         // with the same schedule the executor will actually run.
         // Dense secrets at large rings make the EvalMod fit diverge —
         // such parameter sets cannot run the circuit at all (executors
-        // fall back to the oracle fixture), so compilation of
+        // reject bootstrap-bearing programs), so compilation of
         // bootstrap-free programs must not die here: keep the
         // paper-default l_boot for pricing.
         if (!l_boot_.has_value()) {
@@ -85,6 +88,7 @@ Session::compile(const nn::Network& net, core::CompileOptions opt)
     // A new program invalidates everything derived from the old one.
     prepared_.reset();
     fhe_.reset();
+    client_.reset();
     sim_.reset();
     lowered_.reset();  // the module-compile overload re-stores its IR
     compiled_ = core::compile(net, opt);
@@ -177,6 +181,18 @@ Session::prepared()
     return prepared_;
 }
 
+serve::ServeClient&
+Session::client(const char* verb)
+{
+    require_compiled(verb);
+    require_context(verb);
+    if (client_ == nullptr) {
+        client_ = std::make_unique<serve::ServeClient>(*compiled_, *ctx_,
+                                                       opts_.seed);
+    }
+    return *client_;
+}
+
 core::CkksExecutor&
 Session::executor()
 {
@@ -184,30 +200,60 @@ Session::executor()
     require_context("executor");
     require_matrices("executor");
     if (fhe_ == nullptr) {
-        fhe_ = std::make_unique<core::CkksExecutor>(
-            *compiled_, *ctx_, opts_.seed, opts_.exec_config, prepared());
+        // Constructed before any keygen: a program the context cannot
+        // execute is rejected without paying for keys.
+        auto fhe = std::make_unique<core::CkksExecutor>(
+            *compiled_, *ctx_, prepared(), opts_.exec_config);
+        const serve::ServeClient& keys = client("executor");
+        fhe->bind_session_keys(&keys.relin_key(), &keys.galois_keys());
+        fhe_ = std::move(fhe);
     }
     return *fhe_;
 }
 
 core::ExecutionResult
-Session::run(const std::vector<double>& input)
+Session::infer(const std::vector<std::vector<double>>& samples,
+               std::vector<std::vector<double>>& outputs)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     require_compiled("run");
     require_context("run");
-    return executor().run(input);
+    core::CkksExecutor& exec = executor();
+    // Client crypto runs under the same kernel budget as the program.
+    std::optional<core::ScopedPoolOverride> scoped_threads;
+    if (opts_.exec_config) {
+        scoped_threads.emplace(opts_.exec_config->resolved_num_threads());
+    }
+    core::EncryptedResult er = exec.run_encrypted(encrypt(samples));
+    outputs = decrypt(er.outputs, static_cast<int>(samples.size()));
+
+    core::ExecutionResult result;
+    result.bootstraps = er.bootstraps;
+    result.rotations = er.rotations;
+    result.pmults = er.pmults;
+    result.layer_times = std::move(er.layer_times);
+    result.modeled_latency = compiled_->modeled_latency;
+    result.wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    return result;
+}
+
+core::ExecutionResult
+Session::run(const std::vector<double>& input)
+{
+    std::vector<std::vector<double>> outputs;
+    core::ExecutionResult result = infer({input}, outputs);
+    result.output = std::move(outputs.front());
+    return result;
 }
 
 std::vector<std::vector<double>>
-Session::run_batch(const std::vector<std::vector<double>>& inputs)
+Session::run(const std::vector<std::vector<double>>& samples)
 {
-    require_compiled("run_batch");
-    require_context("run_batch");
-    const std::vector<ckks::Ciphertext> cts =
-        executor().encrypt_input_batch(inputs);
-    const core::EncryptedResult er = executor().run_encrypted(cts);
-    return executor().decrypt_output_batch(
-        er.outputs, static_cast<int>(inputs.size()));
+    std::vector<std::vector<double>> outputs;
+    (void)infer(samples, outputs);
+    return outputs;
 }
 
 core::ExecutionResult
@@ -222,19 +268,9 @@ Session::simulate(const std::vector<double>& input)
 }
 
 std::vector<ckks::Ciphertext>
-Session::encrypt(const std::vector<double>& input)
+Session::encrypt(const std::vector<std::vector<double>>& samples)
 {
-    require_compiled("encrypt");
-    require_context("encrypt");
-    return executor().encrypt_input(input);
-}
-
-std::vector<ckks::Ciphertext>
-Session::encrypt(const std::vector<std::vector<double>>& inputs)
-{
-    require_compiled("encrypt");
-    require_context("encrypt");
-    return executor().encrypt_input_batch(inputs);
+    return client("encrypt").encrypt(samples);
 }
 
 core::EncryptedResult
@@ -245,21 +281,11 @@ Session::run_encrypted(const std::vector<ckks::Ciphertext>& input)
     return executor().run_encrypted(input);
 }
 
-std::vector<double>
-Session::decrypt(const std::vector<ckks::Ciphertext>& outputs)
-{
-    require_compiled("decrypt");
-    require_context("decrypt");
-    return executor().decrypt_output(outputs);
-}
-
 std::vector<std::vector<double>>
-Session::decrypt_batch(const std::vector<ckks::Ciphertext>& outputs,
-                       int batch_count)
+Session::decrypt(const std::vector<ckks::Ciphertext>& outputs,
+                 int batch_count)
 {
-    require_compiled("decrypt_batch");
-    require_context("decrypt_batch");
-    return executor().decrypt_output_batch(outputs, batch_count);
+    return client("decrypt").decrypt(outputs, batch_count);
 }
 
 std::unique_ptr<serve::InferenceServer>

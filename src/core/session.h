@@ -4,8 +4,9 @@
 /**
  * @file
  * orion::Session - the unified pipeline facade (the C++ analogue of the
- * paper's Listing 1 driver): one object that owns the CKKS context and
- * key material and exposes the paper's verbs:
+ * paper's Listing 1 driver): one object that owns the CKKS context, the
+ * data owner's key material, and the compiled program, and exposes the
+ * paper's verbs:
  *
  *   orion::Session session = orion::Session::toy();
  *   session.fit(calibration_batch);             // net.fit(loader)
@@ -15,9 +16,11 @@
  *
  * A Session comes in two flavors:
  *  - real-substrate (toy() / with_params()): a ckks::Context backs
- *    encrypt / run / decrypt / serve; the executor and its keys are
- *    created lazily on first use and reuse one shared PreparedProgram
- *    with any servers created from the same Session.
+ *    encrypt / run / decrypt / serve. The keys live in one
+ *    serve::ServeClient seeded with SessionOptions::seed; the executor
+ *    holds only that client's evaluation keys, exactly like a server
+ *    does. Both are created lazily on first use, and the executor shares
+ *    one PreparedProgram with any servers created from the same Session.
  *  - simulation-only (simulation()): no Context is built; compile()
  *    targets the paper-scale slot count and only simulate() executes
  *    (how the ImageNet-scale Table 2 rows are produced).
@@ -48,7 +51,7 @@ struct SessionOptions {
     u64 sim_slots = u64(1) << 15;
     /** Effective post-bootstrap level handed to the compiler. */
     int l_eff = 10;
-    /** Keygen seed for the session's own executor. */
+    /** Keygen seed of the session's own client (and of module init). */
     u64 seed = 7;
     /** Bootstrap noise std of the simulation backend. */
     double sim_noise_std = 1e-6;
@@ -56,7 +59,7 @@ struct SessionOptions {
     std::optional<core::OrionConfig> exec_config;
 };
 
-/** One FHE pipeline: context + keys + compiled program + executors. */
+/** One FHE pipeline: context + client keys + compiled program + executors. */
 class Session {
   public:
     explicit Session(SessionOptions opts);
@@ -103,7 +106,12 @@ class Session {
                                          int w, std::string name = "net",
                                          core::CompileOptions opt = {});
 
-    /** Full encrypted inference: encrypt + execute + decrypt. */
+    /**
+     * Full encrypted inference of one sample: the session client
+     * encrypts, the executor runs the program on ciphertexts, the client
+     * decrypts, with SessionOptions::exec_config pinned for the whole
+     * call. The B = 1 case of run(samples).
+     */
     core::ExecutionResult run(const std::vector<double>& input);
 
     /**
@@ -111,29 +119,31 @@ class Session {
      * samples into slot lanes (compile with CompileOptions::batch > 1),
      * executes the program ONCE, and returns one output per sample.
      */
-    std::vector<std::vector<double>> run_batch(
-        const std::vector<std::vector<double>>& inputs);
+    std::vector<std::vector<double>> run(
+        const std::vector<std::vector<double>>& samples);
 
     /** Functional simulation (cost model + bootstrap noise). */
     core::ExecutionResult simulate(const std::vector<double>& input);
 
-    /** Packs + encrypts an input as the compiled program expects. */
-    std::vector<ckks::Ciphertext> encrypt(const std::vector<double>& input);
-
-    /** Packs + encrypts a batch of samples into their slot lanes. */
+    /** Packs + encrypts up to CompiledNetwork::batch samples. */
     std::vector<ckks::Ciphertext> encrypt(
-        const std::vector<std::vector<double>>& inputs);
+        const std::vector<std::vector<double>>& samples);
+    std::vector<ckks::Ciphertext> encrypt(const std::vector<double>& input)
+    {
+        return encrypt(std::vector<std::vector<double>>{input});
+    }
 
     /** Encrypted-domain inference: ciphertexts in, ciphertexts out. */
     core::EncryptedResult run_encrypted(
         const std::vector<ckks::Ciphertext>& input);
 
-    /** Decrypts + unpacks + de-normalizes program outputs. */
-    std::vector<double> decrypt(const std::vector<ckks::Ciphertext>& outputs);
-
-    /** Batched decrypt: the first batch_count lanes, one per sample. */
-    std::vector<std::vector<double>> decrypt_batch(
+    /** Decrypts + unpacks + de-normalizes the first batch_count lanes. */
+    std::vector<std::vector<double>> decrypt(
         const std::vector<ckks::Ciphertext>& outputs, int batch_count);
+    std::vector<double> decrypt(const std::vector<ckks::Ciphertext>& outputs)
+    {
+        return decrypt(outputs, 1).front();
+    }
 
     // ---- serving (the Section 6 deployment model) ----
 
@@ -160,7 +170,10 @@ class Session {
     const core::CompiledNetwork& compiled() const;
     /** The graph IR lowered by the module-tree compile() overload. */
     const nn::Network& network() const;
-    /** The session's self-keyed executor (created on first use). */
+    /**
+     * The session's executor (created on first use), bound to the
+     * session client's evaluation keys; it never sees the secret.
+     */
     core::CkksExecutor& executor();
     /** Shared key-independent payloads (created on first use). */
     std::shared_ptr<const core::PreparedProgram> prepared();
@@ -170,6 +183,12 @@ class Session {
     void require_compiled(const char* verb) const;
     void require_context(const char* verb) const;
     void require_matrices(const char* verb) const;
+    /** The session's key owner (created on first use). */
+    serve::ServeClient& client(const char* verb);
+    /** The one encrypt -> execute -> decrypt path behind both run()s. */
+    core::ExecutionResult infer(
+        const std::vector<std::vector<double>>& samples,
+        std::vector<std::vector<double>>& outputs);
 
     SessionOptions opts_;
     std::unique_ptr<ckks::Context> ctx_;  ///< null when simulation-only
@@ -178,7 +197,8 @@ class Session {
     std::optional<nn::Network> lowered_;  ///< module-compile() keeps the IR
     std::optional<core::CompiledNetwork> compiled_;
     std::shared_ptr<const core::PreparedProgram> prepared_;
-    std::unique_ptr<core::CkksExecutor> fhe_;
+    std::unique_ptr<serve::ServeClient> client_;
+    std::unique_ptr<core::CkksExecutor> fhe_;  ///< bound to client_'s keys
     std::unique_ptr<core::SimExecutor> sim_;
 };
 

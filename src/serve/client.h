@@ -3,10 +3,15 @@
 
 /**
  * @file
- * The data owner's side of the serving protocol: generates its own key
- * material (the secret never leaves this object), exports an evaluation
- * KeyBundle for the server, encrypts inputs into serialized Requests, and
- * decrypts serialized Responses back to logits.
+ * The data owner's side of the serving protocol and the only holder of a
+ * secret key: generates its own key material (the secret never leaves
+ * this object), exports an evaluation KeyBundle for the server, packs and
+ * encrypts inputs, and decrypts outputs back to logits — raw, or wrapped
+ * in serialized Requests and Responses.
+ *
+ * Every verb takes a batch of samples (up to CompiledNetwork::batch,
+ * packed into the program's slot lanes); the single-sample overloads are
+ * the B = 1 case.
  */
 
 #include "src/core/executor.h"
@@ -28,30 +33,49 @@ class ServeClient {
     /** The serialized evaluation-key bundle to register with a server. */
     ckks::serial::Bytes key_bundle() const;
 
+    /** Evaluation keys, for binding to an in-process executor. */
+    const ckks::KswitchKey& relin_key() const { return relin_; }
+    const ckks::GaloisKeys& galois_keys() const { return galois_; }
+
     /** Stores the server-assigned session id used by make_request. */
     void set_session_id(u64 id) { session_id_ = id; }
     u64 session_id() const { return session_id_; }
 
     /**
-     * Packs, encrypts, and serializes one inference request (request ids
-     * are assigned sequentially).
+     * Normalizes, packs, and encrypts up to CompiledNetwork::batch samples
+     * exactly as the program's kInput instruction expects (sample b in
+     * slot lane b; level, scale, ciphertext count).
      */
-    ckks::serial::Bytes make_request(const std::vector<double>& input);
+    std::vector<ckks::Ciphertext> encrypt(
+        const std::vector<std::vector<double>>& samples);
 
     /**
-     * Packs `inputs.size()` samples into the program's batch lanes and
-     * serializes one batched request (wire v4). The sample count must not
-     * exceed the compiled network's batch capacity.
+     * Decrypts, unpacks, and de-normalizes program outputs exactly as the
+     * kOutput instruction does: the first `batch_count` lanes, one output
+     * per sample. Throws unless `outputs` holds exactly the program's
+     * output ciphertext count.
      */
-    ckks::serial::Bytes make_request_batch(
-        const std::vector<std::vector<double>>& inputs);
+    std::vector<std::vector<double>> decrypt(
+        const std::vector<ckks::Ciphertext>& outputs, int batch_count) const;
 
-    /** Decrypts a serialized Response to the logical network output. */
-    std::vector<double> decrypt_response(std::span<const u8> response);
+    /**
+     * Encrypts and serializes one inference request (wire v4 carries the
+     * sample count; request ids are assigned sequentially).
+     */
+    ckks::serial::Bytes make_request(
+        const std::vector<std::vector<double>>& samples);
+    ckks::serial::Bytes make_request(const std::vector<double>& input)
+    {
+        return make_request(std::vector<std::vector<double>>{input});
+    }
 
-    /** Decrypts the first `batch_count` lanes of a batched Response. */
-    std::vector<std::vector<double>> decrypt_response_batch(
-        std::span<const u8> response, int batch_count);
+    /** Decrypts the first `batch_count` lanes of a serialized Response. */
+    std::vector<std::vector<double>> decrypt_response(
+        std::span<const u8> response, int batch_count) const;
+    std::vector<double> decrypt_response(std::span<const u8> response) const
+    {
+        return decrypt_response(response, 1).front();
+    }
 
     /** Decodes a Response without decrypting (stats inspection). */
     Response parse_response(std::span<const u8> response) const;

@@ -59,8 +59,8 @@ InferenceServer::InferenceServer(
 
     // Bootstrap-bearing programs are served through the public-key
     // CoeffToSlot -> EvalMod -> SlotToCoeff circuit prepared here; the
-    // external-key executor constructor rejects programs the context
-    // cannot support, naming the offending instruction.
+    // executor constructor rejects programs the context cannot support,
+    // naming the offending instruction.
     prepared_ = prepared ? std::move(prepared)
                          : std::make_shared<const core::PreparedProgram>(
                                cn, ctx);

@@ -11,12 +11,13 @@
  *  - One compiled network + one shared PreparedProgram (the expensive
  *    key-independent encodings, built once).
  *  - A pool of `max_inflight` worker threads, each owning one
- *    external-key CkksExecutor. Per request, the worker takes a pinned
- *    lease on the session's evaluation keys (loading them from the spill
- *    file if the LRU key cache evicted them; see key_store.h), binds them
- *    into its executor, runs the encrypted program, and unbinds on every
- *    exit path; an executor therefore serves every session in turn, which
- *    is why CkksExecutor must be safely re-runnable.
+ *    CkksExecutor (which never holds a secret). Per request, the worker
+ *    takes a pinned lease on the session's evaluation keys (loading them
+ *    from the spill file if the LRU key cache evicted them; see
+ *    key_store.h), binds them into its executor, runs the encrypted
+ *    program, and unbinds on every exit path; an executor therefore
+ *    serves every session in turn, which is why CkksExecutor must be
+ *    safely re-runnable.
  *  - A bounded submission queue (`queue_capacity` waiting requests).
  *    submit() applies backpressure by blocking; try_submit() rejects
  *    immediately when the queue is full.
@@ -252,7 +253,7 @@ class InferenceServer {
     int queue_capacity_ = 0;
     std::shared_ptr<const core::PreparedProgram> prepared_;
     SessionManager sessions_;
-    // One external-key executor per worker; index == worker index.
+    // One executor per worker; index == worker index.
     std::vector<std::unique_ptr<core::CkksExecutor>> executors_;
 
     mutable std::mutex mu_;

@@ -1,15 +1,10 @@
 /**
  * @file
- * Bootstrap tests, in two tiers:
- *
- *  - OracleBootstrap*: the explicit decrypt/re-encrypt oracle fixture on
- *    the shared toy environment (chains too short for the real circuit).
- *  - Bootstrap*: the real public-key CoeffToSlot -> EvalMod ->
- *    SlotToCoeff circuit on a bootstrap-capable parameter point
- *    (CkksParams::bootstrap_toy, l_boot = 13 — the paper's Table-1
- *    shape), evaluated under Galois/relinearization keys only. Includes
- *    the >= 15-bit mean-precision assertion and 1/2/4-thread bit
- *    identity.
+ * Bootstrap tests: the real public-key CoeffToSlot -> EvalMod ->
+ * SlotToCoeff circuit on a bootstrap-capable parameter point
+ * (CkksParams::bootstrap_toy, l_boot = 13 — the paper's Table-1 shape),
+ * evaluated under Galois/relinearization keys only. Includes the
+ * >= 15-bit mean-precision assertion and 1/2/4-thread bit identity.
  */
 
 #include <gtest/gtest.h>
@@ -381,81 +376,6 @@ TEST(PrunedGaloisKeys, RequestMergeKeepsTheHighestLevel)
     ckks::GaloisKeys keys2 = env.keygen.make_galois_keys(
         std::span<const ckks::GaloisKeyRequest>(with_full), false);
     EXPECT_EQ(keys2.keys.begin()->second.level(), env.ctx.max_level());
-}
-
-// ---------------------------------------------------------------------
-// The explicit oracle fixture (toy chains)
-// ---------------------------------------------------------------------
-
-TEST(OracleBootstrap, RaisesLevelToLeff)
-{
-    CkksEnv& env = CkksEnv::shared();
-    const std::vector<double> a = random_vector(env.ctx.slot_count(), 1.0, 1);
-    Ciphertext ct = encrypt_vector(env, a, 0);
-    EXPECT_EQ(ct.level(), 0);
-    const Ciphertext boosted = env.boot.bootstrap(ct);
-    EXPECT_EQ(boosted.level(), env.boot.l_eff());
-    EXPECT_GT(env.boot.l_eff(), 0);
-    EXPECT_DOUBLE_EQ(boosted.scale, env.ctx.scale());
-}
-
-TEST(OracleBootstrap, PreservesMessageWithinPrecision)
-{
-    CkksEnv& env = CkksEnv::shared();
-    const std::vector<double> a = random_vector(env.ctx.slot_count(), 1.0, 2);
-    const Ciphertext ct = encrypt_vector(env, a, 0);
-    ckks::OracleBootstrapper boot(env.ctx, env.encoder,
-                                  env.keygen.secret_key());
-    const Ciphertext boosted = boot.bootstrap(ct);
-    const double err = max_abs_diff(decrypt_vector(env, boosted), a);
-    EXPECT_LT(err, 1e-4);
-    // The configured noise floor must actually be present: a bootstrap is
-    // not a perfect identity.
-    EXPECT_GT(err, 0.0);
-}
-
-TEST(OracleBootstrap, SupportsFurtherComputation)
-{
-    CkksEnv& env = CkksEnv::shared();
-    const u64 n = env.ctx.slot_count();
-    const std::vector<double> a = random_vector(n, 0.9, 3);
-    Ciphertext ct = encrypt_vector(env, a, 0);
-    ct = env.boot.bootstrap(ct);
-    ct = env.eval.square(ct);
-    env.eval.rescale_inplace(ct);
-    const std::vector<double> out = decrypt_vector(env, ct);
-    for (u64 i = 0; i < n; ++i) EXPECT_NEAR(out[i], a[i] * a[i], 1e-3);
-}
-
-TEST(OracleBootstrap, RejectsOutOfRangeInputs)
-{
-    CkksEnv& env = CkksEnv::shared();
-    std::vector<double> a(env.ctx.slot_count(), 0.0);
-    a[7] = 5.0;  // outside [-1, 1]
-    const Ciphertext ct = encrypt_vector(env, a, 0);
-    ckks::OracleBootstrapper boot(env.ctx, env.encoder,
-                                  env.keygen.secret_key());
-    EXPECT_THROW(boot.bootstrap(ct), Error);
-}
-
-TEST(OracleBootstrap, CountsOperations)
-{
-    CkksEnv& env = CkksEnv::shared();
-    const std::vector<double> a = random_vector(env.ctx.slot_count(), 1.0, 4);
-    const Ciphertext ct = encrypt_vector(env, a, 0);
-    env.ctx.counters().reset();
-    (void)env.boot.bootstrap(ct);
-    EXPECT_EQ(env.ctx.counters().bootstrap, 1u);
-}
-
-TEST(OracleBootstrap, ConfigValidation)
-{
-    CkksEnv& env = CkksEnv::shared();
-    ckks::OracleBootstrapConfig bad;
-    bad.l_boot = env.ctx.max_level() + 5;
-    EXPECT_THROW(ckks::OracleBootstrapper(env.ctx, env.encoder,
-                                          env.keygen.secret_key(), bad),
-                 Error);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include "src/core/executor.h"
 #include "src/nn/models.h"
-#include "tests/test_util.h"
+#include "tests/serve_env.h"
 
 namespace orion::test {
 namespace {
@@ -270,36 +270,62 @@ TEST(Compiler, MultiCiphertextTensors)
 TEST(Compiler, CkksExecutionMatchesSimulation)
 {
     // The flagship integration test: the same compiled program executed
-    // under real RNS-CKKS encryption agrees with the functional simulation
-    // (and hence with cleartext PyTorch-style execution) to high precision.
-    CkksEnv& env = CkksEnv::shared();
+    // under real RNS-CKKS encryption — bootstraps included, as the real
+    // public-key circuit — agrees with the functional simulation (and
+    // hence with cleartext PyTorch-style execution) to high precision.
+    const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(4));
+    const int l_boot = ckks::BootstrapPlan::cached(ctx.params())->depth;
     const Network net = tiny_resnet(ActivationSpec::Kind::kSquare);
-    CompileOptions opt = toy_options(env.ctx.slot_count(), 4);
+    CompileOptions opt = toy_options(ctx.slot_count(), 4);
+    opt.cost = core::CostModel::for_params(2 * ctx.slot_count() * 2, 3, 3,
+                                           l_boot);
     opt.structural_only = false;  // need value matrices for CKKS
     const CompiledNetwork cn = core::compile(net, opt);
+    ASSERT_GE(cn.num_bootstraps, 1u);
+
+    // The client owns the keys; the executor only ever sees evaluation
+    // keys.
+    DirectRun fhe(cn, ctx,
+                  std::make_shared<const core::PreparedProgram>(cn, ctx));
 
     core::SimExecutor sim(cn, 0.0);
-    core::CkksExecutor fhe(cn, env.ctx);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 42);
     const core::ExecutionResult rs = sim.run(x);
-    const ckks::OpCounters before = env.ctx.counters();
-    const core::ExecutionResult rf = fhe.run(x);
-    const ckks::OpCounters after = env.ctx.counters();
+    const std::vector<ckks::Ciphertext> in = fhe.client.encrypt({x});
+    const ckks::OpCounters before = ctx.counters();
+    const core::EncryptedResult rf = fhe.exec.run_encrypted(in);
+    const ckks::OpCounters after = ctx.counters();
+    const std::vector<double> out =
+        fhe.client.decrypt(rf.outputs, 1).front();
 
-    ASSERT_EQ(rf.output.size(), rs.output.size());
-    const double err = rel_err(rf.output, rs.output);
+    // Kernel rotations of one standalone circuit bootstrap under the same
+    // keys.
+    const ckks::Encoder encoder(ctx);
+    ckks::Evaluator eval(ctx, encoder);
+    eval.set_relin_key(&fhe.client.relin_key());
+    eval.set_galois_keys(&fhe.client.galois_keys());
+    const ckks::Bootstrapper boot(ctx, encoder, cn.l_eff);
+    const ckks::OpCounters boot_before = ctx.counters();
+    (void)boot.bootstrap(eval, in.front());
+    const u64 circuit_rotations =
+        ctx.counters().total_rotations() - boot_before.total_rotations();
+    EXPECT_GT(circuit_rotations, 0u);
+
+    ASSERT_EQ(out.size(), rs.output.size());
+    const double err = rel_err(out, rs.output);
     EXPECT_LT(err, 1e-2);
     // Precision in bits, as reported in Table 2.
     double abs_err = 1e-12;
-    for (std::size_t i = 0; i < rf.output.size(); ++i) {
-        abs_err = std::max(abs_err, std::abs(rf.output[i] - rs.output[i]));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        abs_err = std::max(abs_err, std::abs(out[i] - rs.output[i]));
     }
     const double precision_bits = -std::log2(abs_err);
     EXPECT_GT(precision_bits, 4.0);
     // The measured kernel rotation count (Context counter delta) must
-    // equal the compiler's static count, and the executor must report it.
+    // equal the compiler's static count plus the circuit's per
+    // bootstrap, and the executor must report the program's count.
     EXPECT_EQ(after.total_rotations() - before.total_rotations(),
-              cn.total_rotations);
+              cn.total_rotations + cn.num_bootstraps * circuit_rotations);
     EXPECT_EQ(rf.rotations, cn.total_rotations);
 }
 

@@ -14,10 +14,8 @@
 
 #include "src/ckks/kernels.h"
 #include "src/ckks/serial.h"
-#include "src/core/executor.h"
 #include "src/core/thread_pool.h"
-#include "src/nn/models.h"
-#include "tests/test_util.h"
+#include "tests/serve_env.h"
 
 namespace orion::test {
 namespace {
@@ -46,7 +44,7 @@ struct IsaGuard {
 
 /**
  * Compiles the micro MLP for `ctx` at l_eff, encrypts one fixed input
- * under seed-7 keys, and checks the output fingerprint at every
+ * under a seed-7 client's keys, and checks the output fingerprint at every
  * supported ISA and each of `threads`.
  */
 void
@@ -62,9 +60,10 @@ expect_golden(const ckks::Context& ctx, int l_eff, int l_boot,
     opt.structural_only = false;
     const core::CompiledNetwork cn = core::compile(net, opt);
     ASSERT_EQ(cn.num_bootstraps, bootstraps);
-    core::CkksExecutor exec(cn, ctx, /*seed=*/7);
+    DirectRun direct(cn, ctx,
+                     std::make_shared<const core::PreparedProgram>(cn, ctx));
     const std::vector<ckks::Ciphertext> in =
-        exec.encrypt_input(random_vector(64, 1.0, 1201));
+        direct.client.encrypt({random_vector(64, 1.0, 1201)});
 
     const IsaGuard guard;
     for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2,
@@ -73,7 +72,8 @@ expect_golden(const ckks::Context& ctx, int l_eff, int l_boot,
         k::set_isa(isa);
         for (const int t : threads) {
             const core::ScopedNumThreads scoped(t);
-            const u64 got = fingerprint(exec.run_encrypted(in).outputs);
+            const u64 got =
+                fingerprint(direct.exec.run_encrypted(in).outputs);
             EXPECT_EQ(got, want) << std::hex << "0x" << got << " at "
                                  << k::isa_name(isa) << ", " << std::dec
                                  << t << " threads";

@@ -3,48 +3,15 @@
 #include <cstring>
 #include <thread>
 
-#include "src/core/executor.h"
 #include "src/net/net.h"
-#include "src/nn/models.h"
-#include "tests/test_util.h"
+#include "tests/serve_env.h"
 
 namespace orion::test {
 namespace {
 
-using core::CompiledNetwork;
-using nn::Network;
 using serve::InferenceServer;
 using serve::ServeClient;
 using serve::ServeOptions;
-
-/** Shared compiled program (built once; read-only) — mirrors test_serve. */
-struct NetEnv {
-    Network net;
-    CompiledNetwork cn;
-    std::shared_ptr<const core::PreparedProgram> prepared;
-
-    NetEnv()
-        : net(nn::make_micro_mlp())
-    {
-        CkksEnv& env = CkksEnv::shared();
-        core::CompileOptions opt;
-        opt.slots = env.ctx.slot_count();
-        opt.l_eff = 4;
-        opt.cost = core::CostModel::for_params(env.ctx.degree(), 3, 3, 3);
-        opt.calibration_samples = 3;
-        opt.structural_only = false;
-        cn = core::compile(net, opt);
-        prepared =
-            std::make_shared<const core::PreparedProgram>(cn, env.ctx);
-    }
-
-    static NetEnv&
-    shared()
-    {
-        static NetEnv env;
-        return env;
-    }
-};
 
 ServeOptions
 opts(int inflight, int capacity, bool paused = false)
@@ -221,7 +188,7 @@ TEST(NetFrame, ControlPayloadRoundTrips)
 
 TEST(NetWire, RewriteRequestSessionPatchesInPlace)
 {
-    NetEnv& senv = NetEnv::shared();
+    ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
     ServeClient client(senv.cn, env.ctx, /*seed=*/501);
     client.set_session_id(0xAABB);
@@ -348,13 +315,12 @@ TEST(NetLoop, SlowLorisPartialFrameHitsReadTimeout)
 
 TEST(NetEndpoint, ServedMatchesDirectExecution)
 {
-    NetEnv& senv = NetEnv::shared();
+    ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
     InferenceServer server(senv.cn, env.ctx, opts(1, 4), senv.prepared);
     net::ServeEndpoint endpoint(server, net::Listener(0));
 
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
     ServeClient crypto(senv.cn, env.ctx, /*seed=*/601);
     net::NetClient client(crypto, "127.0.0.1", endpoint.port(), 0x601,
                           fast_client());
@@ -363,7 +329,7 @@ TEST(NetEndpoint, ServedMatchesDirectExecution)
     for (int round = 0; round < 2; ++round) {
         const std::vector<double> x =
             random_vector(64, 1.0, 900 + static_cast<u64>(round));
-        const std::vector<double> want = direct.run(x).output;
+        const std::vector<double> want = direct.run(x);
         const std::vector<double> got = client.infer(x);
         ASSERT_EQ(got.size(), want.size());
         EXPECT_LT(max_abs_diff(got, want), 1e-3);
@@ -386,7 +352,7 @@ TEST(NetEndpoint, ServedMatchesDirectExecution)
 
 TEST(NetEndpoint, OverloadedIsTypedAndRetryable)
 {
-    NetEnv& senv = NetEnv::shared();
+    ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
     // Paused workers + a one-slot queue: the first request parks in the
     // queue, every further one is a try_submit rejection.
@@ -431,9 +397,8 @@ TEST(NetEndpoint, OverloadedIsTypedAndRetryable)
     const std::vector<double> x = random_vector(64, 1.0, 911);
     const std::vector<double> out = client.infer(x);
     release.join();
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
-    const std::vector<double> want = direct.run(x).output;
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
+    const std::vector<double> want = direct.run(x);
     ASSERT_EQ(out.size(), want.size());
     EXPECT_LT(max_abs_diff(out, want), 1e-3);
     EXPECT_GT(client.retry_stats().retries, 0u);
@@ -459,7 +424,7 @@ fast_router()
 
 TEST(NetRouter, ShardsSessionsAndSurvivesShardDeath)
 {
-    NetEnv& senv = NetEnv::shared();
+    ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
 
     InferenceServer server_a(senv.cn, env.ctx, opts(1, 4), senv.prepared);
@@ -476,8 +441,7 @@ TEST(NetRouter, ShardsSessionsAndSurvivesShardDeath)
                        fast_router());
     ASSERT_TRUE(router.wait_for_shards(2, 10.0));
 
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
 
     // Two clients; with rendezvous hashing their tokens may land on the
     // same shard or different ones — both placements are valid.
@@ -492,7 +456,7 @@ TEST(NetRouter, ShardsSessionsAndSurvivesShardDeath)
 
     auto run_and_check = [&](net::NetClient& c, u64 seed) {
         const std::vector<double> x = random_vector(64, 1.0, seed);
-        const std::vector<double> want = direct.run(x).output;
+        const std::vector<double> want = direct.run(x);
         const std::vector<double> got = c.infer(x);
         ASSERT_EQ(got.size(), want.size());
         EXPECT_LT(max_abs_diff(got, want), 1e-3);
@@ -548,7 +512,7 @@ TEST(NetRouter, ShardsSessionsAndSurvivesShardDeath)
 
 TEST(NetRouter, RoutesThroughToMetricsAndPing)
 {
-    NetEnv& senv = NetEnv::shared();
+    ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
     InferenceServer server(senv.cn, env.ctx, opts(1, 4), senv.prepared);
     net::ServeEndpoint endpoint(server, net::Listener(0));

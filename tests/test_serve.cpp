@@ -8,10 +8,11 @@
 #include "src/core/telemetry.h"
 
 #include "src/core/executor.h"
+#include "src/core/session.h"
 #include "src/core/thread_pool.h"
 #include "src/nn/models.h"
 #include "src/serve/serve.h"
-#include "tests/test_util.h"
+#include "tests/serve_env.h"
 
 namespace orion::test {
 namespace {
@@ -21,35 +22,6 @@ using nn::Network;
 using serve::InferenceServer;
 using serve::ServeClient;
 using serve::ServeOptions;
-
-/** Shared compiled program + prepared payloads (built once; read-only). */
-struct ServeEnv {
-    Network net;
-    CompiledNetwork cn;
-    std::shared_ptr<const core::PreparedProgram> prepared;
-
-    ServeEnv()
-        : net(nn::make_micro_mlp())
-    {
-        CkksEnv& env = CkksEnv::shared();
-        core::CompileOptions opt;
-        opt.slots = env.ctx.slot_count();
-        opt.l_eff = 4;
-        opt.cost = core::CostModel::for_params(env.ctx.degree(), 3, 3, 3);
-        opt.calibration_samples = 3;
-        opt.structural_only = false;
-        cn = core::compile(net, opt);
-        prepared =
-            std::make_shared<const core::PreparedProgram>(cn, env.ctx);
-    }
-
-    static ServeEnv&
-    shared()
-    {
-        static ServeEnv env;
-        return env;
-    }
-};
 
 ServeOptions
 opts(int inflight, int capacity, bool paused = false)
@@ -69,29 +41,28 @@ TEST(Serve, BackToBackRunsOnOneExecutorAgree)
 {
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
-    core::CkksExecutor exec(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                            senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
     const std::vector<double> x = random_vector(64, 1.0, 61);
 
-    const core::ExecutionResult r1 = exec.run(x);
-    const core::ExecutionResult r2 = exec.run(x);
-    ASSERT_EQ(r1.output.size(), r2.output.size());
     // Fresh encryption noise differs per run; results agree to CKKS
-    // precision and all deterministic stats match exactly.
-    EXPECT_LT(max_abs_diff(r1.output, r2.output), 1e-3);
-    EXPECT_EQ(r1.rotations, r2.rotations);
-    EXPECT_EQ(r1.pmults, r2.pmults);
-    EXPECT_EQ(r1.bootstraps, r2.bootstraps);
-    EXPECT_EQ(r1.rotations, senv.cn.total_rotations);
+    // precision.
+    const std::vector<double> o1 = direct.run(x);
+    const std::vector<double> o2 = direct.run(x);
+    ASSERT_EQ(o1.size(), o2.size());
+    EXPECT_LT(max_abs_diff(o1, o2), 1e-3);
 
-    // Encrypted-domain reruns on the same instance as well.
-    const std::vector<ckks::Ciphertext> in_cts = exec.encrypt_input(x);
-    const core::EncryptedResult e1 = exec.run_encrypted(in_cts);
-    const core::EncryptedResult e2 = exec.run_encrypted(in_cts);
+    // Encrypted-domain reruns of the same ciphertexts: all deterministic
+    // stats match exactly, and so do the decrypted outputs.
+    const std::vector<ckks::Ciphertext> in_cts = direct.client.encrypt({x});
+    const core::EncryptedResult e1 = direct.exec.run_encrypted(in_cts);
+    const core::EncryptedResult e2 = direct.exec.run_encrypted(in_cts);
     EXPECT_EQ(e1.rotations, e2.rotations);
-    EXPECT_LT(max_abs_diff(exec.decrypt_output(e1.outputs),
-                           exec.decrypt_output(e2.outputs)),
-              1e-6);  // same input ciphertexts -> same encrypted outputs
+    EXPECT_EQ(e1.pmults, e2.pmults);
+    EXPECT_EQ(e1.bootstraps, e2.bootstraps);
+    EXPECT_EQ(e1.rotations, senv.cn.total_rotations);
+    EXPECT_LT(max_abs_diff(direct.client.decrypt(e1.outputs, 1).front(),
+                           direct.client.decrypt(e2.outputs, 1).front()),
+              1e-6);
 }
 
 // ---------------------------------------------------------------------
@@ -103,9 +74,8 @@ TEST(Serve, TwoSessionsEndToEndMatchDirectExecution)
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
 
-    // Ground truth: a direct in-process self-keyed run.
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    // Ground truth: a direct in-process run under a third client's keys.
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
 
     InferenceServer server(senv.cn, env.ctx, opts(2, 8), senv.prepared);
     ServeClient alice(senv.cn, env.ctx, /*seed=*/100);
@@ -117,8 +87,8 @@ TEST(Serve, TwoSessionsEndToEndMatchDirectExecution)
 
     const std::vector<double> xa = random_vector(64, 1.0, 71);
     const std::vector<double> xb = random_vector(64, 1.0, 72);
-    const std::vector<double> want_a = direct.run(xa).output;
-    const std::vector<double> want_b = direct.run(xb).output;
+    const std::vector<double> want_a = direct.run(xa);
+    const std::vector<double> want_b = direct.run(xb);
 
     // Both sessions in flight concurrently, through the full
     // serialize -> submit -> execute -> deserialize -> decrypt path.
@@ -165,8 +135,7 @@ TEST(Serve, OneWorkerServesManySessionsByRebinding)
     // (key rebinding between runs - the executor-reuse requirement).
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
 
     InferenceServer server(senv.cn, env.ctx, opts(1, 8), senv.prepared);
     ServeClient alice(senv.cn, env.ctx, /*seed=*/101);
@@ -175,7 +144,7 @@ TEST(Serve, OneWorkerServesManySessionsByRebinding)
     bob.set_session_id(server.register_session(bob.key_bundle()));
 
     const std::vector<double> x = random_vector(64, 1.0, 73);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run(x);
     for (int round = 0; round < 2; ++round) {
         auto fa = server.submit(alice.make_request(x));
         auto fb = server.submit(bob.make_request(x));
@@ -301,8 +270,7 @@ TEST(Serve, LegacyV2KeyBundleStillRegistersAndServes)
 {
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
     InferenceServer server(senv.cn, env.ctx, opts(1, 4), senv.prepared);
 
     // Re-encode a current client's bundle in the v2 layout (explicit key
@@ -322,7 +290,7 @@ TEST(Serve, LegacyV2KeyBundleStillRegistersAndServes)
 
     client.set_session_id(server.register_session(v2));
     const std::vector<double> x = random_vector(64, 1.0, 83);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run(x);
     auto fut = server.submit(client.make_request(x));
     EXPECT_LT(max_abs_diff(client.decrypt_response(fut.get().response),
                            want),
@@ -368,8 +336,7 @@ TEST(Serve, ConcurrentMixedSessionsUnderLoad)
     // workers, futures resolved out of order.
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
 
     InferenceServer server(senv.cn, env.ctx, opts(2, 16), senv.prepared);
     const int kClients = 3;
@@ -390,7 +357,7 @@ TEST(Serve, ConcurrentMixedSessionsUnderLoad)
         for (int c = 0; c < kClients; ++c) {
             inputs.push_back(random_vector(64, 1.0,
                                            800 + static_cast<u64>(r * 8 + c)));
-            want.push_back(direct.run(inputs.back()).output);
+            want.push_back(direct.run(inputs.back()));
             futures.push_back(
                 server.submit(clients[static_cast<std::size_t>(c)]
                                   ->make_request(inputs.back())));
@@ -419,8 +386,7 @@ TEST(Serve, BoundedKeyCacheEvictsAndReloadsUnderChurn)
 {
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
 
     ServeOptions o = opts(2, 32);
     o.key_cache_mb = 1;
@@ -456,7 +422,7 @@ TEST(Serve, BoundedKeyCacheEvictsAndReloadsUnderChurn)
     // Round-robin requests over every session: the worst case for LRU,
     // so evicted sessions reload from their spill files mid-request.
     const std::vector<double> x = random_vector(64, 1.0, 81);
-    const std::vector<double> want = direct.run(x).output;
+    const std::vector<double> want = direct.run(x);
     std::vector<ckks::serial::Bytes> requests;
     for (const u64 id : ids) {
         client.set_session_id(id);
@@ -673,8 +639,9 @@ TEST(ServeBootstrap, RegistrationRejectsBundleMissingBootstrapKeys)
 TEST(ServeBootstrap, ShallowContextRejectionNamesTheInstruction)
 {
     // A bootstrap-bearing program on a chain too short for the circuit
-    // must be rejected at server construction with the offending
-    // instruction kind and layer id in the message.
+    // must be rejected — at server construction and by Session::run
+    // alike (the session's executor holds no secret either) — with the
+    // offending instruction kind and layer id in the message.
     CkksEnv& env = CkksEnv::shared();
     core::CompileOptions opt;
     opt.slots = env.ctx.slot_count();
@@ -691,6 +658,14 @@ TEST(ServeBootstrap, ShallowContextRejectionNamesTheInstruction)
     EXPECT_FALSE(prepared->bootstrap_supported());
     expect_throw_contains<Error>(
         [&] { InferenceServer server(cn, env.ctx, opts(1, 4), prepared); },
+        "kBootstrap (layer");
+
+    Session session = Session::with_params(env.params, /*l_eff=*/2);
+    core::CompileOptions sopt;
+    sopt.calibration_samples = 3;
+    ASSERT_GE(session.compile(net, sopt).num_bootstraps, 1u);
+    expect_throw_contains<Error>(
+        [&] { (void)session.run(random_vector(64, 1.0, 93)); },
         "kBootstrap (layer");
 }
 
@@ -963,8 +938,7 @@ TEST(ServeBatch, BatchedRequestMatchesPerSampleExecution)
     CkksEnv& env = CkksEnv::shared();
 
     // Ground truth: each sample through the single-sample program.
-    core::CkksExecutor direct(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
+    DirectRun direct(senv.cn, env.ctx, senv.prepared);
 
     InferenceServer server(benv.cn, env.ctx, opts(1, 4), benv.prepared);
     ServeClient client(benv.cn, env.ctx, /*seed=*/600);
@@ -977,14 +951,14 @@ TEST(ServeBatch, BatchedRequestMatchesPerSampleExecution)
         inputs.push_back(random_vector(64, 1.0, 700 + static_cast<u64>(i)));
     }
     const serve::ServeReply reply =
-        server.submit(client.make_request_batch(inputs)).get();
+        server.submit(client.make_request(inputs)).get();
     const std::vector<std::vector<double>> got =
-        client.decrypt_response_batch(reply.response, count);
+        client.decrypt_response(reply.response, count);
 
     ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
         const std::vector<double> want =
-            direct.run(inputs[static_cast<std::size_t>(i)]).output;
+            direct.run(inputs[static_cast<std::size_t>(i)]);
         ASSERT_EQ(got[static_cast<std::size_t>(i)].size(), want.size());
         EXPECT_LT(max_abs_diff(got[static_cast<std::size_t>(i)], want),
                   1e-3)
@@ -1011,7 +985,7 @@ TEST(ServeBatch, OverCapacityBatchRejectedNamingTheLimit)
     std::vector<std::vector<double>> too_many(
         17, random_vector(64, 1.0, 710));
     expect_throw_contains<Error>(
-        [&] { (void)client.make_request_batch(too_many); },
+        [&] { (void)client.make_request(too_many); },
         "batch_count 17 > program capacity 16");
 
     // A hostile client can still claim any batch_count on the wire; the
@@ -1093,12 +1067,17 @@ TEST(ServeBatch, SingleSampleProgramBitIdenticalAcrossBatchKnob)
     EXPECT_EQ(cn1.batch_stride, 0u);
     EXPECT_TRUE(cn1.input_layout == senv.cn.input_layout);
 
-    // Same seed -> same deterministic keys in both executors.
-    core::CkksExecutor legacy(senv.cn, env.ctx, /*seed=*/7, std::nullopt,
-                              senv.prepared);
-    core::CkksExecutor batched(cn1, env.ctx, /*seed=*/7);
+    // One client's keys bound to both executors.
+    ServeClient client(senv.cn, env.ctx, /*seed=*/7);
+    core::CkksExecutor legacy(senv.cn, env.ctx, senv.prepared);
+    core::CkksExecutor batched(
+        cn1, env.ctx, std::make_shared<const core::PreparedProgram>(cn1,
+                                                                    env.ctx));
+    for (core::CkksExecutor* exec : {&legacy, &batched}) {
+        exec->bind_session_keys(&client.relin_key(), &client.galois_keys());
+    }
     const std::vector<double> x = random_vector(64, 1.0, 730);
-    const std::vector<ckks::Ciphertext> in_cts = legacy.encrypt_input(x);
+    const std::vector<ckks::Ciphertext> in_cts = client.encrypt({x});
 
     const auto output_bytes = [&](core::CkksExecutor& exec) {
         const core::EncryptedResult r = exec.run_encrypted(in_cts);
@@ -1118,6 +1097,35 @@ TEST(ServeBatch, SingleSampleProgramBitIdenticalAcrossBatchKnob)
             << "legacy path diverged at " << threads << " threads";
         EXPECT_EQ(output_bytes(batched), want)
             << "batch=1 path diverged at " << threads << " threads";
+    }
+}
+
+TEST(Serve, DecryptRejectsForgedOutputCounts)
+{
+    // A Response carries its own ciphertext count, which the wire cannot
+    // check against the program; the client must, instead of padding a
+    // short slot vector with zeros.
+    ServeEnv& senv = ServeEnv::shared();
+    BatchServeEnv& benv = BatchServeEnv::shared();
+    CkksEnv& env = CkksEnv::shared();
+    for (const CompiledNetwork* cn : {&senv.cn, &benv.cn}) {
+        ServeClient client(*cn, env.ctx, /*seed=*/503);
+        const std::vector<ckks::Ciphertext> out =
+            client.encrypt({random_vector(64, 1.0, 94)});
+        ASSERT_EQ(out.size(), 1u);  // the micro MLP's output: one ct
+        for (const std::size_t n : {std::size_t{0}, out.size() + 1}) {
+            serve::Response forged;
+            forged.outputs.assign(n, out.front());
+            const ckks::serial::Bytes bytes = serve::encode_response(forged);
+            std::ostringstream want;
+            want << "decrypt got " << n
+                 << " output ciphertexts, program produces 1";
+            expect_throw_contains<Error>(
+                [&] { (void)client.decrypt_response(bytes); }, want.str());
+            expect_throw_contains<Error>(
+                [&] { (void)client.decrypt_response(bytes, cn->batch); },
+                want.str());
+        }
     }
 }
 

@@ -70,7 +70,7 @@ TEST(Session, EncryptRunEncryptedDecryptMatchesRun)
     EXPECT_LT(max_abs_diff(out, direct), 1e-3);
 }
 
-TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
+TEST(Session, BatchedRunExecutesOnceAndMatchesCleartext)
 {
     auto net = micro_module();
     Session session = Session::toy();
@@ -83,7 +83,7 @@ TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
     for (int i = 0; i < 4; ++i) {
         inputs.push_back(random_vector(64, 1.0, 40 + static_cast<u64>(i)));
     }
-    const std::vector<std::vector<double>> outs = session.run_batch(inputs);
+    const std::vector<std::vector<double>> outs = session.run(inputs);
     ASSERT_EQ(outs.size(), inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         const std::vector<double> clear =
@@ -92,11 +92,11 @@ TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
         EXPECT_LT(max_abs_diff(outs[i], clear), 1e-2) << "lane " << i;
     }
 
-    // The explicit encrypt/run/decrypt spelling agrees with run_batch.
+    // The explicit encrypt/run/decrypt spelling agrees with run.
     const std::vector<ckks::Ciphertext> cts = session.encrypt(inputs);
     const core::EncryptedResult enc = session.run_encrypted(cts);
     const std::vector<std::vector<double>> outs2 =
-        session.decrypt_batch(enc.outputs, static_cast<int>(inputs.size()));
+        session.decrypt(enc.outputs, static_cast<int>(inputs.size()));
     ASSERT_EQ(outs2.size(), outs.size());
     for (std::size_t i = 0; i < outs.size(); ++i) {
         EXPECT_LT(max_abs_diff(outs2[i], outs[i]), 1e-3);

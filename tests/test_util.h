@@ -36,9 +36,6 @@ struct CkksEnv {
     ckks::Encryptor encryptor;
     ckks::Decryptor decryptor;
     ckks::Evaluator eval;
-    /** The toy chain (6 levels) is too short for the real circuit, so
-     *  the shared environment carries the explicit oracle fixture. */
-    ckks::OracleBootstrapper boot;
 
     CkksEnv()
         : params(ckks::CkksParams::toy()), ctx(params), encoder(ctx),
@@ -47,7 +44,7 @@ struct CkksEnv {
           galois(keygen.make_galois_keys(kSharedSteps,
                                          /*include_conjugation=*/true)),
           encryptor(ctx, pk), decryptor(ctx, keygen.secret_key()),
-          eval(ctx, encoder), boot(ctx, encoder, keygen.secret_key())
+          eval(ctx, encoder)
     {
         eval.set_relin_key(&relin);
         eval.set_galois_keys(&galois);
