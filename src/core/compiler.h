@@ -18,9 +18,12 @@
  *      with a BSGS rotation plan per block-column.
  *   4. Bootstrap placement + level assignment (Section 5) on the SESE
  *      chain, using the analytic cost model.
- *   5. Instruction emission with exact scale propagation: the weight scale
- *      of every linear layer is chosen as Delta * q_l / in_scale so the
- *      between-layer invariant scale == Delta holds exactly (Figure 7).
+ *   5. Instruction emission: one Instruction per op, carrying its
+ *      execution level and ciphertext count. Scales are not fixed here:
+ *      core::PreparedProgram resolves them symbolically and encodes each
+ *      linear layer's weights at the repair scale Delta * q_l / in_scale,
+ *      so the between-layer invariant scale == Delta holds exactly
+ *      (Figure 7).
  */
 
 #include <memory>
@@ -38,8 +41,6 @@ struct CompileOptions {
     u64 slots = u64(1) << 15;  ///< ciphertext slot count to pack against
     int l_eff = 10;            ///< effective level after bootstrapping
     CostModel cost = CostModel::paper_scale();
-    double log_scale = 0.0;    ///< log2(Delta) used for scale tracking; 0
-                               ///  means "match cost model paper scale" (40)
 
     /** Packing strategies (Figure 5 comparison). */
     enum class Packing {
@@ -97,9 +98,6 @@ struct Instruction {
     int a = -1, b = -1;  ///< operand value ids
     int layer_id = -1;   ///< originating network layer
     int level = 0;       ///< level at which the op executes (input level)
-    double in_scale = 0.0;
-    double out_scale = 0.0;
-    double weight_scale = 0.0;  ///< plaintext scale for kLinear / kScale
     double scale_factor = 1.0;  ///< multiplier for kScale
     u64 cts = 1;                ///< ciphertexts in the produced value
     int payload = -1;           ///< index into linears()/activations()

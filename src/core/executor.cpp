@@ -1,7 +1,9 @@
 #include "src/core/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "src/approx/polyeval.h"
@@ -11,16 +13,6 @@
 namespace orion::core {
 
 namespace {
-
-/** Per-value bookkeeping shared by both backends. */
-struct ValueMeta {
-    int level = 0;
-};
-
-/** One tensor value of the CKKS backend: its ciphertexts. */
-struct Value {
-    std::vector<ckks::Ciphertext> cts;
-};
 
 /** Static span label of one program instruction kind. */
 const char*
@@ -39,6 +31,14 @@ op_span_name(Instruction::Op op)
     return "exec.unknown";
 }
 
+using Clock = std::chrono::steady_clock;
+
+double
+seconds_since(Clock::time_point t0)
+{
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
 /** Merges one instruction's wall time into the per-layer breakdown. */
 void
 charge_layer(std::vector<LayerTiming>& times, int layer_id, double seconds)
@@ -49,6 +49,337 @@ charge_layer(std::vector<LayerTiming>& times, int layer_id, double seconds)
     }
     times.push_back({layer_id, seconds});
 }
+
+/**
+ * A linear layer's folded bias broadcast over one sample's logical
+ * (c, h, w)-major output: one entry per output feature of a linear layer,
+ * each channel's bias repeated over its h * w pixels for conv/pool.
+ */
+std::vector<double>
+bias_tensor(const LinearLayerData& data)
+{
+    const u64 per_channel =
+        data.out_layout.logical_size() / data.folded_bias.size();
+    std::vector<double> t;
+    t.reserve(data.out_layout.logical_size());
+    for (const double b : data.folded_bias) t.insert(t.end(), per_channel, b);
+    return t;
+}
+
+/**
+ * The one program walk both backends run. It owns the value map, exact
+ * level tracking with the operand-level check, the bootstrap / rotation /
+ * pmult counts, cost-model charging, one exec.* span per instruction and
+ * the per-layer wall-time breakdown. The backend only computes values:
+ * one method per opcode, given the operands and returning the produced
+ * value. Returns the kOutput instruction's operand.
+ */
+template <typename Backend>
+typename Backend::Value
+walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
+{
+    using Op = Instruction::Op;
+    using Value = typename Backend::Value;
+    struct Slot {
+        Value value;
+        int level = 0;
+    };
+    const auto t0 = Clock::now();
+    const CostModel& cost = cn.cost_model;
+    std::map<int, Slot> values;
+    Value output;
+    for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
+        const Instruction& ins = cn.program[idx];
+        const auto ins_t0 = Clock::now();
+        telemetry::SpanGuard ins_span(op_span_name(ins.op), ins.layer_id);
+        // A bootstrap accepts its operand at any level; every other op
+        // needs its operands at or above its execution level.
+        auto operand = [&](int id) -> const Value& {
+            const Slot& s = values.at(id);
+            ORION_CHECK(s.level >= (ins.op == Op::kBootstrap ? 0 : ins.level),
+                        describe_instruction(ins) << ": operand at level "
+                                                  << s.level);
+            return s.value;
+        };
+        const double cts = static_cast<double>(ins.cts);
+        Slot& out = values[ins.value];
+        u64 bootstraps = 0, rotations = 0, pmults = 0;
+        double modeled = 0.0;
+        switch (ins.op) {
+        case Op::kInput:
+            out = {backend.input(ins), ins.level};
+            break;
+        case Op::kBootstrap:
+            out = {backend.bootstrap(idx, operand(ins.a)), cn.l_eff};
+            bootstraps = ins.cts;
+            modeled = cts * cost.bootstrap(cn.l_eff);
+            break;
+        case Op::kLinear: {
+            const LinearLayerData& data =
+                cn.linears[static_cast<std::size_t>(ins.payload)];
+            out = {backend.linear(idx, ins, data, operand(ins.a)),
+                   ins.level - 1};
+            rotations = data.stats.total_rotations();
+            pmults = data.stats.pmults;
+            modeled = cost.linear_layer(data.stats, ins.level);
+            break;
+        }
+        case Op::kActivation: {
+            const ActivationData& data =
+                cn.activations[static_cast<std::size_t>(ins.payload)];
+            ORION_CHECK(ins.level >= data.depth,
+                        "not enough levels for activation");
+            out = {backend.activation(idx, ins, data, operand(ins.a)),
+                   ins.level - data.depth};
+            modeled = cost.activation(data.stage_degrees, ins.level,
+                                      ins.cts, false);
+            break;
+        }
+        case Op::kMul:
+        case Op::kAdd: {
+            const Value& a = operand(ins.a);
+            const Value& b = operand(ins.b);
+            ORION_CHECK(a.size() == b.size(), describe_instruction(ins)
+                                                  << ": operand size mismatch");
+            if (ins.op == Op::kMul) {
+                out = {backend.mul(ins, a, b), ins.level - 1};
+                modeled = cts * (cost.hmult(ins.level) +
+                                 cost.rescale(ins.level));
+            } else {
+                out = {backend.add(ins, a, b), ins.level};
+                modeled = cts * cost.hadd(ins.level);
+            }
+            break;
+        }
+        case Op::kScale:
+            out = {backend.scale(idx, ins, operand(ins.a)), ins.level - 1};
+            pmults = ins.cts;
+            modeled = cts * (cost.pmult(ins.level) + cost.rescale(ins.level));
+            break;
+        case Op::kOutput:
+            // The value map dies with this call; no need to copy the
+            // (possibly megabytes of) output.
+            output = std::move(values.at(ins.a).value);
+            break;
+        }
+        stats.bootstraps += bootstraps;
+        stats.rotations += rotations;
+        stats.pmults += pmults;
+        stats.modeled_latency += modeled;
+        charge_layer(stats.layer_times, ins.layer_id, seconds_since(ins_t0));
+    }
+    stats.wall_seconds = seconds_since(t0);
+    return output;
+}
+
+/**
+ * Cleartext backend: reference matvec / convolution, the activations'
+ * cleartext approximations, and injected bootstrap noise.
+ */
+struct SimBackend {
+    using Value = std::vector<double>;
+
+    const std::vector<double>& x;  ///< the normalized input
+    double noise_std;
+    ckks::Sampler& noise;
+
+    /** f applied to every element of v. */
+    template <typename F>
+    static Value
+    map(Value v, F f)
+    {
+        for (double& e : v) e = f(e);
+        return v;
+    }
+
+    /** f applied element-wise to a and b. */
+    template <typename F>
+    static Value
+    zip(const Value& a, const Value& b, F f)
+    {
+        Value v(a.size());
+        std::transform(a.begin(), a.end(), b.begin(), v.begin(), f);
+        return v;
+    }
+
+    Value input(const Instruction&) const { return x; }
+
+    Value
+    bootstrap(std::size_t, const Value& a) const
+    {
+        // std::normal_distribution requires sigma > 0.
+        if (noise_std <= 0.0) return a;
+        return map(a, [&](double e) {
+            return e + noise.sample_normal(noise_std);
+        });
+    }
+
+    Value
+    linear(std::size_t, const Instruction&, const LinearLayerData& data,
+           const Value& a) const
+    {
+        // A fully connected layer is a 1x1 convolution of a 1x1 image.
+        lin::Conv2dSpec spec = data.conv;
+        int h = data.in_layout.height, w = data.in_layout.width;
+        if (data.kind == nn::LayerKind::kLinear) {
+            spec = lin::Conv2dSpec{data.in_features, data.out_features};
+            h = w = 1;
+        }
+        Value y = lin::conv2d_reference(spec, data.folded_weights, a, h, w);
+        if (data.folded_bias.empty()) return y;
+        return zip(y, bias_tensor(data), std::plus<>());
+    }
+
+    Value
+    activation(std::size_t, const Instruction&, const ActivationData& data,
+               const Value& a) const
+    {
+        return map(a, [&](double e) { return data.approx_f(e); });
+    }
+
+    Value
+    mul(const Instruction&, const Value& a, const Value& b) const
+    {
+        return zip(a, b, std::multiplies<>());
+    }
+
+    Value
+    scale(std::size_t, const Instruction& ins, const Value& a) const
+    {
+        return map(a, [&](double e) { return e * ins.scale_factor; });
+    }
+
+    Value
+    add(const Instruction&, const Value& a, const Value& b) const
+    {
+        return zip(a, b, std::plus<>());
+    }
+};
+
+/**
+ * Real-FHE backend: validates the encrypted input, drops operands to the
+ * execution level, and runs each op on ciphertexts with the prepared
+ * payloads (encoded matrices and biases, exact scales, the bootstrap
+ * circuit) under the bound evaluation keys.
+ */
+struct CkksBackend {
+    using Value = std::vector<ckks::Ciphertext>;
+
+    const ckks::Context& ctx;
+    const ckks::Evaluator& eval;
+    const std::vector<PreparedProgram::Step>& steps;
+    const Value& in;
+    const approx::HePolyEvaluator polyeval{eval};
+
+    /** v's ciphertexts dropped to the op's execution level. */
+    Value
+    at_level(Value v, const Instruction& ins) const
+    {
+        for (ckks::Ciphertext& c : v) {
+            if (c.level() > ins.level) eval.drop_to_level_inplace(c, ins.level);
+        }
+        return v;
+    }
+
+    Value
+    input(const Instruction& ins) const
+    {
+        ORION_CHECK(in.size() == ins.cts,
+                    "encrypted input has " << in.size()
+                                           << " ciphertexts, program "
+                                           << "expects " << ins.cts);
+        for (const ckks::Ciphertext& ct : in) {
+            ORION_CHECK(ct.valid() && ct.level() >= ins.level,
+                        "encrypted input below the program's input "
+                        "level " << ins.level);
+            ORION_CHECK(ct.c0.is_ntt() && ct.c1.is_ntt(),
+                        "encrypted input must be in NTT form");
+            ORION_CHECK(ckks::scales_match(ct.scale, ctx.scale()),
+                        "encrypted input scale "
+                            << ct.scale
+                            << " does not match the context scale "
+                            << ctx.scale());
+        }
+        return at_level(in, ins);
+    }
+
+    Value
+    bootstrap(std::size_t idx, const Value& a) const
+    {
+        // The real public-key circuit under the bound session keys.
+        Value v;
+        for (const ckks::Ciphertext& ct : a) {
+            v.push_back(steps[idx].circuit->bootstrap(eval, ct));
+        }
+        return v;
+    }
+
+    Value
+    linear(std::size_t idx, const Instruction& ins, const LinearLayerData&,
+           const Value& a) const
+    {
+        const PreparedProgram::Step& step = steps[idx];
+        Value v = step.matrix->apply(eval, at_level(a, ins));
+        for (std::size_t c = 0; c < step.bias.size(); ++c) {
+            eval.add_plain_inplace(v[c], step.bias[c]);
+        }
+        return v;
+    }
+
+    Value
+    activation(std::size_t idx, const Instruction& ins,
+               const ActivationData& data, const Value& a) const
+    {
+        Value v = at_level(a, ins);
+        for (ckks::Ciphertext& c : v) {
+            if (data.kind == nn::ActivationSpec::Kind::kSquare) {
+                c = eval.square(c);
+                eval.rescale_inplace(c);
+            } else {
+                c = polyeval.evaluate(data.stages[0], c,
+                                      steps[idx].out_scale);
+            }
+        }
+        return v;
+    }
+
+    Value
+    mul(const Instruction& ins, const Value& a, const Value& b) const
+    {
+        Value v = at_level(a, ins);
+        const Value y = at_level(b, ins);
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            v[i] = eval.mul(v[i], y[i]);
+            eval.rescale_inplace(v[i]);
+            ORION_ASSERT(ckks::scales_match(v[i].scale, ctx.scale()));
+            v[i].scale = ctx.scale();
+        }
+        return v;
+    }
+
+    Value
+    scale(std::size_t idx, const Instruction& ins, const Value& a) const
+    {
+        Value v = at_level(a, ins);
+        for (ckks::Ciphertext& c : v) {
+            eval.mul_constant_inplace(
+                c, ins.scale_factor,
+                static_cast<double>(ctx.q(ins.level).value()));
+            eval.rescale_inplace(c);
+            c.scale = steps[idx].out_scale;  // exact by construction
+        }
+        return v;
+    }
+
+    Value
+    add(const Instruction& ins, const Value& a, const Value& b) const
+    {
+        Value v = at_level(a, ins);
+        const Value y = at_level(b, ins);
+        for (std::size_t i = 0; i < v.size(); ++i) eval.add_inplace(v[i], y[i]);
+        return v;
+    }
+};
 
 }  // namespace
 
@@ -65,153 +396,15 @@ SimExecutor::SimExecutor(const CompiledNetwork& cn, double bootstrap_noise_std,
 ExecutionResult
 SimExecutor::run(const std::vector<double>& input)
 {
-    const auto t0 = std::chrono::steady_clock::now();
     ORION_CHECK(input.size() == cn_->input_shape.size(),
                 "input size mismatch");
-    const CostModel& cost = cn_->cost_model;
-
-    std::map<int, std::vector<double>> values;
-    std::map<int, ValueMeta> meta;
+    // Normalize in and de-normalize out, as a client's encrypt / decrypt.
+    std::vector<double> x = input;
+    for (double& e : x) e *= cn_->input_nu;
+    const SimBackend backend{x, noise_std_, noise_};
     ExecutionResult result;
-
-    for (const Instruction& ins : cn_->program) {
-        switch (ins.op) {
-        case Instruction::Op::kInput: {
-            std::vector<double> v(input.size());
-            for (std::size_t i = 0; i < input.size(); ++i) {
-                v[i] = cn_->input_nu * input[i];
-            }
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level};
-            break;
-        }
-        case Instruction::Op::kBootstrap: {
-            ORION_CHECK(meta.at(ins.a).level >= 0, "bad bootstrap operand");
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x += noise_.sample_normal(noise_std_);
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {cn_->l_eff};
-            result.bootstraps += ins.cts;
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) * cost.bootstrap(cn_->l_eff);
-            break;
-        }
-        case Instruction::Op::kLinear: {
-            ORION_CHECK(meta.at(ins.a).level >= ins.level,
-                        "operand below linear exec level");
-            const LinearLayerData& data =
-                cn_->linears[static_cast<std::size_t>(ins.payload)];
-            const std::vector<double>& x = values.at(ins.a);
-            std::vector<double> y;
-            if (data.kind == nn::LayerKind::kLinear) {
-                y.assign(static_cast<std::size_t>(data.out_features), 0.0);
-                for (int r = 0; r < data.out_features; ++r) {
-                    double acc = 0.0;
-                    const double* w =
-                        data.folded_weights.data() +
-                        static_cast<std::size_t>(r) * data.in_features;
-                    for (int c = 0; c < data.in_features; ++c) {
-                        acc += w[c] * x[static_cast<std::size_t>(c)];
-                    }
-                    y[static_cast<std::size_t>(r)] = acc;
-                }
-            } else {
-                y = lin::conv2d_reference(data.conv, data.folded_weights, x,
-                                          data.in_layout.height,
-                                          data.in_layout.width);
-            }
-            if (!data.folded_bias.empty()) {
-                const u64 hw = static_cast<u64>(data.out_layout.height) *
-                               data.out_layout.width;
-                if (data.kind == nn::LayerKind::kLinear) {
-                    for (std::size_t i = 0; i < y.size(); ++i) {
-                        y[i] += data.folded_bias[i];
-                    }
-                } else {
-                    for (std::size_t c = 0; c < data.folded_bias.size();
-                         ++c) {
-                        for (u64 i = 0; i < hw; ++i) {
-                            y[c * hw + i] += data.folded_bias[c];
-                        }
-                    }
-                }
-            }
-            values[ins.value] = std::move(y);
-            meta[ins.value] = {ins.level - 1};
-            result.rotations += data.stats.total_rotations();
-            result.pmults += data.stats.pmults;
-            result.modeled_latency += cost.linear_layer(data.stats,
-                                                        ins.level);
-            break;
-        }
-        case Instruction::Op::kActivation: {
-            const ActivationData& data =
-                cn_->activations[static_cast<std::size_t>(ins.payload)];
-            ORION_CHECK(meta.at(ins.a).level >= ins.level,
-                        "operand below activation exec level");
-            ORION_CHECK(ins.level >= data.depth,
-                        "not enough levels for activation");
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x = data.approx_f(x);
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level - data.depth};
-            result.modeled_latency += cost.activation(
-                data.stage_degrees, ins.level, ins.cts, false);
-            break;
-        }
-        case Instruction::Op::kMul: {
-            const std::vector<double>& a = values.at(ins.a);
-            const std::vector<double>& b = values.at(ins.b);
-            ORION_CHECK(a.size() == b.size(), "Mul operand size mismatch");
-            ORION_CHECK(meta.at(ins.a).level >= ins.level &&
-                            meta.at(ins.b).level >= ins.level,
-                        "Mul operands below exec level");
-            std::vector<double> v(a.size());
-            for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] * b[i];
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level - 1};
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) *
-                (cost.hmult(ins.level) + cost.rescale(ins.level));
-            break;
-        }
-        case Instruction::Op::kScale: {
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x *= ins.scale_factor;
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level - 1};
-            result.pmults += ins.cts;
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) *
-                (cost.pmult(ins.level) + cost.rescale(ins.level));
-            break;
-        }
-        case Instruction::Op::kAdd: {
-            const std::vector<double>& a = values.at(ins.a);
-            const std::vector<double>& b = values.at(ins.b);
-            ORION_CHECK(a.size() == b.size(), "Add operand size mismatch");
-            ORION_CHECK(meta.at(ins.a).level >= ins.level &&
-                            meta.at(ins.b).level >= ins.level,
-                        "Add operands below exec level");
-            std::vector<double> v(a.size());
-            for (std::size_t i = 0; i < a.size(); ++i) v[i] = a[i] + b[i];
-            values[ins.value] = std::move(v);
-            meta[ins.value] = {ins.level};
-            result.modeled_latency +=
-                static_cast<double>(ins.cts) * cost.hadd(ins.level);
-            break;
-        }
-        case Instruction::Op::kOutput: {
-            std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x /= cn_->output_nu;
-            result.output = std::move(v);
-            break;
-        }
-        }
-    }
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.output = walk(*cn_, backend, result);
+    for (double& y : result.output) y /= cn_->output_nu;
     return result;
 }
 
@@ -231,15 +424,12 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
                 "context needs more levels than l_eff");
     const ckks::Encoder encoder(ctx);
 
-    // Symbolic scale propagation mirrors run_encrypted(); every linear
+    // Symbolic scale propagation mirrors the CKKS backend; every linear
     // layer encodes its diagonals at the repair scale
     // Delta * q_level / in_scale (Figure 7), so scales between layers are
     // exactly Delta.
     const double delta = ctx.scale();
-    prepared_.resize(cn.program.size());
-    bias_.resize(cn.program.size());
-    in_scale_.assign(cn.program.size(), 0.0);
-    act_target_.assign(cn.program.size(), 0.0);
+    steps_.resize(cn.program.size());
 
     // ---- Phase A: symbolic scale resolution ----
     // Linear layers can repair to any target via their free weight scale
@@ -330,124 +520,69 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
         finalize(v, delta);
     }
 
-    // ---- Phase B: encode matrices, biases, and activation targets ----
+    // ---- Phase B: encode matrices and biases, record exact scales, and
+    // build the public-key bootstrap circuit ----
+    // One circuit plan (a pure function of the parameters), one encoded
+    // circuit per distinct symbolic input scale. A chain too short for
+    // the circuit leaves boot_circuits_ empty, and executor construction
+    // then rejects the program.
+    if (cn.num_bootstraps > 0) {
+        boot_plan_ = ckks::BootstrapPlan::cached(ctx.params());
+    }
+    const bool boot_ok =
+        boot_plan_ != nullptr &&
+        ckks::BootstrapCircuit::supported(ctx, *boot_plan_, cn.l_eff);
     for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
         const Instruction& ins = cn.program[idx];
-        switch (ins.op) {
-        case Instruction::Op::kLinear: {
+        Step& step = steps_[idx];
+        if (ins.op == Instruction::Op::kLinear) {
             const LinearLayerData& data =
                 cn.linears[static_cast<std::size_t>(ins.payload)];
             ORION_CHECK(data.matrix != nullptr,
                         "structural-only program cannot run on CKKS");
-            const double in_scale = scale_of.at(ins.a);
             const double target = scale_of.at(ins.value);
-            in_scale_[idx] = in_scale;
             const double w_scale =
-                target *
-                static_cast<double>(ctx.q(ins.level).value()) / in_scale;
-            prepared_[idx] = std::make_shared<lin::HeBlockedMatrix>(
-                ctx, encoder, *data.matrix, data.plan, ins.level, w_scale);
+                target * static_cast<double>(ctx.q(ins.level).value()) /
+                scale_of.at(ins.a);
+            step.matrix.emplace(ctx, encoder, *data.matrix, data.plan,
+                                ins.level, w_scale);
             if (!data.folded_bias.empty()) {
-                const u64 padded =
-                    std::max<u64>(1, ceil_div(data.rows, cn.slots)) *
-                    cn.slots;
-                std::vector<double> slots(padded, 0.0);
                 // The bias is replicated into every batch lane; unused
                 // lanes of an under-filled request carry bias-propagated
                 // values that never leave their lane (the weight matrix
                 // is block-diagonal) and are dropped at unpack.
-                const int nb = std::max(1, data.out_layout.batch);
-                const u64 lane_stride = data.out_layout.batch_stride;
-                if (data.kind == nn::LayerKind::kLinear) {
-                    for (int b = 0; b < nb; ++b) {
-                        for (std::size_t i = 0; i < data.folded_bias.size();
-                             ++i) {
-                            slots[static_cast<u64>(b) * lane_stride + i] =
-                                data.folded_bias[i];
-                        }
-                    }
-                } else {
-                    for (int b = 0; b < nb; ++b) {
-                        for (int c = 0;
-                             c < static_cast<int>(data.folded_bias.size());
-                             ++c) {
-                            for (int y = 0; y < data.out_layout.height;
-                                 ++y) {
-                                for (int x = 0; x < data.out_layout.width;
-                                     ++x) {
-                                    slots[data.out_layout.slot_of(b, c, y,
-                                                                  x)] =
-                                        data.folded_bias
-                                            [static_cast<std::size_t>(c)];
-                                }
-                            }
-                        }
-                    }
-                }
+                const u64 padded =
+                    std::max<u64>(1, ceil_div(data.rows, cn.slots)) *
+                    cn.slots;
+                const std::vector<std::vector<double>> lanes(
+                    std::max(1, data.out_layout.batch), bias_tensor(data));
+                const std::vector<double> slots =
+                    data.out_layout.pack_batch(lanes, padded);
                 for (u64 c = 0; c * cn.slots < padded; ++c) {
                     const std::span<const double> chunk(
                         slots.data() + c * cn.slots, cn.slots);
-                    bias_[idx].push_back(encoder.encode(
-                        chunk, ins.level - 1, target));
+                    step.bias.push_back(
+                        encoder.encode(chunk, ins.level - 1, target));
                 }
             }
-            break;
-        }
-        case Instruction::Op::kActivation: {
-            in_scale_[idx] = scale_of.at(ins.a);
-            act_target_[idx] = scale_of.at(ins.value);
-            break;
-        }
-        case Instruction::Op::kScale:
-        case Instruction::Op::kBootstrap:
-            in_scale_[idx] = scale_of.at(ins.a);
-            break;
-        default:
-            break;
-        }
-    }
-
-    // ---- Phase C: the public-key bootstrap circuit ----
-    // One plan (a pure function of the parameters), one encoded circuit
-    // per distinct symbolic input scale. A chain too short for the
-    // circuit leaves boot_circuits_ empty, and executor construction
-    // then rejects the program.
-    if (cn.num_bootstraps > 0) {
-        boot_plan_ = ckks::BootstrapPlan::cached(ctx.params());
-        if (ckks::BootstrapCircuit::supported(ctx, *boot_plan_, cn.l_eff)) {
-            boot_circuit_of_.assign(cn.program.size(), -1);
-            for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
-                if (cn.program[idx].op != Instruction::Op::kBootstrap) {
-                    continue;
-                }
-                const double s_in = in_scale_[idx];
-                int found = -1;
-                for (std::size_t c = 0; c < boot_circuits_.size(); ++c) {
-                    if (ckks::scales_match(boot_circuits_[c]->input_scale(),
-                                           s_in)) {
-                        found = static_cast<int>(c);
-                        break;
-                    }
-                }
-                if (found < 0) {
-                    boot_circuits_.push_back(
-                        std::make_unique<const ckks::BootstrapCircuit>(
+        } else if (ins.op == Instruction::Op::kBootstrap && boot_ok) {
+            const double s_in = scale_of.at(ins.a);
+            auto it = std::find_if(
+                boot_circuits_.begin(), boot_circuits_.end(),
+                [&](const auto& c) {
+                    return ckks::scales_match(c->input_scale(), s_in);
+                });
+            if (it == boot_circuits_.end()) {
+                it = boot_circuits_.insert(
+                    it, std::make_unique<const ckks::BootstrapCircuit>(
                             ctx, encoder, boot_plan_, cn.l_eff, s_in));
-                    found = static_cast<int>(boot_circuits_.size()) - 1;
-                }
-                boot_circuit_of_[idx] = found;
             }
+            step.circuit = it->get();
+        } else if (ins.op == Instruction::Op::kActivation ||
+                   ins.op == Instruction::Op::kScale) {
+            step.out_scale = scale_of.at(ins.value);
         }
     }
-}
-
-const ckks::BootstrapCircuit*
-PreparedProgram::circuit_for(std::size_t idx) const
-{
-    ORION_ASSERT(idx < boot_circuit_of_.size() &&
-                 boot_circuit_of_[idx] >= 0);
-    return boot_circuits_[static_cast<std::size_t>(boot_circuit_of_[idx])]
-        .get();
 }
 
 std::vector<ckks::GaloisKeyRequest>
@@ -503,14 +638,11 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
     ORION_CHECK(prep_->cn_ == &cn && prep_->ctx_ == &ctx,
                 "prepared program belongs to a different network or context");
     if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
-        const Instruction* boot_ins = nullptr;
-        for (const Instruction& ins : cn.program) {
-            if (ins.op == Instruction::Op::kBootstrap) {
-                boot_ins = &ins;
-                break;
-            }
-        }
-        ORION_ASSERT(boot_ins != nullptr);
+        const auto boot_ins = std::find_if(
+            cn.program.begin(), cn.program.end(), [](const Instruction& i) {
+                return i.op == Instruction::Op::kBootstrap;
+            });
+        ORION_ASSERT(boot_ins != cn.program.end());
         const ckks::BootstrapPlan* plan = prep_->bootstrap_plan();
         ORION_CHECK(false,
                     "cannot execute "
@@ -533,21 +665,6 @@ CkksExecutor::bind_session_keys(const ckks::KswitchKey* relin,
     eval_.set_galois_keys(galois_);
 }
 
-std::vector<ckks::Ciphertext>
-CkksExecutor::drop_all(const std::vector<ckks::Ciphertext>& in,
-                       int level) const
-{
-    std::vector<ckks::Ciphertext> out;
-    out.reserve(in.size());
-    for (const ckks::Ciphertext& ct : in) {
-        ORION_CHECK(ct.level() >= level, "value below required level");
-        ckks::Ciphertext c = ct;
-        if (c.level() > level) eval_.drop_to_level_inplace(c, level);
-        out.push_back(std::move(c));
-    }
-    return out;
-}
-
 EncryptedResult
 CkksExecutor::run_encrypted(const std::vector<ckks::Ciphertext>& input)
 {
@@ -560,152 +677,9 @@ CkksExecutor::run_encrypted(const std::vector<ckks::Ciphertext>& input)
     // (global pool or the caller's own override).
     std::optional<ScopedPoolOverride> scoped_threads;
     if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
-    const auto t0 = std::chrono::steady_clock::now();
-    const approx::HePolyEvaluator polyeval(eval_);
-    const double delta = ctx_->scale();
-
-    std::map<int, Value> values;
+    const CkksBackend backend{*ctx_, eval_, prep_->steps_, input};
     EncryptedResult result;
-
-    for (std::size_t idx = 0; idx < cn_->program.size(); ++idx) {
-        const Instruction& ins = cn_->program[idx];
-        const auto ins_t0 = std::chrono::steady_clock::now();
-        telemetry::SpanGuard ins_span(op_span_name(ins.op), ins.layer_id);
-        switch (ins.op) {
-        case Instruction::Op::kInput: {
-            ORION_CHECK(input.size() == ins.cts,
-                        "encrypted input has " << input.size()
-                                               << " ciphertexts, program "
-                                               << "expects " << ins.cts);
-            for (const ckks::Ciphertext& ct : input) {
-                ORION_CHECK(ct.valid() && ct.level() >= ins.level,
-                            "encrypted input below the program's input "
-                            "level " << ins.level);
-                ORION_CHECK(ct.c0.is_ntt() && ct.c1.is_ntt(),
-                            "encrypted input must be in NTT form");
-                ORION_CHECK(ckks::scales_match(ct.scale, delta),
-                            "encrypted input scale " << ct.scale
-                                << " does not match the context scale "
-                                << delta);
-            }
-            Value v;
-            v.cts = drop_all(input, ins.level);
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kBootstrap: {
-            // The real public-key circuit under the bound session keys.
-            const ckks::BootstrapCircuit* circuit = prep_->circuit_for(idx);
-            Value v;
-            for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                v.cts.push_back(circuit->bootstrap(eval_, ct));
-            }
-            values[ins.value] = std::move(v);
-            result.bootstraps += ins.cts;
-            break;
-        }
-        case Instruction::Op::kLinear: {
-            const LinearLayerData& data =
-                cn_->linears[static_cast<std::size_t>(ins.payload)];
-            const std::vector<ckks::Ciphertext> in_cts =
-                drop_all(values.at(ins.a).cts, ins.level);
-            Value v;
-            v.cts = prep_->prepared_[idx]->apply(eval_, in_cts);
-            if (!prep_->bias_[idx].empty()) {
-                for (std::size_t c = 0; c < v.cts.size(); ++c) {
-                    eval_.add_plain_inplace(v.cts[c],
-                                            prep_->bias_[idx][c]);
-                }
-            }
-            values[ins.value] = std::move(v);
-            // Deterministic program counts (equal to the measured kernel
-            // counts; race-free when executors share one Context).
-            result.rotations += data.stats.total_rotations();
-            result.pmults += data.stats.pmults;
-            break;
-        }
-        case Instruction::Op::kActivation: {
-            const ActivationData& data =
-                cn_->activations[static_cast<std::size_t>(ins.payload)];
-            const std::vector<ckks::Ciphertext> in_cts =
-                drop_all(values.at(ins.a).cts, ins.level);
-            Value v;
-            for (const ckks::Ciphertext& ct : in_cts) {
-                if (data.kind == nn::ActivationSpec::Kind::kSquare) {
-                    ckks::Ciphertext sq = eval_.square(ct);
-                    eval_.rescale_inplace(sq);
-                    v.cts.push_back(std::move(sq));
-                } else {
-                    v.cts.push_back(polyeval.evaluate(
-                        data.stages[0], ct, prep_->act_target_[idx]));
-                }
-            }
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kMul: {
-            const std::vector<ckks::Ciphertext> a =
-                drop_all(values.at(ins.a).cts, ins.level);
-            const std::vector<ckks::Ciphertext> b =
-                drop_all(values.at(ins.b).cts, ins.level);
-            ORION_CHECK(a.size() == b.size(), "Mul ct count mismatch");
-            Value v;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                ckks::Ciphertext prod = eval_.mul(a[i], b[i]);
-                eval_.rescale_inplace(prod);
-                ORION_ASSERT(ckks::scales_match(prod.scale, delta));
-                prod.scale = delta;
-                v.cts.push_back(std::move(prod));
-            }
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kScale: {
-            const std::vector<ckks::Ciphertext> in_cts =
-                drop_all(values.at(ins.a).cts, ins.level);
-            Value v;
-            for (const ckks::Ciphertext& ct : in_cts) {
-                ckks::Ciphertext c = ct;
-                eval_.mul_constant_inplace(
-                    c, ins.scale_factor,
-                    static_cast<double>(ctx_->q(ins.level).value()));
-                eval_.rescale_inplace(c);
-                c.scale = prep_->in_scale_[idx];  // exact by construction
-                v.cts.push_back(std::move(c));
-            }
-            values[ins.value] = std::move(v);
-            result.pmults += ins.cts;
-            break;
-        }
-        case Instruction::Op::kAdd: {
-            const std::vector<ckks::Ciphertext> a =
-                drop_all(values.at(ins.a).cts, ins.level);
-            const std::vector<ckks::Ciphertext> b =
-                drop_all(values.at(ins.b).cts, ins.level);
-            ORION_CHECK(a.size() == b.size(), "Add ct count mismatch");
-            Value v;
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                v.cts.push_back(eval_.add(a[i], b[i]));
-            }
-            values[ins.value] = std::move(v);
-            break;
-        }
-        case Instruction::Op::kOutput: {
-            // The values map dies with this call; no need to copy the
-            // megabytes of output ciphertexts.
-            result.outputs = std::move(values.at(ins.a).cts);
-            break;
-        }
-        }
-        charge_layer(result.layer_times, ins.layer_id,
-                     std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - ins_t0)
-                         .count());
-    }
-
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    result.outputs = walk(*cn_, backend, result);
     return result;
 }
 

@@ -5,11 +5,16 @@
  * @file
  * Execution backends for compiled networks.
  *
- * SimExecutor runs the instruction stream functionally (cleartext values,
- * polynomial activation approximations, injected bootstrap noise) while
- * charging the analytic cost model and tracking levels exactly - this is
- * how ImageNet-scale rows of Table 2 are produced. CkksExecutor runs the
- * same instruction stream under real RNS-CKKS encryption end to end.
+ * Both backends run one program walk (executor.cpp): a single loop over
+ * the instruction stream that tracks every value's level exactly, checks
+ * operand levels, counts bootstraps / rotations / pmults, charges the
+ * analytic cost model, opens one exec.* telemetry span per instruction,
+ * and merges per-layer wall time. A backend only computes values.
+ * SimExecutor's backend computes them in cleartext (reference linear
+ * algebra, polynomial activation approximations, injected bootstrap
+ * noise) - this is how ImageNet-scale rows of Table 2 are produced.
+ * CkksExecutor's backend computes them under real RNS-CKKS encryption end
+ * to end. The two therefore report identical accounting for a program.
  *
  * CkksExecutor never holds a secret. It holds only a client's evaluation
  * keys (relinearization + Galois), bound per run, and runs
@@ -42,9 +47,16 @@ struct LayerTiming {
     double seconds = 0.0;
 };
 
-/** Outcome of one inference. */
-struct ExecutionResult {
-    std::vector<double> output;    ///< logical network output (de-normalized)
+/**
+ * The accounting of one program walk, identical for both backends: the
+ * program's deterministic operation counts (race-free when many
+ * executors share one Context) and the cost model's price of the run.
+ * Rotations equal the measured kernel counts (asserted against Context
+ * counters by the compiler integration test); pmults cover linear layers
+ * and explicit scales but not the plaintext products inside polynomial
+ * activation evaluation.
+ */
+struct RunStats {
     double modeled_latency = 0.0;  ///< cost-model seconds
     double wall_seconds = 0.0;     ///< measured wall-clock seconds
     u64 bootstraps = 0;
@@ -53,14 +65,14 @@ struct ExecutionResult {
     std::vector<LayerTiming> layer_times;
 };
 
+/** Outcome of one inference. */
+struct ExecutionResult : RunStats {
+    std::vector<double> output;  ///< logical network output (de-normalized)
+};
+
 /** Outcome of one encrypted-domain inference (serving path). */
-struct EncryptedResult {
+struct EncryptedResult : RunStats {
     std::vector<ckks::Ciphertext> outputs;  ///< still encrypted
-    double wall_seconds = 0.0;
-    u64 bootstraps = 0;
-    u64 rotations = 0;
-    u64 pmults = 0;
-    std::vector<LayerTiming> layer_times;
 };
 
 /** Functional simulation backend. */
@@ -118,27 +130,28 @@ class PreparedProgram {
     bool needs_conjugation() const { return bootstrap_supported(); }
     int conjugation_level() const;
 
+    /** The prepared payload of one program instruction. */
+    struct Step {
+        std::optional<lin::HeBlockedMatrix> matrix;  ///< kLinear
+        std::vector<ckks::Plaintext> bias;  ///< kLinear; empty if no bias
+        /** Exact scale of the produced value (kActivation, kScale). */
+        double out_scale = 0.0;
+        /** kBootstrap, when bootstrap_supported(). */
+        const ckks::BootstrapCircuit* circuit = nullptr;
+    };
+
   private:
     friend class CkksExecutor;
 
-    /** The prepared circuit for program instruction idx (never null for
-     *  bootstrap instructions when bootstrap_supported()). */
-    const ckks::BootstrapCircuit* circuit_for(std::size_t idx) const;
-
     const CompiledNetwork* cn_;
     const ckks::Context* ctx_;
-    // Prepared payloads, indexed like cn_->program.
-    std::vector<std::shared_ptr<lin::HeBlockedMatrix>> prepared_;
-    std::vector<std::vector<ckks::Plaintext>> bias_;
-    std::vector<double> in_scale_;    ///< per-instruction input scale
-    std::vector<double> act_target_;  ///< per-activation target scale
+    std::vector<Step> steps_;  ///< indexed like cn_->program
     // Bootstrap support (empty / null for bootstrap-free programs). The
     // plan is the process-wide memoized one (BootstrapPlan::cached);
     // circuit variants share it rather than copying its stage matrices.
     std::shared_ptr<const ckks::BootstrapPlan> boot_plan_;
     std::vector<std::unique_ptr<const ckks::BootstrapCircuit>>
-        boot_circuits_;               ///< one per distinct input scale
-    std::vector<int> boot_circuit_of_;  ///< per-instruction index, or -1
+        boot_circuits_;  ///< one per distinct input scale
 };
 
 /**
@@ -165,8 +178,8 @@ GaloisRequirements required_galois(const CompiledNetwork& cn,
  * controls every parallel kernel underneath it without touching global
  * state (concurrent executors with different budgets are safe).
  * num_threads = 1 is bit-identical to any other setting; it simply runs
- * the kernels serially. SimExecutor is pure cleartext simulation and has
- * no parallel kernels today.
+ * the kernels serially. SimExecutor's reference convolutions follow the
+ * ambient thread setting.
  */
 class CkksExecutor {
   public:
@@ -197,15 +210,10 @@ class CkksExecutor {
     /**
      * Encrypted-domain inference: validates the input ciphertexts against
      * the program's kInput contract (count, level, scale), executes, and
-     * returns the still-encrypted outputs. Safe to call repeatedly on one
-     * instance: all per-run state (values, stats) is local to the call.
-     * Reported rotation / bootstrap / pmult counts are the program's
-     * deterministic operation counts with SimExecutor's accounting
-     * (race-free when many executors share one Context): rotations equal
-     * the measured kernel counts (asserted against Context counters by
-     * the compiler integration test); pmults cover linear layers and
-     * explicit scales but not the plaintext products inside polynomial
-     * activation evaluation.
+     * returns the still-encrypted outputs with the program walk's
+     * accounting (RunStats), the same SimExecutor reports. Safe to call
+     * repeatedly on one instance: all per-run state (values, stats) is
+     * local to the call.
      */
     EncryptedResult run_encrypted(const std::vector<ckks::Ciphertext>& input);
 
@@ -216,9 +224,6 @@ class CkksExecutor {
     }
 
   private:
-    std::vector<ckks::Ciphertext> drop_all(
-        const std::vector<ckks::Ciphertext>& in, int level) const;
-
     const CompiledNetwork* cn_;
     const ckks::Context* ctx_;
     std::optional<OrionConfig> cfg_;

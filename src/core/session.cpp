@@ -228,11 +228,7 @@ Session::infer(const std::vector<std::vector<double>>& samples,
     outputs = decrypt(er.outputs, static_cast<int>(samples.size()));
 
     core::ExecutionResult result;
-    result.bootstraps = er.bootstraps;
-    result.rotations = er.rotations;
-    result.pmults = er.pmults;
-    result.layer_times = std::move(er.layer_times);
-    result.modeled_latency = compiled_->modeled_latency;
+    static_cast<core::RunStats&>(result) = std::move(er);
     result.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -261,8 +257,7 @@ Session::simulate(const std::vector<double>& input)
 {
     require_compiled("simulate");
     if (sim_ == nullptr) {
-        sim_ = std::make_unique<core::SimExecutor>(*compiled_,
-                                                   opts_.sim_noise_std);
+        sim_ = std::make_unique<core::SimExecutor>(*compiled_);
     }
     return sim_->run(input);
 }

@@ -53,8 +53,6 @@ struct SessionOptions {
     int l_eff = 10;
     /** Keygen seed of the session's own client (and of module init). */
     u64 seed = 7;
-    /** Bootstrap noise std of the simulation backend. */
-    double sim_noise_std = 1e-6;
     /** Kernel-thread config pinned on the executor (nullopt = ambient). */
     std::optional<core::OrionConfig> exec_config;
 };

@@ -13,69 +13,6 @@ using core::Instruction;
 using nn::ActivationSpec;
 using nn::Network;
 
-/** A small conv net with a residual block, used across compiler tests. */
-Network
-tiny_resnet(ActivationSpec::Kind act_kind)
-{
-    std::mt19937_64 rng(17);
-    std::normal_distribution<double> dist(0.0, 0.3);
-    auto weights = [&rng, &dist](u64 n) {
-        std::vector<double> w(n);
-        for (double& x : w) x = dist(rng);
-        return w;
-    };
-    ActivationSpec act;
-    switch (act_kind) {
-    case ActivationSpec::Kind::kSquare:
-        act = ActivationSpec::square();
-        break;
-    case ActivationSpec::Kind::kRelu:
-        act = ActivationSpec::relu({3, 3});  // small composite for toy levels
-        break;
-    default:
-        act = ActivationSpec::silu(15);
-        break;
-    }
-
-    Network net("tiny-resnet");
-    int id = net.add_input(2, 8, 8);
-    lin::Conv2dSpec c1;
-    c1.in_channels = 2;
-    c1.out_channels = 4;
-    c1.kernel_h = c1.kernel_w = 3;
-    c1.pad = 1;
-    id = net.add_conv2d(id, c1, weights(c1.weight_count()), weights(4));
-    id = net.add_activation(id, act);
-    const int fork = id;
-    lin::Conv2dSpec c2;
-    c2.in_channels = 4;
-    c2.out_channels = 4;
-    c2.kernel_h = c2.kernel_w = 3;
-    c2.pad = 1;
-    int bb = net.add_conv2d(fork, c2, weights(c2.weight_count()));
-    std::vector<double> g(4, 1.1), b(4, 0.02), m(4, 0.01), v(4, 0.9);
-    bb = net.add_batchnorm2d(bb, g, b, m, v);
-    id = net.add_add(bb, fork);
-    id = net.add_activation(id, act);
-    id = net.add_avgpool2d(id, 2, 2);
-    id = net.add_flatten(id);
-    id = net.add_linear(id, 5, weights(5 * 4 * 4 * 4), weights(5));
-    net.set_output(id);
-    return net;
-}
-
-CompileOptions
-toy_options(u64 slots, int l_eff)
-{
-    CompileOptions opt;
-    opt.slots = slots;
-    opt.l_eff = l_eff;
-    opt.cost = core::CostModel::for_params(2 * slots * 2, 3, 3, 3);
-    opt.calibration_samples = 3;
-    opt.structural_only = true;
-    return opt;
-}
-
 double
 rel_err(const std::vector<double>& got, const std::vector<double>& want)
 {
@@ -267,16 +204,19 @@ TEST(Compiler, MultiCiphertextTensors)
     EXPECT_LT(rel_err(sim.run(x).output, net.forward(x)), 1e-9);
 }
 
-TEST(Compiler, CkksExecutionMatchesSimulation)
+/**
+ * The flagship integration check: `net` compiled for bootstrap_toy(l_eff)
+ * and executed under real RNS-CKKS encryption — bootstraps included, as
+ * the real public-key circuit — agrees with the functional simulation
+ * (and hence with cleartext PyTorch-style execution) to high precision,
+ * and both backends report the same walk's accounting.
+ */
+void
+expect_ckks_matches_simulation(const Network& net, int l_eff)
 {
-    // The flagship integration test: the same compiled program executed
-    // under real RNS-CKKS encryption — bootstraps included, as the real
-    // public-key circuit — agrees with the functional simulation (and
-    // hence with cleartext PyTorch-style execution) to high precision.
-    const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(4));
+    const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(l_eff));
     const int l_boot = ckks::BootstrapPlan::cached(ctx.params())->depth;
-    const Network net = tiny_resnet(ActivationSpec::Kind::kSquare);
-    CompileOptions opt = toy_options(ctx.slot_count(), 4);
+    CompileOptions opt = toy_options(ctx.slot_count(), l_eff);
     opt.cost = core::CostModel::for_params(2 * ctx.slot_count() * 2, 3, 3,
                                            l_boot);
     opt.structural_only = false;  // need value matrices for CKKS
@@ -327,6 +267,28 @@ TEST(Compiler, CkksExecutionMatchesSimulation)
     EXPECT_EQ(after.total_rotations() - before.total_rotations(),
               cn.total_rotations + cn.num_bootstraps * circuit_rotations);
     EXPECT_EQ(rf.rotations, cn.total_rotations);
+
+    // One program walk: both backends count and charge identically and
+    // attribute time to the same layer sequence.
+    EXPECT_EQ(rf.bootstraps, rs.bootstraps);
+    EXPECT_EQ(rf.rotations, rs.rotations);
+    EXPECT_EQ(rf.pmults, rs.pmults);
+    EXPECT_EQ(rf.modeled_latency, rs.modeled_latency);
+    EXPECT_GT(rf.modeled_latency, 0.0);
+    ASSERT_EQ(rf.layer_times.size(), rs.layer_times.size());
+    for (std::size_t i = 0; i < rf.layer_times.size(); ++i) {
+        EXPECT_EQ(rf.layer_times[i].layer_id, rs.layer_times[i].layer_id)
+            << "layer_times entry " << i;
+    }
+}
+
+TEST(Compiler, CkksExecutionMatchesSimulation)
+{
+    expect_ckks_matches_simulation(tiny_resnet(ActivationSpec::Kind::kSquare),
+                                   4);
+    // Composite ReLU: sign stages, kMul joins and two bootstraps.
+    expect_ckks_matches_simulation(tiny_resnet(ActivationSpec::Kind::kRelu),
+                                   6);
 }
 
 }  // namespace

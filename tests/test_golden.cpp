@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/ckks/kernels.h"
 #include "src/ckks/serial.h"
 #include "src/core/thread_pool.h"
@@ -43,27 +45,17 @@ struct IsaGuard {
 };
 
 /**
- * Compiles the micro MLP for `ctx` at l_eff, encrypts one fixed input
- * under a seed-7 client's keys, and checks the output fingerprint at every
- * supported ISA and each of `threads`.
+ * Runs `cn` on one fixed input under a seed-7 client's keys and checks the
+ * output fingerprint at every supported ISA and each of `threads`.
  */
 void
-expect_golden(const ckks::Context& ctx, int l_eff, int l_boot,
-              u64 bootstraps, const std::vector<int>& threads, u64 want)
+expect_fingerprint(const core::CompiledNetwork& cn, const ckks::Context& ctx,
+                   const std::vector<double>& x,
+                   const std::vector<int>& threads, u64 want)
 {
-    const nn::Network net = nn::make_micro_mlp();
-    core::CompileOptions opt;
-    opt.slots = ctx.slot_count();
-    opt.l_eff = l_eff;
-    opt.cost = core::CostModel::for_params(ctx.degree(), 3, 3, l_boot);
-    opt.calibration_samples = 3;
-    opt.structural_only = false;
-    const core::CompiledNetwork cn = core::compile(net, opt);
-    ASSERT_EQ(cn.num_bootstraps, bootstraps);
     DirectRun direct(cn, ctx,
                      std::make_shared<const core::PreparedProgram>(cn, ctx));
-    const std::vector<ckks::Ciphertext> in =
-        direct.client.encrypt({random_vector(64, 1.0, 1201)});
+    const std::vector<ckks::Ciphertext> in = direct.client.encrypt({x});
 
     const IsaGuard guard;
     for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2,
@@ -81,6 +73,23 @@ expect_golden(const ckks::Context& ctx, int l_eff, int l_boot,
     }
 }
 
+/** The micro MLP compiled for `ctx` at l_eff, on a fixed input. */
+void
+expect_golden(const ckks::Context& ctx, int l_eff, int l_boot,
+              u64 bootstraps, const std::vector<int>& threads, u64 want)
+{
+    const nn::Network net = nn::make_micro_mlp();
+    core::CompileOptions opt;
+    opt.slots = ctx.slot_count();
+    opt.l_eff = l_eff;
+    opt.cost = core::CostModel::for_params(ctx.degree(), 3, 3, l_boot);
+    opt.calibration_samples = 3;
+    opt.structural_only = false;
+    const core::CompiledNetwork cn = core::compile(net, opt);
+    ASSERT_EQ(cn.num_bootstraps, bootstraps);
+    expect_fingerprint(cn, ctx, random_vector(64, 1.0, 1201), threads, want);
+}
+
 TEST(Golden, MicroMlpToyOutputsArePinned)
 {
     const ckks::Context ctx(ckks::CkksParams::toy());
@@ -95,6 +104,27 @@ TEST(Golden, BootstrappedMicroMlpOutputsArePinned)
     const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(2));
     expect_golden(ctx, /*l_eff=*/2, /*l_boot=*/13, /*bootstraps=*/1, {1, 2, 4},
                   0x53133aae74945d06ull);
+}
+
+TEST(Golden, ReluResnetOutputsArePinned)
+{
+    // The composite ReLU residual net runs every opcode under CKKS: conv
+    // and linear layers with bias, sign stages joined by kMul, an explicit
+    // kScale on the shortcut, a residual kAdd, and two circuit bootstraps.
+    const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(6));
+    const int l_boot = ckks::BootstrapPlan::cached(ctx.params())->depth;
+    core::CompileOptions opt = toy_options(ctx.slot_count(), 6);
+    opt.cost = core::CostModel::for_params(2 * ctx.slot_count() * 2, 3, 3,
+                                           l_boot);
+    opt.structural_only = false;
+    const core::CompiledNetwork cn =
+        core::compile(tiny_resnet(nn::ActivationSpec::Kind::kRelu), opt);
+    ASSERT_EQ(cn.num_bootstraps, 2u);
+    std::set<core::Instruction::Op> ops;
+    for (const core::Instruction& ins : cn.program) ops.insert(ins.op);
+    EXPECT_EQ(ops.size(), 8u);  // all eight opcodes
+    expect_fingerprint(cn, ctx, random_vector(128, 1.0, 42), {1, 4},
+                       0x301aca3cdf3cac4cull);
 }
 
 }  // namespace

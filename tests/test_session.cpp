@@ -50,6 +50,9 @@ TEST(Session, ToyPipelineMatchesCleartext)
     // Simulation agrees with the same program.
     const core::ExecutionResult sim = session.simulate(x);
     EXPECT_LT(max_abs_diff(sim.output, clear), 1e-2);
+    // Both come from one program walk, so they charge the same model.
+    EXPECT_EQ(fhe.modeled_latency, sim.modeled_latency);
+    EXPECT_GT(fhe.modeled_latency, 0.0);
 }
 
 TEST(Session, EncryptRunEncryptedDecryptMatchesRun)

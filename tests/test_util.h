@@ -5,7 +5,9 @@
  * @file
  * Shared fixtures for the test suite: a lazily-constructed toy CKKS
  * environment (context + keys + evaluator) reused across test files so key
- * generation cost is paid once, plus random-vector helpers.
+ * generation cost is paid once, random-vector helpers, and the small
+ * residual conv net plus toy compile options the compiler and golden
+ * suites share.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "src/ckks/ckks.h"
+#include "src/core/compiler.h"
 
 namespace orion::test {
 
@@ -111,6 +114,71 @@ inline std::vector<double>
 decrypt_vector(CkksEnv& env, const ckks::Ciphertext& ct)
 {
     return env.encoder.decode(env.decryptor.decrypt(ct));
+}
+
+/** A small conv net with a residual block (compiler and golden tests). */
+inline nn::Network
+tiny_resnet(nn::ActivationSpec::Kind act_kind)
+{
+    using nn::ActivationSpec;
+    std::mt19937_64 rng(17);
+    std::normal_distribution<double> dist(0.0, 0.3);
+    auto weights = [&rng, &dist](u64 n) {
+        std::vector<double> w(n);
+        for (double& x : w) x = dist(rng);
+        return w;
+    };
+    ActivationSpec act;
+    switch (act_kind) {
+    case ActivationSpec::Kind::kSquare:
+        act = ActivationSpec::square();
+        break;
+    case ActivationSpec::Kind::kRelu:
+        act = ActivationSpec::relu({3, 3});  // small composite for toy levels
+        break;
+    default:
+        act = ActivationSpec::silu(15);
+        break;
+    }
+
+    nn::Network net("tiny-resnet");
+    int id = net.add_input(2, 8, 8);
+    lin::Conv2dSpec c1;
+    c1.in_channels = 2;
+    c1.out_channels = 4;
+    c1.kernel_h = c1.kernel_w = 3;
+    c1.pad = 1;
+    id = net.add_conv2d(id, c1, weights(c1.weight_count()), weights(4));
+    id = net.add_activation(id, act);
+    const int fork = id;
+    lin::Conv2dSpec c2;
+    c2.in_channels = 4;
+    c2.out_channels = 4;
+    c2.kernel_h = c2.kernel_w = 3;
+    c2.pad = 1;
+    int bb = net.add_conv2d(fork, c2, weights(c2.weight_count()));
+    std::vector<double> g(4, 1.1), b(4, 0.02), m(4, 0.01), v(4, 0.9);
+    bb = net.add_batchnorm2d(bb, g, b, m, v);
+    id = net.add_add(bb, fork);
+    id = net.add_activation(id, act);
+    id = net.add_avgpool2d(id, 2, 2);
+    id = net.add_flatten(id);
+    id = net.add_linear(id, 5, weights(5 * 4 * 4 * 4), weights(5));
+    net.set_output(id);
+    return net;
+}
+
+/** Structural-only compile options for toy slot counts and levels. */
+inline core::CompileOptions
+toy_options(u64 slots, int l_eff)
+{
+    core::CompileOptions opt;
+    opt.slots = slots;
+    opt.l_eff = l_eff;
+    opt.cost = core::CostModel::for_params(2 * slots * 2, 3, 3, 3);
+    opt.calibration_samples = 3;
+    opt.structural_only = true;
+    return opt;
 }
 
 }  // namespace orion::test
