@@ -14,7 +14,8 @@
  *    paper-scale cost model (N = 2^16).
  *  - Our rescale-eager polynomial evaluator consumes ~1 extra level per
  *    activation stage vs the paper's accounting, so depth and bootstrap
- *    counts run somewhat higher at the same L_eff (see EXPERIMENTS.md).
+ *    counts run somewhat higher at the same L_eff (see DESIGN.md,
+ *    "Composite-sign depth").
  */
 
 #include "bench/bench_util.h"

@@ -46,9 +46,10 @@ class CompositeSign {
     /**
      * Sum of per-stage homomorphic depths as actually consumed by
      * HePolyEvaluator. Note: our rescale-eager, exactly-scaled evaluator
-     * consumes ceil(log2(deg+1)) + 1 levels per stage for deg >= 7; the
-     * paper's accounting (degrees [15,15,27] -> depth 13) assumes the lazy
-     * rescale fusion of Lee et al. See EXPERIMENTS.md.
+     * can consume one level more per stage than ceil(log2(deg+1)); the
+     * paper's accounting (degrees [15,15,27] -> depth 13, ours 15)
+     * assumes the lazy rescale fusion of Lee et al. See DESIGN.md,
+     * "Composite-sign depth".
      */
     int depth() const;
 

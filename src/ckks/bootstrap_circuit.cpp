@@ -363,8 +363,7 @@ BootstrapCircuit::eval_mod(const Evaluator& eval, const Ciphertext& ct) const
 }
 
 Ciphertext
-BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
-                            BootstrapStats* stats) const
+BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct) const
 {
     TELEM_SPAN("boot.bootstrap");
     ORION_CHECK(ct.valid(), "cannot bootstrap an empty ciphertext");
@@ -374,8 +373,8 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
     const double delta = ctx_->scale();
 
     // Per-stage wall clocks always run (they cost four clock reads per
-    // bootstrap) and feed the process-wide stage histograms; `stats`
-    // keeps the caller-visible split of BootstrapStats.
+    // bootstrap); the process-wide stage histograms are their only
+    // record.
     static telemetry::Histogram& h_mod_raise =
         telemetry::Registry::global().histogram("boot.mod_raise.seconds");
     static telemetry::Histogram& h_cts =
@@ -396,9 +395,7 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
         cur.c0 = low.c0.mod_raise(top_level());
         cur.c1 = low.c1.mod_raise(top_level());
     }
-    const double mod_raise_s = seconds_since(t0);
-    h_mod_raise.observe(mod_raise_s);
-    if (stats != nullptr) stats->mod_raise_s = mod_raise_s;
+    h_mod_raise.observe(seconds_since(t0));
 
     // CoeffToSlot, then one conjugation to split real/imaginary halves
     // (the matrices already carry the 1/2).
@@ -417,9 +414,7 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
         eval.sub_inplace(im, conj);
         eval.mul_by_i_inplace(im, /*negative=*/true);
     }
-    const double cts_s = seconds_since(t0);
-    h_cts.observe(cts_s);
-    if (stats != nullptr) stats->coeff_to_slot_s = cts_s;
+    h_cts.observe(seconds_since(t0));
 
     // EvalMod on both halves, then recombine re + i * im.
     t0 = std::chrono::steady_clock::now();
@@ -433,9 +428,7 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
         im.scale = post_eval_scale_;
         eval.add_inplace(re, im);
     }
-    const double eval_mod_s = seconds_since(t0);
-    h_eval_mod.observe(eval_mod_s);
-    if (stats != nullptr) stats->eval_mod_s = eval_mod_s;
+    h_eval_mod.observe(seconds_since(t0));
 
     // SlotToCoeff back to coefficient packing.
     t0 = std::chrono::steady_clock::now();
@@ -447,9 +440,7 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
             re.scale = delta;
         }
     }
-    const double stc_s = seconds_since(t0);
-    h_stc.observe(stc_s);
-    if (stats != nullptr) stats->slot_to_coeff_s = stc_s;
+    h_stc.observe(seconds_since(t0));
 
     ORION_ASSERT(re.level() == l_eff_);
     ctx_->counters().bootstrap += 1;

@@ -3,9 +3,12 @@
 
 /**
  * @file
- * The public-key CKKS bootstrap circuit: ModRaise, CoeffToSlot, EvalMod,
- * SlotToCoeff — evaluated entirely under Galois and relinearization keys.
- * No secret key appears anywhere in this pipeline.
+ * Bootstrapping (Section 2.5.4): raises a level-exhausted ciphertext back
+ * to the effective level L_eff = L - L_boot. This is the public-key CKKS
+ * bootstrap circuit: ModRaise, CoeffToSlot, EvalMod, SlotToCoeff —
+ * evaluated entirely under Galois and relinearization keys. No secret key
+ * appears anywhere in this pipeline; it is what the serving path runs on
+ * an untrusted server.
  *
  * Pipeline, in value terms (Delta = the canonical scale, q_0 = the first
  * prime, n = slot count, s_in = the input's exact symbolic scale):
@@ -146,14 +149,6 @@ class HeComplexMatrix {
     std::map<u64, std::vector<Plaintext>> encoded_;
 };
 
-/** Wall-clock split of one bootstrap, for the microbench. */
-struct BootstrapStats {
-    double mod_raise_s = 0.0;
-    double coeff_to_slot_s = 0.0;
-    double eval_mod_s = 0.0;
-    double slot_to_coeff_s = 0.0;
-};
-
 /**
  * A bootstrap plan bound to a Context: stage matrices encoded at their
  * levels and scales. Immutable after construction and safe to share
@@ -191,9 +186,10 @@ class BootstrapCircuit {
     /**
      * Bootstraps ct (any level, scale == input_scale) to level l_eff at
      * the canonical scale Delta, using only the evaluator's bound keys.
+     * Each stage's wall time is observed into the process registry's
+     * boot.{mod_raise,cts,eval_mod,stc}.seconds histograms.
      */
-    Ciphertext bootstrap(const Evaluator& eval, const Ciphertext& ct,
-                         BootstrapStats* stats = nullptr) const;
+    Ciphertext bootstrap(const Evaluator& eval, const Ciphertext& ct) const;
 
   private:
     /** The scaled-sine stage on one real half (poly eval + doublings). */

@@ -6,7 +6,6 @@
  * Umbrella header for the RNS-CKKS substrate.
  */
 
-#include "src/ckks/bootstrap.h"
 #include "src/ckks/bootstrap_circuit.h"
 #include "src/ckks/ciphertext.h"
 #include "src/ckks/context.h"

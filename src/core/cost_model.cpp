@@ -152,8 +152,8 @@ double
 CostModel::bootstrap(int l_eff) const
 {
     // Modeled schedule of a full CKKS bootstrap starting at level
-    // L = l_eff + l_boot (see src/ckks/bootstrap.h for why the functional
-    // substrate does not execute this circuit itself):
+    // L = l_eff + l_boot (the circuit that actually runs is
+    // src/ckks/bootstrap_circuit.h; this prices its paper-scale shape):
     //   CoeffToSlot: 3 BSGS DFT matmuls at the top levels,
     //   EvalMod: degree-63 Chebyshev of the scaled sine (+ double angle),
     //   SlotToCoeff: 3 BSGS DFT matmuls at the bottom levels.

@@ -91,10 +91,7 @@ ServeEndpoint::on_frame(u64 conn_id, Frame&& f)
             const serve::ServerStats s = server_.stats();
             Pong pong;
             pong.inflight = s.inflight;
-            const u64 settled = s.completed + s.failed + s.rejected +
-                                s.inflight;
-            pong.queue_depth = s.submitted > settled ? s.submitted - settled
-                                                     : 0;
+            pong.queue_depth = s.queue_depth;
             pong.sessions = server_.session_count();
             pong.completed = s.completed;
             (void)fs_.send(conn_id, MsgType::kPong, f.corr,

@@ -12,28 +12,6 @@ using ckks::serial::ByteWriter;
 
 namespace {
 
-/**
- * Process-wide transport counters (telemetry::Registry::global()). The
- * references are captured once — by-name lookup locks the registry.
- */
-struct NetMetrics {
-    telemetry::Counter& bytes_rx =
-        telemetry::Registry::global().counter("net.bytes.rx");
-    telemetry::Counter& bytes_tx =
-        telemetry::Registry::global().counter("net.bytes.tx");
-    telemetry::Counter& frames_rx =
-        telemetry::Registry::global().counter("net.frames.rx");
-    telemetry::Counter& frames_tx =
-        telemetry::Registry::global().counter("net.frames.tx");
-};
-
-NetMetrics&
-net_metrics()
-{
-    static NetMetrics m;
-    return m;
-}
-
 u64
 load_u64(const u8* p)
 {
@@ -43,6 +21,16 @@ load_u64(const u8* p)
 }
 
 }  // namespace
+
+const TransportCounters&
+transport_counters()
+{
+    telemetry::Registry& reg = telemetry::Registry::global();
+    static const TransportCounters counters{
+        reg.counter("net.bytes.rx"), reg.counter("net.bytes.tx"),
+        reg.counter("net.frames.rx"), reg.counter("net.frames.tx")};
+    return counters;
+}
 
 const char*
 to_string(MsgType t)
@@ -141,8 +129,8 @@ send_frame(Conn& conn, MsgType type, u64 corr, std::span<const u8> payload,
 {
     const Bytes wire = encode_frame(type, corr, payload);
     conn.write_all(wire.data(), wire.size(), timeout_s);
-    net_metrics().bytes_tx.add(wire.size());
-    net_metrics().frames_tx.add();
+    transport_counters().bytes_tx.add(wire.size());
+    transport_counters().frames_tx.add();
 }
 
 Frame
@@ -163,8 +151,8 @@ recv_frame(Conn& conn, double timeout_s, u64 max_payload_bytes)
     if (h.payload_len > 0) {
         conn.read_exact(f.payload.data(), f.payload.size(), timeout_s);
     }
-    net_metrics().bytes_rx.add(kFrameHeaderBytes + h.payload_len);
-    net_metrics().frames_rx.add();
+    transport_counters().bytes_rx.add(kFrameHeaderBytes + h.payload_len);
+    transport_counters().frames_rx.add();
     return f;
 }
 

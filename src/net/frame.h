@@ -29,6 +29,10 @@
 #include "src/ckks/serial.h"
 #include "src/net/socket.h"
 
+namespace orion::telemetry {
+class Counter;
+}
+
 namespace orion::net {
 
 inline constexpr u8 kFrameMagic[4] = {'O', 'N', 'F', '1'};
@@ -138,6 +142,20 @@ u64 decode_u64(std::span<const u8> payload);
 
 ckks::serial::Bytes encode_text(const std::string& s);
 std::string decode_text(std::span<const u8> payload);
+
+/**
+ * The process-wide net.{bytes,frames}.{rx,tx} counters
+ * (telemetry::Registry::global()), bumped by the blocking frame IO above
+ * and by FrameServer alike. Captured once: by-name lookup locks the
+ * registry.
+ */
+struct TransportCounters {
+    telemetry::Counter& bytes_rx;
+    telemetry::Counter& bytes_tx;
+    telemetry::Counter& frames_rx;
+    telemetry::Counter& frames_tx;
+};
+const TransportCounters& transport_counters();
 
 }  // namespace orion::net
 

@@ -12,7 +12,7 @@ namespace orion::net {
 
 namespace {
 
-/** Shared transport counters in the global registry, captured once. */
+/** Connection counters in the global registry, captured once. */
 struct LoopMetrics {
     telemetry::Registry& reg = telemetry::Registry::global();
     telemetry::Counter& accepted = reg.counter("net.conn.accepted");
@@ -22,10 +22,6 @@ struct LoopMetrics {
         reg.counter("net.conn.write_timeout");
     telemetry::Counter& frame_rejected =
         reg.counter("net.conn.frame_rejected");
-    telemetry::Counter& bytes_rx = reg.counter("net.bytes.rx");
-    telemetry::Counter& bytes_tx = reg.counter("net.bytes.tx");
-    telemetry::Counter& frames_rx = reg.counter("net.frames.rx");
-    telemetry::Counter& frames_tx = reg.counter("net.frames.tx");
 };
 
 LoopMetrics&
@@ -112,7 +108,7 @@ FrameServer::send(u64 conn_id, MsgType type, u64 corr,
         if (it == conns_.end()) return false;
         it->second.wq.push_back(std::move(wire));
     }
-    loop_metrics().frames_tx.add();
+    transport_counters().frames_tx.add();
     wake();
     return true;
 }
@@ -144,7 +140,7 @@ FrameServer::pump_reads(ConnState& cs,
         std::size_t got = 0;
         const Conn::Io rc = cs.conn.read_some(cs.rbuf, kReadChunk, &got);
         if (rc == Conn::Io::kEof || rc == Conn::Io::kClosed) return false;
-        if (got > 0) loop_metrics().bytes_rx.add(got);
+        if (got > 0) transport_counters().bytes_rx.add(got);
 
         // Assemble every complete frame currently buffered.
         for (;;) {
@@ -173,7 +169,7 @@ FrameServer::pump_reads(ConnState& cs,
             f.payload.assign(body, body + h.payload_len);
             cs.rpos += kFrameHeaderBytes +
                        static_cast<std::size_t>(h.payload_len);
-            loop_metrics().frames_rx.add();
+            transport_counters().frames_rx.add();
             out.emplace_back(id, std::move(f));
         }
         // Compact the consumed prefix once it dominates the buffer.
@@ -208,7 +204,7 @@ FrameServer::pump_writes(ConnState& cs)
                                                &done);
         if (rc == Conn::Io::kClosed) return false;
         if (done > 0) {
-            loop_metrics().bytes_tx.add(done);
+            transport_counters().bytes_tx.add(done);
             cs.wq_off += done;
             cs.write_stalled_since = 0.0;
             if (cs.wq_off == buf.size()) {

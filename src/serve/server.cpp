@@ -78,48 +78,34 @@ InferenceServer::InferenceServer(
         executors_.push_back(std::make_unique<core::CkksExecutor>(
             cn, ctx, prepared_, exec_cfg));
     }
-    // Scrape-time gauges: queue/inflight snapshots and the key cache.
-    // Lock order is registry -> mu_ (nothing under mu_ touches the
-    // registry by name; the instrument references are cached members).
+    // Scrape-time gauges: queue/inflight snapshots and the key cache,
+    // read through the same stats() view callers get. Lock order is
+    // registry -> mu_ (nothing under mu_ touches the registry by name;
+    // the instrument references are cached members).
     metrics_.add_collector([this](std::vector<telemetry::Sample>& out) {
         using Kind = telemetry::Sample::Kind;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            out.push_back({"serve.queue_depth",
-                           static_cast<double>(queue_.size()),
-                           Kind::kGauge});
-            out.push_back({"serve.inflight",
-                           static_cast<double>(inflight_), Kind::kGauge});
-            out.push_back({"serve.peak_queue_depth",
-                           static_cast<double>(stats_.peak_queue_depth),
-                           Kind::kGauge});
-            out.push_back({"serve.peak_inflight",
-                           static_cast<double>(stats_.peak_inflight),
-                           Kind::kGauge});
-        }
-        const KeyStoreStats ks = sessions_.key_stats();
-        out.push_back({"serve.key_cache.hits",
-                       static_cast<double>(ks.hits), Kind::kCounter});
-        out.push_back({"serve.key_cache.misses",
-                       static_cast<double>(ks.misses), Kind::kCounter});
-        out.push_back({"serve.key_cache.evictions",
-                       static_cast<double>(ks.evictions), Kind::kCounter});
-        out.push_back({"serve.key_cache.prefetches",
-                       static_cast<double>(ks.prefetches),
-                       Kind::kCounter});
-        out.push_back({"serve.key_cache.resident_bytes",
-                       static_cast<double>(ks.resident_bytes),
-                       Kind::kGauge});
-        out.push_back({"serve.key_cache.resident_sessions",
-                       static_cast<double>(ks.resident_sessions),
-                       Kind::kGauge});
-        out.push_back({"serve.key_cache.disk_bytes",
-                       static_cast<double>(ks.disk_bytes), Kind::kGauge});
-        out.push_back({"serve.key_cache.zombie_bytes",
-                       static_cast<double>(ks.zombie_bytes), Kind::kGauge});
-        out.push_back({"serve.sessions",
-                       static_cast<double>(sessions_.session_count()),
-                       Kind::kGauge});
+        const ServerStats s = stats();
+        const auto emit = [&out](const char* name, u64 v, Kind kind) {
+            out.push_back({name, static_cast<double>(v), kind});
+        };
+        emit("serve.queue_depth", s.queue_depth, Kind::kGauge);
+        emit("serve.inflight", s.inflight, Kind::kGauge);
+        emit("serve.peak_queue_depth", s.peak_queue_depth, Kind::kGauge);
+        emit("serve.peak_inflight", s.peak_inflight, Kind::kGauge);
+        emit("serve.key_cache.hits", s.key_cache_hits, Kind::kCounter);
+        emit("serve.key_cache.misses", s.key_cache_misses, Kind::kCounter);
+        emit("serve.key_cache.evictions", s.key_cache_evictions,
+             Kind::kCounter);
+        emit("serve.key_cache.prefetches", s.key_cache_prefetches,
+             Kind::kCounter);
+        emit("serve.key_cache.resident_bytes", s.key_resident_bytes,
+             Kind::kGauge);
+        emit("serve.key_cache.resident_sessions", s.key_resident_sessions,
+             Kind::kGauge);
+        emit("serve.key_cache.disk_bytes", s.key_disk_bytes, Kind::kGauge);
+        emit("serve.key_cache.zombie_bytes", s.key_zombie_bytes,
+             Kind::kGauge);
+        emit("serve.sessions", sessions_.session_count(), Kind::kGauge);
     });
 
     workers_.reserve(static_cast<std::size_t>(max_inflight_));
@@ -231,18 +217,15 @@ InferenceServer::enqueue(ckks::serial::Bytes request, bool blocking,
         ORION_CHECK(!stop_, "inference server is shutting down");
         // Every submission attempt counts, so the ledger balances:
         // completed + failed + rejected == submitted once idle.
-        stats_.submitted += 1;
         m_submitted_.add();
         if (queue_.size() >= static_cast<std::size_t>(queue_capacity_)) {
-            stats_.rejected += 1;
             m_rejected_.add();
             accepted = false;
             return fut;
         }
         p.enqueued = std::chrono::steady_clock::now();
         queue_.push_back(std::move(p));
-        stats_.peak_queue_depth =
-            std::max<u64>(stats_.peak_queue_depth, queue_.size());
+        peak_queue_depth_ = std::max<u64>(peak_queue_depth_, queue_.size());
         accepted = true;
     }
     queue_cv_.notify_one();
@@ -357,30 +340,25 @@ InferenceServer::worker_loop(std::size_t worker_index)
             p = std::move(queue_.front());
             queue_.pop_front();
             inflight_ += 1;
-            stats_.peak_inflight =
-                std::max<u64>(stats_.peak_inflight, inflight_);
+            peak_inflight_ = std::max(peak_inflight_, inflight_);
         }
         space_cv_.notify_one();
 
         const auto picked_up = std::chrono::steady_clock::now();
         try {
             ServeReply reply = execute(p, picked_up, worker_index);
+            const RequestStats& rs = reply.stats;
+            m_completed_.add();
+            m_images_.add(rs.batch_count);
+            m_batch_size_.observe(static_cast<double>(rs.batch_count));
+            m_queue_wait_.observe(rs.queue_wait_s);
+            m_execute_.observe(rs.execute_s);
+            m_rotations_.add(rs.rotations);
+            m_bootstraps_.add(rs.bootstraps);
             {
                 std::lock_guard<std::mutex> lk(mu_);
                 inflight_ -= 1;
-                stats_.completed += 1;
-                stats_.images += reply.stats.batch_count;
-                stats_.total_queue_wait_s += reply.stats.queue_wait_s;
-                stats_.total_execute_s += reply.stats.execute_s;
-                stats_.total_rotations += reply.stats.rotations;
-                stats_.total_bootstraps += reply.stats.bootstraps;
             }
-            m_completed_.add();
-            m_images_.add(reply.stats.batch_count);
-            m_batch_size_.observe(
-                static_cast<double>(reply.stats.batch_count));
-            m_queue_wait_.observe(reply.stats.queue_wait_s);
-            m_execute_.observe(reply.stats.execute_s);
             p.promise.set_value(std::move(reply));
         } catch (...) {
             // Unclassified exceptions (never thrown by execute() today)
@@ -393,25 +371,15 @@ InferenceServer::worker_loop(std::size_t worker_index)
                 kind = e.kind();
             } catch (...) {
             }
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                inflight_ -= 1;
-                stats_.failed += 1;
-                switch (kind) {
-                case ErrorKind::kBadSession:
-                    stats_.failed_bad_session += 1;
-                    break;
-                case ErrorKind::kDecodeError:
-                    stats_.failed_decode += 1;
-                    break;
-                default: stats_.failed_exec += 1; break;
-                }
-            }
             m_failed_.add();
             switch (kind) {
             case ErrorKind::kBadSession: m_failed_bad_session_.add(); break;
             case ErrorKind::kDecodeError: m_failed_decode_.add(); break;
             default: m_failed_exec_.add(); break;
+            }
+            {
+                std::lock_guard<std::mutex> lk(mu_);
+                inflight_ -= 1;
             }
             p.promise.set_exception(std::current_exception());
         }
@@ -434,9 +402,23 @@ InferenceServer::stats() const
     ServerStats s;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        s = stats_;
         s.inflight = inflight_;
+        s.queue_depth = queue_.size();
+        s.peak_inflight = peak_inflight_;
+        s.peak_queue_depth = peak_queue_depth_;
     }
+    s.submitted = m_submitted_.value();
+    s.completed = m_completed_.value();
+    s.images = m_images_.value();
+    s.failed = m_failed_.value();
+    s.rejected = m_rejected_.value();
+    s.failed_bad_session = m_failed_bad_session_.value();
+    s.failed_decode = m_failed_decode_.value();
+    s.failed_exec = m_failed_exec_.value();
+    s.total_queue_wait_s = m_queue_wait_.sum();
+    s.total_execute_s = m_execute_.sum();
+    s.total_rotations = m_rotations_.value();
+    s.total_bootstraps = m_bootstraps_.value();
     const KeyStoreStats ks = sessions_.key_stats();
     s.key_cache_hits = ks.hits;
     s.key_cache_misses = ks.misses;

@@ -22,8 +22,9 @@
  *    submit() applies backpressure by blocking; try_submit() rejects
  *    immediately when the queue is full.
  *  - Per-request statistics (queue wait, execute wall, rotations,
- *    bootstraps) are returned with each reply and aggregated into
- *    server-level counters.
+ *    bootstraps) are returned with each reply and recorded once, in the
+ *    server's private telemetry registry; stats() and metrics_text() are
+ *    two views of that one ledger.
  *
  * Threading: submit()/try_submit()/stats()/register_session() are safe to
  * call from any thread. Worker kernels default to one thread per request
@@ -133,7 +134,8 @@ struct ServeReply {
 };
 
 /**
- * Aggregate server counters (snapshot via InferenceServer::stats()).
+ * Aggregate server counters: a snapshot view (InferenceServer::stats())
+ * over the server's registry, its queue gauges and the key store.
  * Every submit()/try_submit() call bumps `submitted`, so once the server
  * is idle the ledger balances: completed + failed + rejected == submitted.
  */
@@ -149,7 +151,8 @@ struct ServerStats {
     u64 failed_bad_session = 0;
     u64 failed_decode = 0;
     u64 failed_exec = 0;
-    u64 inflight = 0;  ///< executing right now (snapshot gauge)
+    u64 inflight = 0;     ///< executing right now (snapshot gauge)
+    u64 queue_depth = 0;  ///< waiting in the queue (snapshot gauge)
     double total_queue_wait_s = 0.0;
     double total_execute_s = 0.0;
     u64 total_rotations = 0;
@@ -263,12 +266,13 @@ class InferenceServer {
     bool stop_ = false;
     bool paused_ = false;
     u64 inflight_ = 0;
-    ServerStats stats_;
+    u64 peak_inflight_ = 0;
+    u64 peak_queue_depth_ = 0;
 
-    // Per-server registry: the ledger and latency histograms live here so
-    // one server's scrape is not polluted by another's requests. The
-    // instrument references are captured once (registry lookups lock) and
-    // mirrored by the same code paths that maintain stats_.
+    // Per-server registry: the request ledger and latency histograms live
+    // here, and only here, so one server's scrape is not polluted by
+    // another's requests; stats() reads them back. The instrument
+    // references are captured once (registry lookups lock).
     telemetry::Registry metrics_;
     telemetry::Counter& m_submitted_ = metrics_.counter("serve.submitted");
     telemetry::Counter& m_completed_ = metrics_.counter("serve.completed");
@@ -287,6 +291,9 @@ class InferenceServer {
     telemetry::Counter& m_images_ = metrics_.counter("serve.images");
     telemetry::Histogram& m_batch_size_ =
         metrics_.histogram("serve.batch_size");
+    telemetry::Counter& m_rotations_ = metrics_.counter("serve.rotations");
+    telemetry::Counter& m_bootstraps_ =
+        metrics_.counter("serve.bootstraps");
 
     std::vector<std::thread> workers_;
 };

@@ -93,7 +93,8 @@ TEST(Sign, CompositeApproachesSign)
 {
     // The paper's composite degrees [15, 15, 27]. Our rescale-eager
     // evaluator consumes 5 + 5 + 5 levels (the paper's lazy-rescale
-    // accounting reports 4 + 4 + 5 = 13; see EXPERIMENTS.md).
+    // accounting reports 4 + 4 + 5 = 13; see DESIGN.md, "Composite-sign
+    // depth").
     const CompositeSign sign({15, 15, 27});
     EXPECT_EQ(sign.depth(), 15);
     for (double x : {0.05, 0.1, 0.3, 0.7, 1.0}) {

@@ -12,6 +12,7 @@
 #include <complex>
 
 #include "src/core/config.h"
+#include "src/core/telemetry.h"
 #include "src/core/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -125,7 +126,7 @@ struct BootEnv {
     ckks::KeyGenerator keygen;
     ckks::PublicKey pk;
     ckks::KswitchKey relin;
-    ckks::Bootstrapper boot;
+    ckks::BootstrapCircuit boot;
     ckks::GaloisKeys galois;
     ckks::Encryptor encryptor;
     ckks::Decryptor decryptor;
@@ -137,7 +138,7 @@ struct BootEnv {
         : params(ckks::CkksParams::bootstrap_toy(kLeff)), ctx(params),
           encoder(ctx), keygen(ctx, /*seed=*/7),
           pk(keygen.make_public_key()), relin(keygen.make_relin_key()),
-          boot(ctx, encoder, kLeff),
+          boot(ctx, encoder, ckks::BootstrapPlan::cached(params), kLeff),
           galois(make_circuit_galois(keygen, boot)), encryptor(ctx, pk),
           decryptor(ctx, keygen.secret_key()), eval(ctx, encoder)
     {
@@ -147,13 +148,14 @@ struct BootEnv {
 
     static ckks::GaloisKeys
     make_circuit_galois(ckks::KeyGenerator& kg,
-                        const ckks::Bootstrapper& b)
+                        const ckks::BootstrapCircuit& b)
     {
         const std::vector<ckks::GaloisKeyRequest> requests =
-            b.galois_requests();
+            b.plan().galois_requests(b.l_eff());
         return kg.make_galois_keys(
             std::span<const ckks::GaloisKeyRequest>(requests),
-            /*include_conjugation=*/true, b.conjugation_level());
+            /*include_conjugation=*/true,
+            b.plan().conjugation_level(b.l_eff()));
     }
 
     static BootEnv&
@@ -244,16 +246,26 @@ TEST(Bootstrap, AcceptsHigherLevelInputsAndCountsOps)
     const std::vector<double> a =
         random_vector(env.ctx.slot_count(), 1.0, 25);
     const Ciphertext ct = env.encrypt_at(a, 2);
+    // The stage histograms are the only record of the time split.
+    telemetry::Registry& reg = telemetry::Registry::global();
+    const char* stages[] = {"boot.cts.seconds", "boot.eval_mod.seconds",
+                            "boot.stc.seconds"};
+    std::vector<std::pair<u64, double>> before;
+    for (const char* h : stages) {
+        before.emplace_back(reg.histogram(h).count(),
+                            reg.histogram(h).sum());
+    }
     env.ctx.counters().reset();
-    ckks::BootstrapStats stats;
-    const Ciphertext out = env.boot.bootstrap(env.eval, ct, &stats);
+    const Ciphertext out = env.boot.bootstrap(env.eval, ct);
     EXPECT_EQ(env.ctx.counters().bootstrap, 1u);
     EXPECT_EQ(out.level(), BootEnv::kLeff);
     EXPECT_LT(mean_abs_diff(env.decrypt(out), a), 1e-4);
     // The split must attribute time to all three homomorphic stages.
-    EXPECT_GT(stats.coeff_to_slot_s, 0.0);
-    EXPECT_GT(stats.eval_mod_s, 0.0);
-    EXPECT_GT(stats.slot_to_coeff_s, 0.0);
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        const telemetry::Histogram& h = reg.histogram(stages[i]);
+        EXPECT_EQ(h.count(), before[i].first + 1) << stages[i];
+        EXPECT_GT(h.sum(), before[i].second) << stages[i];
+    }
 }
 
 bool
@@ -298,7 +310,12 @@ TEST(Bootstrap, RejectsChainsTooShortForTheCircuit)
 {
     CkksEnv& toy = CkksEnv::shared();  // 6-level toy chain
     expect_throw_contains<Error>(
-        [&] { ckks::Bootstrapper(toy.ctx, toy.encoder, /*l_eff=*/4); },
+        [&] {
+            ckks::BootstrapCircuit(toy.ctx, toy.encoder,
+                                   ckks::BootstrapPlan::cached(
+                                       toy.ctx.params()),
+                                   /*l_eff=*/4);
+        },
         "levels");
 }
 

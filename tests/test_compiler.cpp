@@ -244,7 +244,8 @@ expect_ckks_matches_simulation(const Network& net, int l_eff)
     ckks::Evaluator eval(ctx, encoder);
     eval.set_relin_key(&fhe.client.relin_key());
     eval.set_galois_keys(&fhe.client.galois_keys());
-    const ckks::Bootstrapper boot(ctx, encoder, cn.l_eff);
+    const ckks::BootstrapCircuit boot(
+        ctx, encoder, ckks::BootstrapPlan::cached(ctx.params()), cn.l_eff);
     const ckks::OpCounters boot_before = ctx.counters();
     (void)boot.bootstrap(eval, in.front());
     const u64 circuit_rotations =

@@ -407,6 +407,41 @@ TEST(NetEndpoint, OverloadedIsTypedAndRetryable)
     client.close();
 }
 
+TEST(NetEndpoint, PongReportsTheServerQueue)
+{
+    ServeEnv& senv = ServeEnv::shared();
+    CkksEnv& env = CkksEnv::shared();
+    InferenceServer server(senv.cn, env.ctx, opts(1, 4, /*paused=*/true),
+                           senv.prepared);
+    net::ServeEndpoint endpoint(server, net::Listener(0));
+
+    ServeClient local(senv.cn, env.ctx, /*seed=*/604);
+    local.set_session_id(server.register_session(local.key_bundle()));
+    const std::vector<double> x = random_vector(64, 1.0, 912);
+    auto f1 = server.try_submit(local.make_request(x));
+    auto f2 = server.try_submit(local.make_request(x));
+    ASSERT_TRUE(f1.has_value());
+    ASSERT_TRUE(f2.has_value());
+
+    ServeClient crypto(senv.cn, env.ctx, /*seed=*/605);
+    net::NetClient client(crypto, "127.0.0.1", endpoint.port(), 0x604,
+                          fast_client());
+    const net::Pong paused = client.ping();
+    EXPECT_EQ(paused.queue_depth, 2u);
+    EXPECT_EQ(paused.inflight, 0u);
+    EXPECT_EQ(paused.completed, 0u);
+
+    server.resume();
+    EXPECT_NO_THROW(f1->get());
+    EXPECT_NO_THROW(f2->get());
+    const net::Pong idle = client.ping();
+    EXPECT_EQ(idle.queue_depth, 0u);
+    EXPECT_EQ(idle.inflight, 0u);
+    EXPECT_EQ(idle.completed, 2u);
+
+    client.close();
+}
+
 // ---------------------------------------------------------------------
 // Router: sharding + kill-one-shard failover
 // ---------------------------------------------------------------------

@@ -778,6 +778,10 @@ TEST(Serve, MetricsTextCrossChecksAgainstStats)
               static_cast<double>(s.failed_bad_session));
     EXPECT_EQ(m.at("orion_serve_failed_exec_error_total"),
               static_cast<double>(s.failed_exec));
+    EXPECT_EQ(m.at("orion_serve_rotations_total"),
+              static_cast<double>(s.total_rotations));
+    EXPECT_EQ(m.at("orion_serve_bootstraps_total"),
+              static_cast<double>(s.total_bootstraps));
     // Ledger identity holds inside the exposition itself.
     EXPECT_EQ(m.at("orion_serve_completed_total") +
                   m.at("orion_serve_failed_total") +
