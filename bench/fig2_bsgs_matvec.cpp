@@ -148,17 +148,17 @@ main(int argc, char** argv)
 
     const int level = 3;
     const double w_scale = static_cast<double>(ctx.q(level).value());
-    const lin::HeDiagonalMatrix he_diag(ctx, enc, m, plan_diag, level,
-                                        w_scale);
-    const lin::HeDiagonalMatrix he_bsgs(ctx, enc, m, plan_bsgs, level,
-                                        w_scale);
+    const lin::HeBlockedMatrix he_diag(ctx, enc, m, plan_diag, level,
+                                       w_scale);
+    const lin::HeBlockedMatrix he_bsgs(ctx, enc, m, plan_bsgs, level,
+                                       w_scale);
     const ckks::Ciphertext ct = encryptor.encrypt(
         enc.encode(bench::random_vector(dim, 1.0, 6), level, ctx.scale()));
 
     const double t_diag = bench::time_median(
-        bench::reps(3), [&] { (void)he_diag.apply(eval, ct); });
+        bench::reps(3), [&] { (void)he_diag.apply(eval, {&ct, 1}); });
     const double t_bsgs = bench::time_median(
-        bench::reps(3), [&] { (void)he_bsgs.apply(eval, ct); });
+        bench::reps(3), [&] { (void)he_bsgs.apply(eval, {&ct, 1}); });
     std::printf("\n(measured, N = 2^11, 64-diagonal band, slot dim %llu)\n",
                 static_cast<unsigned long long>(dim));
     std::printf("diagonal method: %4llu rots, %8.2f ms\n",
@@ -185,9 +185,9 @@ main(int argc, char** argv)
     for (int threads : {1, 2, 4, 8}) {
         const core::ScopedNumThreads scoped(threads);
         const double t = bench::time_median(
-            bench::reps(3), [&] { (void)he_bsgs.apply(eval, ct); });
-        const std::vector<double> out =
-            enc.decode(dec.decrypt(he_bsgs.apply(eval, ct)));
+            bench::reps(3), [&] { (void)he_bsgs.apply(eval, {&ct, 1}); });
+        const std::vector<double> out = enc.decode(
+            dec.decrypt(he_bsgs.apply(eval, {&ct, 1}).front()));
         if (threads == 1) {
             t1 = t;
             out1 = out;

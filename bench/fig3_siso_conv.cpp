@@ -20,10 +20,8 @@ report(const char* name, const lin::Conv2dSpec& spec,
     const lin::TensorLayout out = lin::conv_output_layout(spec, in);
     const lin::BlockedStructure s =
         lin::build_conv_structure(spec, in, out, slots);
-    const lin::BlockedPlan gazelle = lin::BlockedPlan::build_from_structure(
-        slots, s.row_blocks(), s.col_blocks(), s.blocks, /*n1=*/1);
-    const lin::BlockedPlan orion = lin::BlockedPlan::build_from_structure(
-        slots, s.row_blocks(), s.col_blocks(), s.blocks);
+    const lin::BlockedPlan gazelle = lin::BlockedPlan::build(s, /*n1=*/1);
+    const lin::BlockedPlan orion = lin::BlockedPlan::build(s);
     std::printf("%-28s %10llu %14llu %14llu\n", name,
                 static_cast<unsigned long long>(s.num_diagonals()),
                 static_cast<unsigned long long>(gazelle.rotation_count()),

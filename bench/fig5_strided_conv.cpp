@@ -51,18 +51,13 @@ main(int argc, char** argv)
                                            spec.out_w(c.w), 1);
         const lin::BlockedStructure raster =
             lin::build_conv_structure(spec, in, raster_out, slots);
-        const lin::BlockedPlan raster_plan =
-            lin::BlockedPlan::build_from_structure(
-                slots, raster.row_blocks(), raster.col_blocks(),
-                raster.blocks);
+        const lin::BlockedPlan raster_plan = lin::BlockedPlan::build(raster);
 
         // Multiplexed: gap_out = stride (Figure 5b).
         const lin::TensorLayout mux_out = lin::conv_output_layout(spec, in);
         const lin::BlockedStructure mux =
             lin::build_conv_structure(spec, in, mux_out, slots);
-        const lin::BlockedPlan mux_plan =
-            lin::BlockedPlan::build_from_structure(
-                slots, mux.row_blocks(), mux.col_blocks(), mux.blocks);
+        const lin::BlockedPlan mux_plan = lin::BlockedPlan::build(mux);
 
         const baselines::LeeLayerCounts lee =
             baselines::lee_conv_counts(spec, in, slots);

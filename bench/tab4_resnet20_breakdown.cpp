@@ -97,9 +97,9 @@ main(int argc, char** argv)
         in.pack(bench::random_vector(4 * 16 * 16, 1.0, 10), dim), level,
         ctx.scale()));
 
-    const lin::HeDiagonalMatrix he(ctx, enc, *block, plan, level, w_scale);
+    const lin::HeBlockedMatrix he(ctx, enc, *block, plan, level, w_scale);
     const double t_orion = bench::time_median(
-        bench::reps(3), [&] { (void)he.apply(eval, ct); });
+        bench::reps(3), [&] { (void)he.apply(eval, {&ct, 1}); });
     const double t_base = bench::time_median(bench::reps(3), [&] {
         (void)baselines::apply_unhoisted(eval, enc, *block, plan, level,
                                          w_scale, ct);

@@ -12,12 +12,14 @@
  *      on the critical path) instead of at compile time.
  */
 
+#include "src/ckks/encoder.h"
+#include "src/ckks/evaluator.h"
 #include "src/linalg/bsgs.h"
 
 namespace orion::baselines {
 
 /**
- * Evaluates y = M x with the same BSGS schedule as HeDiagonalMatrix but
+ * Evaluates y = M x with the same BSGS schedule as lin::HeBlockedMatrix but
  * un-hoisted rotations and per-use plaintext encoding. Same result, same
  * level consumption; strictly more work per rotation.
  */

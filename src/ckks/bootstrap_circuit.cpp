@@ -7,8 +7,6 @@
 #include <set>
 
 #include "src/core/telemetry.h"
-#include "src/core/thread_pool.h"
-#include "src/linalg/bsgs_detail.h"
 
 namespace orion::ckks {
 
@@ -196,77 +194,6 @@ BootstrapPlan::galois_requests(int l_eff) const
 }
 
 // ---------------------------------------------------------------------
-// HeComplexMatrix
-// ---------------------------------------------------------------------
-
-HeComplexMatrix::HeComplexMatrix(const Context& ctx, const Encoder& encoder,
-                                 const ComplexDiagMatrix& m,
-                                 const lin::BsgsPlan& plan, int level,
-                                 double encode_scale, double pre_factor)
-    : ctx_(&ctx), plan_(plan), level_(level), scale_(encode_scale)
-{
-    ORION_CHECK(m.dim() == ctx.slot_count(),
-                "homomorphic matrices must match the slot count ("
-                    << m.dim() << " vs " << ctx.slot_count() << ")");
-    const u64 dim = m.dim();
-    // Encode diag_{g+b} rotated down by the giant amount g (Equation 1),
-    // exactly like HeDiagonalMatrix but with complex diagonals. Every
-    // (group, term) encode is independent; fan them out.
-    struct Slot {
-        const std::vector<std::complex<double>>* diag;
-        u64 g;
-        Plaintext* out;
-    };
-    std::vector<Slot> slots;
-    for (const auto& [g, terms] : plan_.groups) {
-        std::vector<Plaintext>& row = encoded_[g];
-        row.resize(terms.size());
-        for (std::size_t t = 0; t < terms.size(); ++t) {
-            const std::vector<std::complex<double>>* diag =
-                m.diagonal(terms[t].diag);
-            ORION_ASSERT(diag != nullptr);
-            slots.push_back({diag, g, &row[t]});
-        }
-    }
-    core::parallel_for(0, static_cast<i64>(slots.size()), [&](i64 si) {
-        const Slot& s = slots[static_cast<std::size_t>(si)];
-        std::vector<std::complex<double>> rotated(dim);
-        for (u64 t = 0; t < dim; ++t) {
-            rotated[t] = pre_factor * (*s.diag)[(t + dim - s.g) % dim];
-        }
-        *s.out = encoder.encode_complex(rotated, level, encode_scale);
-    });
-}
-
-Ciphertext
-HeComplexMatrix::apply(const Evaluator& eval, const Ciphertext& ct) const
-{
-    ORION_CHECK(ct.level() == level_,
-                "matrix encoded at level " << level_ << ", input at level "
-                                           << ct.level());
-    // Identical shape to HeDiagonalMatrix::apply: one hoisted
-    // decomposition serves every baby rotation, giant groups accumulate
-    // with the deferred mod-down, all on the shared lin:: fan-out
-    // machinery (bit-identical at any thread count).
-    std::map<u64, const Ciphertext*> babies;
-    const std::vector<Ciphertext> baby_cts =
-        lin::detail::hoisted_baby_rotations(eval, ct, plan_.baby_steps,
-                                            &babies);
-
-    std::vector<lin::detail::GroupTask> tasks;
-    tasks.reserve(plan_.groups.size());
-    for (const auto& [g, terms] : plan_.groups) {
-        tasks.push_back({0, g, &terms, &encoded_.at(g)});
-    }
-    std::vector<Evaluator::RotationAccumulator> accs;
-    accs.push_back(eval.make_accumulator(level_, ct.scale * scale_));
-    lin::detail::accumulate_group_sums(eval, tasks, babies, accs);
-    Ciphertext out = eval.finalize_accumulator(accs[0]);
-    eval.rescale_inplace(out);
-    return out;
-}
-
-// ---------------------------------------------------------------------
 // BootstrapCircuit
 // ---------------------------------------------------------------------
 
@@ -403,8 +330,8 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct) const
     Ciphertext re, im;
     {
         TELEM_SPAN("boot.cts");
-        for (const HeComplexMatrix& stage : cts_) {
-            cur = stage.apply(eval, cur);
+        for (const lin::HeBlockedMatrix& stage : cts_) {
+            cur = std::move(stage.apply(eval, {&cur, 1}).front());
             ORION_ASSERT(scales_match(cur.scale, delta));
             cur.scale = delta;
         }
@@ -434,8 +361,8 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct) const
     t0 = std::chrono::steady_clock::now();
     {
         TELEM_SPAN("boot.stc");
-        for (const HeComplexMatrix& stage : stc_) {
-            re = stage.apply(eval, re);
+        for (const lin::HeBlockedMatrix& stage : stc_) {
+            re = std::move(stage.apply(eval, {&re, 1}).front());
             ORION_ASSERT(scales_match(re.scale, delta));
             re.scale = delta;
         }

@@ -18,11 +18,11 @@
  *     integer polynomial I (|I| <= K, set by the secret's Hamming weight).
  *  2. CoeffToSlot: the encoder's *inverse* special-FFT stages, collapsed
  *     into cts_levels BSGS plaintext-matrix products (complex diagonals,
- *     hoisted baby steps, double-hoisted giants — the same lin:: machinery
- *     every linear layer uses). The constant s_in / (2 n q_0) is split
- *     evenly across the stages. The result holds the raised coefficients
- *     (in bit-reversed slot order, divided by q_0) in its slots; one
- *     conjugation splits real and imaginary halves.
+ *     hoisted baby steps, double-hoisted giants — the same
+ *     lin::HeBlockedMatrix every linear layer uses). The constant
+ *     s_in / (2 n q_0) is split evenly across the stages. The result holds
+ *     the raised coefficients (in bit-reversed slot order, divided by q_0)
+ *     in its slots; one conjugation splits real and imaginary halves.
  *  3. EvalMod: x mod q_0 as the scaled sine, evaluated as a Chebyshev
  *     approximation of cos(2*pi*(x - 1/4) / 2^r) followed by r
  *     double-angle steps (cos -> sin shift folded into the phase), using
@@ -41,7 +41,7 @@
 #include "src/ckks/encoder.h"
 #include "src/ckks/evaluator.h"
 #include "src/ckks/special_fft.h"
-#include "src/linalg/bsgs.h"
+#include "src/linalg/blocked.h"
 
 namespace orion::ckks {
 
@@ -119,37 +119,6 @@ struct BootstrapPlan {
 };
 
 /**
- * A square complex matrix encoded as plaintext diagonals for BSGS
- * evaluation at one fixed level — the complex sibling of
- * lin::HeDiagonalMatrix, used for the bootstrap's DFT stage products.
- * Consumes exactly one level per apply().
- */
-class HeComplexMatrix {
-  public:
-    /**
-     * Encodes pre_factor * m's (pre-rotated) diagonals at `encode_scale`.
-     * The post-rescale output scale of apply() is
-     * input_scale * encode_scale / q_level.
-     */
-    HeComplexMatrix(const Context& ctx, const Encoder& encoder,
-                    const ComplexDiagMatrix& m, const lin::BsgsPlan& plan,
-                    int level, double encode_scale, double pre_factor);
-
-    Ciphertext apply(const Evaluator& eval, const Ciphertext& ct) const;
-
-    int level() const { return level_; }
-    double encode_scale() const { return scale_; }
-
-  private:
-    const Context* ctx_;
-    lin::BsgsPlan plan_;
-    int level_;
-    double scale_;
-    /** encoded_[g][t] aligns with plan_.groups[g][t]. */
-    std::map<u64, std::vector<Plaintext>> encoded_;
-};
-
-/**
  * A bootstrap plan bound to a Context: stage matrices encoded at their
  * levels and scales. Immutable after construction and safe to share
  * across concurrently running executors; all key material comes from the
@@ -200,8 +169,8 @@ class BootstrapCircuit {
     int l_eff_ = 0;
     double input_scale_ = 0.0;
     double post_eval_scale_ = 0.0;  ///< symbolic scale after EvalMod
-    std::vector<HeComplexMatrix> cts_;
-    std::vector<HeComplexMatrix> stc_;
+    std::vector<lin::HeBlockedMatrix> cts_;
+    std::vector<lin::HeBlockedMatrix> stc_;
 };
 
 }  // namespace orion::ckks

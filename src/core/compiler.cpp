@@ -349,7 +349,6 @@ build_linear_payload(CompilerState& st, const Layer& l)
     const lin::TensorLayout in_layout = st.batched(value_layout(st, in_id));
     data.in_layout = in_layout;
 
-    lin::BlockedStructure structure;
     if (l.kind == LayerKind::kConv2d) {
         data.kind = LayerKind::kConv2d;
         data.conv = l.conv;
@@ -370,22 +369,11 @@ build_linear_payload(CompilerState& st, const Layer& l)
             }
         }
         data.folded_bias = std::move(bias);
-        structure = lin::build_conv_structure(l.conv, in_layout,
-                                              data.out_layout, opt.slots);
-        if (!opt.structural_only) {
-            data.matrix = std::make_shared<lin::BlockedMatrix>(
-                lin::build_conv_matrix(l.conv, data.folded_weights, in_layout,
-                                       data.out_layout, opt.slots));
-        }
     } else if (l.kind == LayerKind::kAvgPool2d) {
         data.kind = LayerKind::kAvgPool2d;
-        lin::Conv2dSpec spec;
         const nn::Shape in_shape = net.shape_of(in_id);
-        spec.in_channels = spec.out_channels = in_shape.c;
-        spec.kernel_h = spec.kernel_w = l.pool_kernel;
-        spec.stride = l.pool_stride;
-        spec.pad = l.pool_pad;
-        spec.groups = in_shape.c;
+        const lin::Conv2dSpec spec = lin::avgpool_spec(
+            in_shape.c, l.pool_kernel, l.pool_stride, l.pool_pad);
         data.conv = spec;
         const int out_gap = opt.packing == CompileOptions::Packing::kRaster
                                 ? in_layout.gap
@@ -398,14 +386,6 @@ build_linear_payload(CompilerState& st, const Layer& l)
         data.folded_weights.assign(
             spec.weight_count(),
             nu_ratio / (static_cast<double>(l.pool_kernel) * l.pool_kernel));
-        structure = lin::build_avgpool_structure(
-            l.pool_kernel, l.pool_stride, in_layout, data.out_layout,
-            opt.slots, l.pool_pad);
-        if (!opt.structural_only) {
-            data.matrix = std::make_shared<lin::BlockedMatrix>(
-                lin::build_conv_matrix(spec, data.folded_weights, in_layout,
-                                       data.out_layout, opt.slots));
-        }
     } else if (l.kind == LayerKind::kLinear) {
         data.kind = LayerKind::kLinear;
         data.in_features = l.in_features;
@@ -422,14 +402,6 @@ build_linear_payload(CompilerState& st, const Layer& l)
             }
         }
         data.folded_bias = std::move(bias);
-        structure =
-            lin::build_linear_structure(l.out_features, in_layout, opt.slots);
-        if (!opt.structural_only) {
-            data.matrix = std::make_shared<lin::BlockedMatrix>(
-                lin::build_linear_matrix(l.out_features, l.in_features,
-                                         data.folded_weights, in_layout,
-                                         opt.slots));
-        }
     } else {
         // Standalone BatchNorm: 1x1 depthwise conv.
         ORION_ASSERT(l.kind == LayerKind::kBatchNorm2d);
@@ -454,23 +426,38 @@ build_linear_payload(CompilerState& st, const Layer& l)
                 nu_out * (l.bn_beta[static_cast<std::size_t>(c)] -
                           g * l.bn_mean[static_cast<std::size_t>(c)]);
         }
-        structure = lin::build_conv_structure(spec, in_layout,
-                                              data.out_layout, opt.slots);
-        if (!opt.structural_only) {
-            data.matrix = std::make_shared<lin::BlockedMatrix>(
-                lin::build_conv_matrix(spec, data.folded_weights, in_layout,
-                                       data.out_layout, opt.slots));
-        }
     }
 
-    data.rows = structure.rows;
-    data.cols = structure.cols;
-    data.plan = lin::BlockedPlan::build_from_structure(
-        opt.slots, structure.row_blocks(), structure.col_blocks(),
-        structure.blocks, opt.use_bsgs ? 0 : 1);
+    // The plan always comes from the matrix that gets encoded, so it covers
+    // exactly the diagonals PreparedProgram will hold (zero weights drop
+    // out). Structural compiles have no values and plan every diagonal a
+    // weight can touch.
+    const bool linear = data.kind == LayerKind::kLinear;
+    const u64 n1 = opt.use_bsgs ? 0 : 1;
+    if (opt.structural_only) {
+        const lin::BlockedStructure structure =
+            linear ? lin::build_linear_structure(l.out_features, in_layout,
+                                                 opt.slots)
+                   : lin::build_conv_structure(data.conv, in_layout,
+                                               data.out_layout, opt.slots);
+        data.rows = structure.rows;
+        data.cols = structure.cols;
+        data.plan = lin::BlockedPlan::build(structure, n1);
+    } else {
+        data.matrix = std::make_shared<lin::BlockedMatrix>(
+            linear ? lin::build_linear_matrix(l.out_features, l.in_features,
+                                              data.folded_weights, in_layout,
+                                              opt.slots)
+                   : lin::build_conv_matrix(data.conv, data.folded_weights,
+                                            in_layout, data.out_layout,
+                                            opt.slots));
+        data.rows = data.matrix->rows();
+        data.cols = data.matrix->cols();
+        data.plan = lin::BlockedPlan::build(*data.matrix, n1);
+    }
     data.stats = stats_from_plan(
-        data.plan, std::max<u64>(1, structure.col_blocks()),
-        std::max<u64>(1, structure.row_blocks()));
+        data.plan, std::max<u64>(1, ceil_div(data.cols, opt.slots)),
+        std::max<u64>(1, ceil_div(data.rows, opt.slots)));
 
     st.out.linears.push_back(std::move(data));
     return static_cast<int>(st.out.linears.size()) - 1;

@@ -1,13 +1,148 @@
 #include "src/linalg/blocked.h"
 
 #include <algorithm>
+#include <complex>
 #include <optional>
 #include <set>
+#include <type_traits>
 
+#include "src/core/arena.h"
 #include "src/core/thread_pool.h"
-#include "src/linalg/bsgs_detail.h"
 
 namespace orion::lin {
+
+namespace {
+
+/**
+ * Hoists ct once and serves every baby rotation from it, fanning the
+ * rotations out across the thread pool. Returns the ciphertexts aligned
+ * with `steps` and fills `lookup` (step -> pointer into the result).
+ * The returned vector owns the ciphertexts; keep it alive while using
+ * `lookup`.
+ */
+std::vector<ckks::Ciphertext>
+hoisted_baby_rotations(const ckks::Evaluator& eval,
+                       const ckks::Ciphertext& ct,
+                       const std::vector<u64>& steps,
+                       std::map<u64, const ckks::Ciphertext*>* lookup)
+{
+    const ckks::Evaluator::Hoisted hoisted = eval.hoist(ct);
+    std::vector<ckks::Ciphertext> cts(steps.size());
+    core::parallel_for(0, static_cast<i64>(steps.size()), [&](i64 i) {
+        const u64 b = steps[static_cast<std::size_t>(i)];
+        cts[static_cast<std::size_t>(i)] =
+            b == 0 ? ct : eval.rotate_hoisted(hoisted, static_cast<int>(b));
+    });
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        lookup->emplace(steps[i], &cts[i]);
+    }
+    return cts;
+}
+
+/**
+ * One giant group's inner sum of PMults, sum_t babies[terms[t].baby] *
+ * encoded[t], as a single Evaluator::mul_plain_sum pass. `terms` must be
+ * nonempty.
+ */
+ckks::Ciphertext
+group_inner_sum(const ckks::Evaluator& eval,
+                const std::vector<BsgsPlan::Term>& terms,
+                const std::vector<ckks::Plaintext>& encoded,
+                const std::map<u64, const ckks::Ciphertext*>& babies)
+{
+    ORION_ASSERT(terms.size() == encoded.size());
+    core::ScratchVec<const ckks::Ciphertext*> cts(terms.size());
+    core::ScratchVec<const ckks::Plaintext*> pts(terms.size());
+    for (std::size_t t = 0; t < terms.size(); ++t) {
+        cts[t] = babies.at(terms[t].baby);
+        pts[t] = &encoded[t];
+    }
+    return eval.mul_plain_sum({cts.data(), cts.size()},
+                              {pts.data(), pts.size()});
+}
+
+/**
+ * One giant group's full work item: the inner sum of PMults followed by a
+ * rotation by `giant` accumulated into the output accumulator `accs[acc]`.
+ */
+struct GroupTask {
+    std::size_t acc;  ///< index into the output accumulator array
+    u64 giant;        ///< giant-step rotation amount
+    const std::vector<BsgsPlan::Term>* terms;
+    const std::vector<ckks::Plaintext>* encoded;
+};
+
+/**
+ * Evaluates every giant-group task — inner sum, giant rotation, rotation
+ * accumulation — across the thread pool. Each worker chunk accumulates
+ * into private per-acc partial accumulators that are merged into `accs`
+ * serially in fixed (accumulator, chunk) order; the merge is exact modular
+ * addition, so the result is bit-identical to serial accumulation at any
+ * thread count.
+ */
+void
+accumulate_group_sums(const ckks::Evaluator& eval,
+                      const std::vector<GroupTask>& tasks,
+                      const std::map<u64, const ckks::Ciphertext*>& babies,
+                      std::vector<ckks::Evaluator::RotationAccumulator>& accs)
+{
+    if (tasks.empty()) return;
+    auto run_task = [&](const GroupTask& task,
+                        ckks::Evaluator::RotationAccumulator& acc) {
+        const ckks::Ciphertext inner =
+            group_inner_sum(eval, *task.terms, *task.encoded, babies);
+        eval.accumulate_rotation(acc, inner, static_cast<int>(task.giant));
+    };
+
+    const i64 chunks = core::chunk_count(static_cast<i64>(tasks.size()));
+    if (chunks <= 1) {
+        // Serial fast path: accumulate straight into the outputs, with no
+        // partial accumulators to allocate or merge (identical to the
+        // multi-chunk result because the merge adds are exact).
+        for (const GroupTask& task : tasks) run_task(task, accs[task.acc]);
+        return;
+    }
+
+    // Per-chunk private partial accumulators, created lazily for the acc
+    // indices the chunk actually touches.
+    using Partial = std::optional<ckks::Evaluator::RotationAccumulator>;
+    std::vector<std::vector<Partial>> partials(
+        static_cast<std::size_t>(chunks),
+        std::vector<Partial>(accs.size()));
+    core::parallel_chunks(
+        static_cast<i64>(tasks.size()), chunks,
+        [&](i64 c, i64 begin, i64 end) {
+            for (i64 i = begin; i < end; ++i) {
+                const GroupTask& task = tasks[static_cast<std::size_t>(i)];
+                Partial& slot =
+                    partials[static_cast<std::size_t>(c)][task.acc];
+                if (!slot.has_value()) {
+                    slot = eval.make_accumulator(accs[task.acc].level(),
+                                                 accs[task.acc].scale());
+                }
+                run_task(task, *slot);
+            }
+        });
+    for (std::size_t a = 0; a < accs.size(); ++a) {
+        for (std::size_t c = 0; c < static_cast<std::size_t>(chunks); ++c) {
+            if (partials[c][a].has_value()) {
+                eval.merge_accumulator(accs[a], *partials[c][a]);
+            }
+        }
+    }
+}
+
+/** A single-block plan: the block's own schedule, unchanged. */
+BlockedPlan
+one_block(const BsgsPlan& plan)
+{
+    BlockedPlan out;
+    out.block_plans.emplace(std::make_pair(u64(0), u64(0)), plan);
+    out.column_babies[0] = plan.baby_steps;
+    return out;
+}
+
+}  // namespace
 
 BlockedMatrix::BlockedMatrix(u64 rows, u64 cols, u64 block_dim)
     : rows_(rows), cols_(cols), block_dim_(block_dim)
@@ -68,34 +203,60 @@ BlockedMatrix::num_diagonals() const
     return total;
 }
 
+u64
+BlockedStructure::num_diagonals() const
+{
+    u64 total = 0;
+    for (const auto& [key, diags] : blocks) {
+        (void)key;
+        total += diags.size();
+    }
+    return total;
+}
+
+BlockedStructure
+structure_of(const BlockedMatrix& m)
+{
+    BlockedStructure s;
+    s.rows = m.rows();
+    s.cols = m.cols();
+    s.block_dim = m.block_dim();
+    for (u64 br = 0; br < m.row_blocks(); ++br) {
+        for (u64 bc = 0; bc < m.col_blocks(); ++bc) {
+            const DiagonalMatrix* block = m.block(br, bc);
+            if (block == nullptr) continue;
+            s.blocks[{br, bc}] = block->diagonal_indices();
+        }
+    }
+    return s;
+}
+
 BlockedPlan
-BlockedPlan::build_from_structure(
-    u64 block_dim, u64 row_blocks, u64 col_blocks,
-    const std::map<std::pair<u64, u64>, std::vector<u64>>& blocks, u64 n1)
+BlockedPlan::build(const BlockedStructure& s, u64 n1)
 {
     BlockedPlan plan;
     // Pick one group size per block-column from the union of its blocks'
     // diagonal indices, so baby rotations can be shared.
-    for (u64 bc = 0; bc < col_blocks; ++bc) {
+    for (u64 bc = 0; bc < s.col_blocks(); ++bc) {
         std::set<u64> union_indices;
-        for (u64 br = 0; br < row_blocks; ++br) {
-            const auto it = blocks.find({br, bc});
-            if (it == blocks.end()) continue;
+        for (u64 br = 0; br < s.row_blocks(); ++br) {
+            const auto it = s.blocks.find({br, bc});
+            if (it == s.blocks.end()) continue;
             for (u64 k : it->second) union_indices.insert(k);
         }
         if (union_indices.empty()) continue;
         const std::vector<u64> indices(union_indices.begin(),
                                        union_indices.end());
         const BsgsPlan column_plan =
-            BsgsPlan::build_from_indices(block_dim, indices, n1);
+            BsgsPlan::build_from_indices(s.block_dim, indices, n1);
         const u64 column_n1 = column_plan.n1;
 
         std::set<u64> babies;
-        for (u64 br = 0; br < row_blocks; ++br) {
-            const auto it = blocks.find({br, bc});
-            if (it == blocks.end()) continue;
-            BsgsPlan bp = BsgsPlan::build_from_indices(block_dim, it->second,
-                                                       column_n1);
+        for (u64 br = 0; br < s.row_blocks(); ++br) {
+            const auto it = s.blocks.find({br, bc});
+            if (it == s.blocks.end()) continue;
+            BsgsPlan bp = BsgsPlan::build_from_indices(s.block_dim,
+                                                       it->second, column_n1);
             for (u64 b : bp.baby_steps) babies.insert(b);
             plan.block_plans.emplace(std::make_pair(br, bc), std::move(bp));
         }
@@ -107,16 +268,7 @@ BlockedPlan::build_from_structure(
 BlockedPlan
 BlockedPlan::build(const BlockedMatrix& m, u64 n1)
 {
-    std::map<std::pair<u64, u64>, std::vector<u64>> blocks;
-    for (u64 br = 0; br < m.row_blocks(); ++br) {
-        for (u64 bc = 0; bc < m.col_blocks(); ++bc) {
-            const DiagonalMatrix* block = m.block(br, bc);
-            if (block == nullptr) continue;
-            blocks[{br, bc}] = block->diagonal_indices();
-        }
-    }
-    return build_from_structure(m.block_dim(), m.row_blocks(),
-                                m.col_blocks(), blocks, n1);
+    return build(structure_of(m), n1);
 }
 
 u64
@@ -158,6 +310,50 @@ BlockedPlan::required_steps() const
     return {steps.begin(), steps.end()};
 }
 
+template <class BlockOf>
+void
+HeBlockedMatrix::encode(const ckks::Encoder& encoder, u64 dim,
+                        const BlockOf& block_of, double pre_factor)
+{
+    ORION_CHECK(dim == ctx_->slot_count(),
+                "homomorphic matrices must match the slot count ("
+                    << dim << " vs " << ctx_->slot_count() << ")");
+    // e[t] = pre_factor * diag_k[(t - g) mod dim] for every (block, group,
+    // term). The map structure is built serially first so the parallel
+    // encodes only fill preallocated slots.
+    using Diagonal = std::remove_pointer_t<decltype(block_of(
+        std::pair<u64, u64>{})->diagonal(0))>;
+    struct Slot {
+        Diagonal* diag;
+        u64 g;
+        ckks::Plaintext* out;
+    };
+    std::vector<Slot> slots;
+    for (const auto& [key, bp] : plan_.block_plans) {
+        const auto* block = block_of(key);
+        ORION_ASSERT(block != nullptr);
+        auto& group_map = encoded_[key];
+        for (const auto& [g, terms] : bp.groups) {
+            std::vector<ckks::Plaintext>& row = group_map[g];
+            row.resize(terms.size());
+            for (std::size_t t = 0; t < terms.size(); ++t) {
+                Diagonal* diag = block->diagonal(terms[t].diag);
+                ORION_ASSERT(diag != nullptr);
+                slots.push_back({diag, g, &row[t]});
+            }
+        }
+    }
+    core::parallel_for(0, static_cast<i64>(slots.size()), [&](i64 si) {
+        const Slot& s = slots[static_cast<std::size_t>(si)];
+        std::vector<std::complex<double>> rotated(dim);
+        for (u64 t = 0; t < dim; ++t) {
+            rotated[t] = pre_factor * std::complex<double>(
+                                          (*s.diag)[(t + dim - s.g) % dim]);
+        }
+        *s.out = encoder.encode_complex(rotated, level_, scale_);
+    });
+}
+
 HeBlockedMatrix::HeBlockedMatrix(const ckks::Context& ctx,
                                  const ckks::Encoder& encoder,
                                  const BlockedMatrix& m,
@@ -166,37 +362,47 @@ HeBlockedMatrix::HeBlockedMatrix(const ckks::Context& ctx,
     : ctx_(&ctx), plan_(plan), level_(level), scale_(scale),
       row_blocks_(m.row_blocks()), col_blocks_(m.col_blocks())
 {
-    ORION_CHECK(m.block_dim() == ctx.slot_count(),
-                "block dimension must equal the slot count");
-    const u64 dim = m.block_dim();
-    // Flatten every (block, group, term) encode into one parallel sweep;
-    // the map structure is built serially first so tasks only fill
-    // preallocated slots.
-    std::vector<detail::EncodeSlot> slots;
-    for (const auto& [key, bp] : plan_.block_plans) {
-        const DiagonalMatrix* block = m.block(key.first, key.second);
-        ORION_ASSERT(block != nullptr);
-        auto& group_map = encoded_[key];
-        for (const auto& [g, terms] : bp.groups) {
-            std::vector<ckks::Plaintext>& row = group_map[g];
-            row.resize(terms.size());
-            for (std::size_t t = 0; t < terms.size(); ++t) {
-                slots.push_back({block->diagonal(terms[t].diag), g, &row[t]});
-            }
-        }
-    }
-    detail::encode_rotated_diagonals(encoder, dim, level, scale, slots);
+    encode(
+        encoder, m.block_dim(),
+        [&](std::pair<u64, u64> key) { return m.block(key.first, key.second); },
+        1.0);
+}
+
+HeBlockedMatrix::HeBlockedMatrix(const ckks::Context& ctx,
+                                 const ckks::Encoder& encoder,
+                                 const DiagonalMatrix& m,
+                                 const BsgsPlan& plan, int level,
+                                 double scale)
+    : ctx_(&ctx), plan_(one_block(plan)), level_(level), scale_(scale),
+      row_blocks_(1), col_blocks_(1)
+{
+    encode(encoder, m.dim(), [&](std::pair<u64, u64>) { return &m; }, 1.0);
+}
+
+HeBlockedMatrix::HeBlockedMatrix(const ckks::Context& ctx,
+                                 const ckks::Encoder& encoder,
+                                 const ckks::ComplexDiagMatrix& m,
+                                 const BsgsPlan& plan, int level,
+                                 double scale, double pre_factor)
+    : ctx_(&ctx), plan_(one_block(plan)), level_(level), scale_(scale),
+      row_blocks_(1), col_blocks_(1)
+{
+    encode(encoder, m.dim(), [&](std::pair<u64, u64>) { return &m; },
+           pre_factor);
 }
 
 std::vector<ckks::Ciphertext>
 HeBlockedMatrix::apply(const ckks::Evaluator& eval,
-                       const std::vector<ckks::Ciphertext>& in) const
+                       std::span<const ckks::Ciphertext> in) const
 {
     ORION_CHECK(in.size() == col_blocks_,
                 "expected " << col_blocks_ << " input ciphertexts, got "
                             << in.size());
     for (const ckks::Ciphertext& ct : in) {
-        ORION_CHECK(ct.level() == level_, "input level mismatch");
+        ORION_CHECK(ct.level() == level_,
+                    "matrix encoded at level " << level_
+                                               << ", input at level "
+                                               << ct.level());
     }
     const double out_scale = in.front().scale * scale_;
 
@@ -214,14 +420,13 @@ HeBlockedMatrix::apply(const ckks::Evaluator& eval,
         // rotations fan out across the thread pool.
         std::map<u64, const ckks::Ciphertext*> babies;
         const std::vector<ckks::Ciphertext> baby_cts =
-            detail::hoisted_baby_rotations(eval, in[bc], babies_it->second,
-                                           &babies);
+            hoisted_baby_rotations(eval, in[bc], babies_it->second, &babies);
 
         // Per-(row block, giant group) inner sums and their giant-step
         // accumulations fan out together: worker chunks fold into private
         // per-row partial accumulators merged in fixed order (exact
         // modular adds — bit-identical to the serial path).
-        std::vector<detail::GroupTask> tasks;
+        std::vector<GroupTask> tasks;
         for (u64 br = 0; br < row_blocks_; ++br) {
             const auto plan_it = plan_.block_plans.find({br, bc});
             if (plan_it == plan_.block_plans.end()) continue;
@@ -231,7 +436,7 @@ HeBlockedMatrix::apply(const ckks::Evaluator& eval,
                                  &group_map.at(g)});
             }
         }
-        detail::accumulate_group_sums(eval, tasks, babies, accs);
+        accumulate_group_sums(eval, tasks, babies, accs);
     }
 
     std::vector<ckks::Ciphertext> out;

@@ -11,6 +11,11 @@
  * size n1.
  */
 
+#include <span>
+
+#include "src/ckks/encoder.h"
+#include "src/ckks/evaluator.h"
+#include "src/ckks/special_fft.h"
 #include "src/linalg/bsgs.h"
 
 namespace orion::lin {
@@ -43,6 +48,25 @@ class BlockedMatrix {
     std::map<std::pair<u64, u64>, DiagonalMatrix> blocks_;
 };
 
+/**
+ * Structure of a blocked matrix without its values: which generalized
+ * diagonals of which blocks are nonzero. The structure-only Toeplitz
+ * builders (toeplitz.h) produce one for networks whose full matrices
+ * would not fit in memory (ResNet-50, YOLO-v1).
+ */
+struct BlockedStructure {
+    u64 rows = 0, cols = 0, block_dim = 0;
+    /** (block_row, block_col) -> sorted nonzero diagonal indices. */
+    std::map<std::pair<u64, u64>, std::vector<u64>> blocks;
+
+    u64 row_blocks() const { return ceil_div(rows, block_dim); }
+    u64 col_blocks() const { return ceil_div(cols, block_dim); }
+    u64 num_diagonals() const;
+};
+
+/** Structure of an (already built) value matrix. */
+BlockedStructure structure_of(const BlockedMatrix& m);
+
 /** Rotation schedule for a blocked matvec (per-block BSGS, shared babies). */
 struct BlockedPlan {
     /** Plan of each materialized block, keyed by (block_row, block_col). */
@@ -58,29 +82,51 @@ struct BlockedPlan {
     u64 pmult_count() const;
     std::vector<int> required_steps() const;
 
+    /** Plans the diagonals m materializes (its zero weights skipped). */
     static BlockedPlan build(const BlockedMatrix& m, u64 n1 = 0);
-    /** Builds a plan from diagonal index sets alone (no values needed). */
-    static BlockedPlan build_from_structure(
-        u64 block_dim, u64 row_blocks, u64 col_blocks,
-        const std::map<std::pair<u64, u64>, std::vector<u64>>& blocks,
-        u64 n1 = 0);
+    /** Plans from diagonal index sets alone (no values needed). */
+    static BlockedPlan build(const BlockedStructure& s, u64 n1 = 0);
 };
 
-/** A blocked matrix encoded for homomorphic evaluation. */
+/**
+ * A matrix encoded as pre-rotated plaintext diagonals at a fixed level and
+ * scale, ready for repeated homomorphic application. This is the one
+ * encoded matvec: linear layers use the blocked form, and single
+ * slot-sized blocks (the bootstrap's complex DFT stages, plain BSGS
+ * matvecs) are a 1x1 blocked plan with the same schedule.
+ */
 class HeBlockedMatrix {
   public:
+    /**
+     * Encodes every block of m under plan. `scale` is the plaintext scale;
+     * passing the level's prime q_level (see Context::q) makes the
+     * post-rescale output scale exactly equal to the input scale (the
+     * paper's errorless scale management, Figure 7).
+     */
     HeBlockedMatrix(const ckks::Context& ctx, const ckks::Encoder& encoder,
                     const BlockedMatrix& m, const BlockedPlan& plan,
                     int level, double scale);
+    /** One slot-sized block. */
+    HeBlockedMatrix(const ckks::Context& ctx, const ckks::Encoder& encoder,
+                    const DiagonalMatrix& m, const BsgsPlan& plan, int level,
+                    double scale);
+    /**
+     * One slot-sized complex block, every entry multiplied by pre_factor
+     * before encoding. The post-rescale output scale of apply() is
+     * input_scale * scale / q_level.
+     */
+    HeBlockedMatrix(const ckks::Context& ctx, const ckks::Encoder& encoder,
+                    const ckks::ComplexDiagMatrix& m, const BsgsPlan& plan,
+                    int level, double scale, double pre_factor);
 
     /**
-     * y = M x homomorphically over ciphertext vectors; one level consumed.
-     * in.size() must equal col_blocks(); the result has row_blocks()
-     * entries.
+     * y = M x homomorphically over ciphertext vectors; one level consumed
+     * (the result is rescaled once, to level() - 1). in.size() must equal
+     * col_blocks(); the result has row_blocks() entries.
      */
     std::vector<ckks::Ciphertext> apply(
         const ckks::Evaluator& eval,
-        const std::vector<ckks::Ciphertext>& in) const;
+        std::span<const ckks::Ciphertext> in) const;
 
     const BlockedPlan& plan() const { return plan_; }
     u64 row_blocks() const { return row_blocks_; }
@@ -88,6 +134,15 @@ class HeBlockedMatrix {
     int level() const { return level_; }
 
   private:
+    /**
+     * Encodes pre_factor * diag_{g+b} of each planned block rotated down by
+     * its giant amount g (Equation 1). block_of(key) returns the block's
+     * DiagonalMatrix or ComplexDiagMatrix.
+     */
+    template <class BlockOf>
+    void encode(const ckks::Encoder& encoder, u64 dim,
+                const BlockOf& block_of, double pre_factor);
+
     const ckks::Context* ctx_;
     BlockedPlan plan_;
     int level_;

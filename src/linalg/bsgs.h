@@ -12,14 +12,21 @@
  * pre-rotated plaintext diagonals, and applies one giant rotation per
  * group, accumulated with a deferred mod-down (double-hoisting).
  *
- * Every linear layer in Orion (convolutions, fully-connected layers) is
- * evaluated through this code path and consumes exactly one level.
+ * Which diagonals count as nonzero depends on where the plan comes from.
+ * A value matrix skips zero weights, so a plan built from it covers only
+ * the diagonals that will be encoded. A structure-only builder
+ * (toeplitz.h) has no values and keeps every diagonal a weight could
+ * touch. A plan that is encoded must come from the matrix being encoded.
+ *
+ * A plan is pure schedule; lin::HeBlockedMatrix (blocked.h) encodes a
+ * matrix under it and evaluates it. Every linear layer in Orion
+ * (convolutions, fully-connected layers) and every bootstrap DFT stage is
+ * evaluated through that one type and consumes exactly one level.
  */
 
-#include <optional>
+#include <map>
+#include <vector>
 
-#include "src/ckks/encoder.h"
-#include "src/ckks/evaluator.h"
 #include "src/linalg/diagonal.h"
 
 namespace orion::lin {
@@ -61,42 +68,6 @@ struct BsgsPlan {
     static BsgsPlan build_from_indices(u64 dim,
                                        const std::vector<u64>& diag_indices,
                                        u64 n1 = 0);
-};
-
-/**
- * A matrix encoded as plaintext diagonals at a fixed level and scale,
- * ready for repeated homomorphic application.
- */
-class HeDiagonalMatrix {
-  public:
-    /**
-     * Encodes the (pre-rotated) diagonals of m. `scale` is the plaintext
-     * scale; passing the level's prime q_level (see Context::q) makes the
-     * post-rescale output scale exactly equal to the input scale (the
-     * paper's errorless scale management, Figure 7).
-     */
-    HeDiagonalMatrix(const ckks::Context& ctx, const ckks::Encoder& encoder,
-                     const DiagonalMatrix& m, const BsgsPlan& plan, int level,
-                     double scale);
-
-    /**
-     * y = M x homomorphically. Consumes exactly one level: the result is
-     * rescaled once, at level `level() - 1`.
-     */
-    ckks::Ciphertext apply(const ckks::Evaluator& eval,
-                           const ckks::Ciphertext& ct) const;
-
-    const BsgsPlan& plan() const { return plan_; }
-    int level() const { return level_; }
-    double scale() const { return scale_; }
-
-  private:
-    const ckks::Context* ctx_;
-    BsgsPlan plan_;
-    int level_;
-    double scale_;
-    /** groups_[g][t] aligns with plan_.groups[g][t]. */
-    std::map<u64, std::vector<ckks::Plaintext>> encoded_;
 };
 
 }  // namespace orion::lin

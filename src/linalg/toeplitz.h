@@ -91,6 +91,12 @@ BlockedMatrix build_linear_matrix(int out_features, int in_features,
                                   const TensorLayout& in, u64 block_dim,
                                   const std::vector<double>& out_scale = {});
 
+/**
+ * Average pooling as a depthwise convolution: `channels` groups of one
+ * channel each, kernel x kernel taps.
+ */
+Conv2dSpec avgpool_spec(int channels, int kernel, int stride, int pad = 0);
+
 /** Average pooling as a grouped convolution with constant 1/(k*k) taps. */
 BlockedMatrix build_avgpool_matrix(int kernel, int stride,
                                    const TensorLayout& in,
@@ -101,21 +107,17 @@ BlockedMatrix build_avgpool_matrix(int kernel, int stride,
 TensorLayout avgpool_output_layout(int kernel, int stride,
                                    const TensorLayout& in, int pad = 0);
 
-/**
- * Structure-only variant: records which generalized diagonals of which
- * blocks are nonzero, without materializing values. Used to plan rotation
- * schedules for networks whose full Toeplitz matrices would not fit in
- * memory (ResNet-50, YOLO-v1).
+/*
+ * Structure-only variants: record which generalized diagonals of which
+ * blocks a layer's weights can touch, without materializing values. They
+ * walk the same (row, col, tap) scatter as the value builders above. Zero
+ * weights are skipped only when values exist: a value matrix drops them,
+ * a structure keeps every position. So a plan that will be encoded must
+ * be built from the value matrix (BlockedPlan::build(matrix)); these
+ * serve geometry-only callers (packing figures, baselines, and compiles of
+ * networks whose full Toeplitz matrices would not fit in memory, such as
+ * ResNet-50 and YOLO-v1).
  */
-struct BlockedStructure {
-    u64 rows = 0, cols = 0, block_dim = 0;
-    /** (block_row, block_col) -> sorted nonzero diagonal indices. */
-    std::map<std::pair<u64, u64>, std::vector<u64>> blocks;
-
-    u64 row_blocks() const { return ceil_div(rows, block_dim); }
-    u64 col_blocks() const { return ceil_div(cols, block_dim); }
-    u64 num_diagonals() const;
-};
 
 /** Diagonal structure of a convolution between the given layouts. */
 BlockedStructure build_conv_structure(const Conv2dSpec& spec,
@@ -126,15 +128,6 @@ BlockedStructure build_conv_structure(const Conv2dSpec& spec,
 BlockedStructure build_linear_structure(int out_features,
                                         const TensorLayout& in,
                                         u64 block_dim);
-
-/** Diagonal structure of average pooling. */
-BlockedStructure build_avgpool_structure(int kernel, int stride,
-                                         const TensorLayout& in,
-                                         const TensorLayout& out,
-                                         u64 block_dim, int pad = 0);
-
-/** Structure of an (already built) value matrix. */
-BlockedStructure structure_of(const BlockedMatrix& m);
 
 /**
  * Reference cleartext convolution on logical (c, y, x)-major tensors, the

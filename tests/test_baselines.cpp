@@ -87,9 +87,9 @@ TEST(UnhoistedBaseline, MatchesHoistedResult)
     const std::vector<double> x = random_vector(dim, 1.0, 56);
     const ckks::Ciphertext ct = encrypt_vector(env, x, level);
 
-    const lin::HeDiagonalMatrix hoisted(env.ctx, env.encoder, m, plan, level,
-                                        scale);
-    const ckks::Ciphertext ya = hoisted.apply(eval, ct);
+    const lin::HeBlockedMatrix hoisted(env.ctx, env.encoder, m, plan, level,
+                                       scale);
+    const ckks::Ciphertext ya = hoisted.apply(eval, {&ct, 1}).front();
     const ckks::Ciphertext yb = baselines::apply_unhoisted(
         eval, env.encoder, m, plan, level, scale, ct);
     EXPECT_LT(max_abs_diff(decrypt_vector(env, ya), decrypt_vector(env, yb)),
@@ -119,9 +119,9 @@ TEST(UnhoistedBaseline, CountsFullRotations)
     EXPECT_EQ(env.ctx.counters().hrot_hoisted, 0u);
 
     env.ctx.counters().reset();
-    const lin::HeDiagonalMatrix hoisted(env.ctx, env.encoder, m, plan, 2,
-                                        env.ctx.scale());
-    (void)hoisted.apply(eval, ct);
+    const lin::HeBlockedMatrix hoisted(env.ctx, env.encoder, m, plan, 2,
+                                       env.ctx.scale());
+    (void)hoisted.apply(eval, {&ct, 1});
     EXPECT_EQ(env.ctx.counters().hrot, 0u);
     EXPECT_EQ(env.ctx.counters().hrot_hoisted, plan.rotation_count());
 }

@@ -306,6 +306,51 @@ TEST(Bootstrap, BitIdenticalAcrossThreadCounts)
     }
 }
 
+TEST(Bootstrap, ComplexStageMatrixMatchesCleartextMatvec)
+{
+    // One collapsed CoeffToSlot stage applied on its own: the encoded
+    // complex matrix (with a non-unit pre-factor folded in) must agree
+    // with the cleartext complex matvec, byte-identically at 1 and 4
+    // threads.
+    BootEnv& env = BootEnv::shared();
+    const ckks::BootstrapPlan& plan = env.boot.plan();
+    const ckks::ComplexDiagMatrix& m = plan.cts_stages.front();
+    const int level = env.boot.top_level();
+    const double pre_factor = 0.375;
+    const double scale = static_cast<double>(env.ctx.q(level).value());
+    const std::vector<std::complex<double>> x =
+        random_complex(env.ctx.slot_count(), 29);
+    const Ciphertext ct = env.encryptor.encrypt(
+        env.encoder.encode_complex(x, level, env.ctx.scale()));
+
+    std::vector<Ciphertext> outs;
+    for (int threads : {1, 4}) {
+        core::ScopedNumThreads scoped(threads);
+        const lin::HeBlockedMatrix stage(env.ctx, env.encoder, m,
+                                         plan.cts_bsgs.front(), level,
+                                         scale, pre_factor);
+        EXPECT_EQ(stage.plan().rotation_count(),
+                  plan.cts_bsgs.front().rotation_count());
+        outs.push_back(std::move(stage.apply(env.eval, {&ct, 1}).front()));
+    }
+    EXPECT_TRUE(polys_equal(outs[0].c0, outs[1].c0));
+    EXPECT_TRUE(polys_equal(outs[0].c1, outs[1].c1));
+    EXPECT_EQ(outs[0].level(), level - 1);
+    EXPECT_DOUBLE_EQ(outs[0].scale, env.ctx.scale());
+
+    const std::vector<std::complex<double>> expected = m.apply(x);
+    const std::vector<std::complex<double>> got =
+        env.encoder.decode_complex(env.decryptor.decrypt(outs[0]));
+    double max_ref = 0.0, max_err = 0.0;
+    for (u64 i = 0; i < expected.size(); ++i) {
+        const std::complex<double> want = pre_factor * expected[i];
+        max_ref = std::max(max_ref, std::abs(want));
+        max_err = std::max(max_err, std::abs(got[i] - want));
+    }
+    EXPECT_GT(max_ref, 1.0);
+    EXPECT_LT(max_err, 1e-8 * max_ref) << "max error " << max_err;
+}
+
 TEST(Bootstrap, RejectsChainsTooShortForTheCircuit)
 {
     CkksEnv& toy = CkksEnv::shared();  // 6-level toy chain

@@ -292,5 +292,109 @@ TEST(Compiler, CkksExecutionMatchesSimulation)
                                    6);
 }
 
+/**
+ * A zero weight that is the only entry on its generalized diagonal: the
+ * encoded matrix drops that diagonal, so the plan must drop it too, and
+ * the program must still prepare and run under CKKS.
+ */
+void
+expect_zero_weight_program_runs(const Network& net)
+{
+    CkksEnv& env = CkksEnv::shared();
+    CompileOptions opt = toy_options(env.ctx.slot_count(), 4);
+    opt.structural_only = false;
+    const CompiledNetwork cn = core::compile(net, opt);
+    ASSERT_EQ(cn.linears.size(), 1u);
+    const core::LinearLayerData& data = cn.linears.front();
+    ASSERT_NE(data.matrix, nullptr);
+    ASSERT_EQ(data.plan.pmult_count(), data.matrix->num_diagonals());
+
+    DirectRun fhe(cn, env.ctx,
+                  std::make_shared<const core::PreparedProgram>(cn, env.ctx));
+    const std::vector<double> x = random_vector(64, 1.0, 43);
+    const std::vector<double> out = fhe.run(x);
+    const std::vector<double> sim = core::SimExecutor(cn, 0.0).run(x).output;
+    ASSERT_EQ(out.size(), sim.size());
+    EXPECT_LT(rel_err(out, sim), 1e-2);
+    double abs_err = 1e-12;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        abs_err = std::max(abs_err, std::abs(out[i] - sim[i]));
+    }
+    EXPECT_GT(-std::log2(abs_err), 4.0);
+}
+
+TEST(Compiler, ZeroWeightDiagonalsRunUnderCkks)
+{
+    std::mt19937_64 rng(44);
+    std::normal_distribution<double> dist(0.0, 0.2);
+    auto weights = [&](u64 n) {
+        std::vector<double> w(n);
+        for (double& v : w) v = dist(rng);
+        return w;
+    };
+    {
+        // 1x8x8 -> 16: W[0][63] alone sits on diagonal 63.
+        Network net("zero-linear");
+        int id = net.add_flatten(net.add_input(1, 8, 8));
+        std::vector<double> w = weights(16 * 64);
+        w[63] = 0.0;
+        id = net.add_linear(id, 16, std::move(w));
+        net.set_output(id);
+        SCOPED_TRACE("linear");
+        expect_zero_weight_program_runs(net);
+    }
+    {
+        // 3x3 pad-1 conv: tap (0, 0) alone sits on diagonal -(8 + 1).
+        Network net("zero-conv");
+        lin::Conv2dSpec spec;
+        spec.kernel_h = spec.kernel_w = 3;
+        spec.pad = 1;
+        std::vector<double> w = weights(spec.weight_count());
+        w[0] = 0.0;
+        const int id = net.add_conv2d(net.add_input(1, 8, 8), spec,
+                                      std::move(w));
+        net.set_output(id);
+        SCOPED_TRACE("conv");
+        expect_zero_weight_program_runs(net);
+    }
+}
+
+/**
+ * A structural-only compile describes the runnable program: with nonzero
+ * weights it plans the same diagonals as the compile that materializes
+ * values.
+ */
+TEST(Compiler, StructuralCompileMatchesValueCompile)
+{
+    struct Case {
+        const char* name;
+        Network net;
+        u64 slots;
+    };
+    const Case cases[] = {
+        {"micro", nn::make_micro_mlp(), 4096},
+        {"mlp", nn::make_mlp(), 4096},
+        {"lola", nn::make_lola(), 4096},
+        {"tiny_resnet", tiny_resnet(ActivationSpec::Kind::kRelu), 1024},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        CompileOptions opt = toy_options(c.slots, 6);
+        const CompiledNetwork structural = core::compile(c.net, opt);
+        opt.structural_only = false;
+        const CompiledNetwork valued = core::compile(c.net, opt);
+        EXPECT_EQ(structural.total_rotations, valued.total_rotations);
+        EXPECT_EQ(structural.total_pmults, valued.total_pmults);
+        EXPECT_EQ(structural.num_bootstraps, valued.num_bootstraps);
+        const auto a = structural.required_rotations();
+        const auto b = valued.required_rotations();
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].step, b[i].step) << i;
+            EXPECT_EQ(a[i].level, b[i].level) << i;
+        }
+    }
+}
+
 }  // namespace
 }  // namespace orion::test

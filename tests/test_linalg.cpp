@@ -161,12 +161,12 @@ TEST(HeMatvec, DenseMatrixMatchesCleartext)
     eval.set_galois_keys(&keys);
 
     const int level = 3;
-    const lin::HeDiagonalMatrix he(env.ctx, env.encoder, m, plan, level,
-                                   static_cast<double>(
-                                       env.ctx.q(level).value()));
+    const lin::HeBlockedMatrix he(env.ctx, env.encoder, m, plan, level,
+                                  static_cast<double>(
+                                      env.ctx.q(level).value()));
     const std::vector<double> x = random_vector(dim, 1.0, 7);
     const ckks::Ciphertext ct = encrypt_vector(env, x, level);
-    const ckks::Ciphertext out = he.apply(eval, ct);
+    const ckks::Ciphertext out = he.apply(eval, {&ct, 1}).front();
 
     EXPECT_EQ(out.level(), level - 1);                 // exactly one level
     EXPECT_DOUBLE_EQ(out.scale, env.ctx.scale());      // errorless scale
@@ -187,12 +187,12 @@ TEST(HeMatvec, RotationCountMatchesPlan)
         env.keygen.make_galois_keys(plan.required_steps());
     ckks::Evaluator eval(env.ctx, env.encoder);
     eval.set_galois_keys(&keys);
-    const lin::HeDiagonalMatrix he(env.ctx, env.encoder, m, plan, 2,
-                                   env.ctx.scale());
+    const lin::HeBlockedMatrix he(env.ctx, env.encoder, m, plan, 2,
+                                  env.ctx.scale());
     const ckks::Ciphertext ct =
         encrypt_vector(env, random_vector(dim, 1.0, 8), 2);
     env.ctx.counters().reset();
-    (void)he.apply(eval, ct);
+    (void)he.apply(eval, {&ct, 1});
     EXPECT_EQ(env.ctx.counters().total_rotations(), plan.rotation_count());
     EXPECT_EQ(env.ctx.counters().pmult, plan.pmult_count());
     EXPECT_EQ(env.ctx.counters().rescale, 1u);

@@ -238,9 +238,9 @@ TEST(ThreadPoolDeterminism, BsgsMatvecBitIdenticalAcrossThreadCounts)
 
     auto matvec = [&](int threads) {
         const ScopedNumThreads scoped(threads);
-        const lin::HeDiagonalMatrix he(env.ctx, env.encoder, m, plan, level,
-                                       w_scale);
-        return he.apply(eval, ct);
+        const lin::HeBlockedMatrix he(env.ctx, env.encoder, m, plan, level,
+                                      w_scale);
+        return he.apply(eval, {&ct, 1}).front();
     };
     const ckks::Ciphertext serial = matvec(1);
     for (int threads : {2, 4}) {
