@@ -1,9 +1,10 @@
 /**
  * @file
- * RNS kernel microbenchmark: the three limb-level hot paths that dominate
+ * RNS kernel microbenchmark: the limb-level hot paths that dominate
  * end-to-end latency (PAPER.md Section 3) — NTT forward/inverse butterflies,
- * the key-switch inner product, and BSGS rotation accumulation. This is the
- * binary behind the repo's kernel perf trajectory: run with
+ * the key-switch inner product, BSGS rotation accumulation, and the RNS
+ * division behind mod-down and rescale. This is the binary behind the
+ * repo's kernel perf trajectory: run with
  * `--json BENCH_kernels.json` before and after a kernel change and compare
  * the per-op metrics.
  */
@@ -241,6 +242,50 @@ main(int argc, char** argv)
                        static_cast<double>(c.poly_alloc.value()));
     bench::json_metric("poly_arena_hit",
                        static_cast<double>(c.poly_arena_hit.value()));
+
+    // ---- RNS division: key-switch mod-down and rescale --------------
+    {
+        // network(2^13, 14) at its top level, one polynomial, one thread.
+        // Each timed call divides a fresh copy (the copy is timed too).
+        const ckks::Context nctx(bench::smoke()
+                                     ? ckks::CkksParams::toy()
+                                     : ckks::CkksParams::network());
+        core::ScopedPoolOverride pool(1);
+        const int top = nctx.max_level();
+        std::mt19937_64 prng(19);
+        auto random_poly = [&](bool extended) {
+            ckks::RnsPoly p(nctx, top, extended, /*ntt_form=*/true);
+            for (int i = 0; i < p.num_limbs(); ++i) {
+                const u64 qv = p.limb_modulus(i).value();
+                for (u64 j = 0; j < nctx.degree(); ++j) {
+                    p.limb(i)[j] = prng() % qv;
+                }
+            }
+            return p;
+        };
+        const ckks::RnsPoly ext = random_poly(/*extended=*/true);
+        const ckks::RnsPoly plain = random_poly(/*extended=*/false);
+        const int div_iters = bench::smoke() ? 2 : 20;
+        const double t_md = bench::time_median(bench::reps(5), [&] {
+            for (int i = 0; i < div_iters; ++i) {
+                ckks::RnsPoly p = ext;
+                p.mod_down_special();
+            }
+        }) / div_iters;
+        const double t_rs = bench::time_median(bench::reps(5), [&] {
+            for (int i = 0; i < div_iters; ++i) {
+                ckks::RnsPoly p = plain;
+                p.rescale_drop_last();
+            }
+        }) / div_iters;
+        std::printf("\nRNS division (N = %llu, level %d, alpha = %d, 1 thread)\n",
+                    static_cast<unsigned long long>(nctx.degree()), top,
+                    nctx.special_count());
+        std::printf("  mod down: %10.4f ms\n", t_md * 1e3);
+        std::printf("  rescale:  %10.4f ms\n", t_rs * 1e3);
+        bench::json_metric("mod_down_ms", t_md * 1e3);
+        bench::json_metric("rescale_ms", t_rs * 1e3);
+    }
 
     sweep_isas();
 

@@ -16,6 +16,8 @@ Context::Context(const CkksParams& params) : params_(params)
     ORION_CHECK(params.poly_degree >= 8, "poly_degree too small");
     ORION_CHECK(params.num_scale_primes >= 1, "need at least one scale prime");
     ORION_CHECK(params.digit_size >= 1, "digit_size must be positive");
+    // Mod-down sums 2 * alpha products in one base_conv_acc (<= 32 terms).
+    ORION_CHECK(params.digit_size <= 16, "digit_size must be at most 16");
     // Each key-switch digit multiplies up to alpha scale primes; P must
     // dominate the digit product for the key-switch noise P^{-1}*sum(d_i e_i)
     // to stay small, hence alpha special primes of >= scale-prime size.

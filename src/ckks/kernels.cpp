@@ -188,8 +188,11 @@ void
 base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
               u64 n, const Modulus& q)
 {
-    // len is a key-switch digit width (<= alpha, always far below 32);
-    // 32 products below 2^122 sum to < 2^127, no u128 overflow.
+    // len is a key-switch digit width (<= alpha) or, in RnsPoly's one-pass
+    // division, 2k rows of dropped-limb residues (possibly of larger
+    // moduli than q) and 0/1 centering bits (k <= alpha <= 16). Every lam
+    // and hat is below 2^61, so 32 products below 2^122 sum to < 2^127:
+    // no u128 overflow.
     ORION_ASSERT(len >= 0 && len <= 32);
     for (u64 x = 0; x < n; ++x) {
         u128 acc = 0;

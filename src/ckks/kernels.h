@@ -101,7 +101,9 @@ struct KernelTable {
     /**
      * Fast-base-conversion accumulation for one target limb:
      *   dst[x] = (sum_j lams[j][x] * hats[j]) mod q,
-     * len <= 32 terms summed in 128 bits, one Barrett per element.
+     * len <= 32 terms summed in 128 bits, one Barrett per element. Rows
+     * may hold residues of other moduli (any value below 2^61), and dst
+     * may alias a row.
      */
     void (*base_conv_acc)(u64* dst, const u64* const* lams, const u64* hats,
                           int len, u64 n, const Modulus& q);

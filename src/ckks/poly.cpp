@@ -1,7 +1,7 @@
 #include "src/ckks/poly.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 
 #include "src/ckks/kernels.h"
 #include "src/core/thread_pool.h"
@@ -229,54 +229,87 @@ RnsPoly::galois(u64 elt) const
 }
 
 void
-RnsPoly::divide_and_drop_last()
+RnsPoly::divide_and_drop(int k)
 {
+    // 2k rows of base_conv_acc: Context caps alpha at 16.
+    ORION_ASSERT(k >= 1 && k < num_limbs() && 2 * k <= 32);
     const u64 n = degree();
-    const int last = num_limbs() - 1;
-    const Modulus& q_last = limb_modulus(last);
-    const int last_global = limb_global_index(last);
-
-    // Bring the last limb to coefficient form for cross-modulus reduction.
-    core::ScratchVec<u64> last_coeffs(n);
-    std::memcpy(last_coeffs.data(), limb(last), n * sizeof(u64));
+    const int kept = num_limbs() - k;
+    const kernels::KernelTable& kt = kernels::active();
+    // Drop step s removes limb kept + k - 1 - s (the last limb first) with
+    // modulus p_s, and x <- (x - r_s) * p_s^{-1} on the limbs left, where
+    // r_s is the centered residue of x mod p_s at that step. Every step is
+    // exact modular arithmetic and the NTT is linear, so a surviving limb
+    // ends as x_j * D^{-1} - NTT_j(sum_s r_s * c_sj), D the product of the
+    // dropped moduli and c_sj = prod_{m >= s} p_m^{-1} mod q_j: one forward
+    // NTT per survivor instead of one per step (DESIGN.md "One-pass RNS
+    // division").
+    auto dropped = [&](int s) { return kept + k - 1 - s; };
     if (ntt_) {
-        limb_tables(last).inverse(last_coeffs.data());
-        ctx_->counters().ntt += 1;
-    }
-    // Center so the rounding error is at most q_last/2 per coefficient.
-    core::ScratchVec<i64> centered(n);
-    for (u64 j = 0; j < n; ++j) {
-        centered[j] = to_centered(last_coeffs[j], q_last);
+        core::parallel_for(0, k, [&](i64 s) {
+            const int i = dropped(static_cast<int>(s));
+            limb_tables(i).inverse(limb(i));
+        });
     }
 
-    const int remaining = last;  // limbs 0..last-1 survive
-    core::parallel_for(0, remaining, [&](i64 li) {
-        const int i = static_cast<int>(li);
-        const Modulus& q = limb_modulus(i);
+    // Weights of -sum_{t<steps} r_t * c_t into limb `target`'s modulus q,
+    // with c_t = prod_{t <= m < steps} p_m^{-1}: w[2t] = -c_t for the row
+    // u_t and w[2t + 1] = p_t * c_t for the row b_t (r_t = u_t - b_t * p_t).
+    // Returns c_0, the weight of the undivided value.
+    auto weights = [&](int target, int steps, u64* w) {
+        const Modulus& q = limb_modulus(target);
+        const int g = limb_global_index(target);
+        u64 c = 1;
+        for (int t = steps - 1; t >= 0; --t) {
+            const int i = dropped(t);
+            c = mul_mod(c, ctx_->inv_mod_global(limb_global_index(i), g), q);
+            w[2 * t] = neg_mod(c, q);
+            w[2 * t + 1] = mul_mod(q.reduce(limb_modulus(i).value()), c, q);
+        }
+        return c;
+    };
+
+    // rows[2s] = u_s, the canonical residue of x mod p_s after the s
+    // earlier steps (computed in place over the dropped limb, so before
+    // step s it is x itself), and rows[2s + 1] = b_s = [u_s > p_s / 2].
+    core::ScratchVec<u64> b_block(static_cast<std::size_t>(k) * n);
+    std::array<const u64*, 32> rows{};
+    for (int s = 0; s < k; ++s) {
+        const int i = dropped(s);
+        u64* u = limb(i);
+        u64* b = b_block.data() + static_cast<std::size_t>(s) * n;
+        rows[static_cast<std::size_t>(2 * s)] = u;
+        rows[static_cast<std::size_t>(2 * s + 1)] = b;
+        const Modulus& p = limb_modulus(i);
+        if (s > 0) {
+            // dst aliases row 2s (base_conv_acc reads an element's rows
+            // before writing it).
+            std::array<u64, 32> w{};
+            w[static_cast<std::size_t>(2 * s)] = weights(i, s, w.data());
+            kt.base_conv_acc(u, rows.data(), w.data(), 2 * s + 1, n, p);
+        }
+        const u64 half = p.value() / 2;
+        for (u64 x = 0; x < n; ++x) b[x] = u[x] > half ? 1 : 0;
+    }
+
+    core::parallel_for(0, kept, [&](i64 li) {
+        const int j = static_cast<int>(li);
+        const Modulus& q = limb_modulus(j);
+        std::array<u64, 32> w{};
+        const u64 d_inv = weights(j, k, w.data());
         core::ScratchVec<u64> tmp(n);
-        for (u64 j = 0; j < n; ++j) {
-            tmp[j] = reduce_signed(centered[j], q);
-        }
-        if (ntt_) {
-            limb_tables(i).forward(tmp.data());
-        }
-        const u64 inv = ctx_->inv_mod_global(last_global, limb_global_index(i));
-        const u64 inv_shoup = shoup_precompute(inv, q);
-        // Two whole-limb kernel passes; per element this is the same op
-        // sequence as the fused mul_mod_shoup(sub_mod(...)) loop.
-        const kernels::KernelTable& k = kernels::active();
-        u64* a = limb(i);
-        k.sub_mod_n(a, tmp.data(), n, q);
-        k.mul_scalar_shoup_n(a, a, n, inv, inv_shoup, q);
+        kt.base_conv_acc(tmp.data(), rows.data(), w.data(), 2 * k, n, q);
+        if (ntt_) limb_tables(j).forward(tmp.data());
+        u64* a = limb(j);
+        kt.mul_scalar_shoup_n(a, a, n, d_inv, shoup_precompute(d_inv, q), q);
+        kt.add_mod_n(a, tmp.data(), n, q);
     });
-    if (ntt_) ctx_->counters().ntt += static_cast<u64>(remaining);
+    if (ntt_) ctx_->counters().ntt += static_cast<u64>(k + kept);
 
-    data_.resize_down(static_cast<std::size_t>(remaining) * n);
-    if (special_limbs_ > 0) {
-        --special_limbs_;
-    } else {
-        --level_;
-    }
+    data_.resize_down(static_cast<std::size_t>(kept) * n);
+    const int from_special = std::min(k, special_limbs_);
+    special_limbs_ -= from_special;
+    level_ -= k - from_special;
 }
 
 void
@@ -284,14 +317,14 @@ RnsPoly::rescale_drop_last()
 {
     ORION_CHECK(!extended(), "cannot rescale an extended polynomial");
     ORION_CHECK(level_ >= 1, "cannot rescale at level 0");
-    divide_and_drop_last();
+    divide_and_drop(1);
 }
 
 void
 RnsPoly::mod_down_special()
 {
     ORION_CHECK(extended(), "mod_down_special requires special limbs");
-    while (special_limbs_ > 0) divide_and_drop_last();
+    divide_and_drop(special_limbs_);
 }
 
 void

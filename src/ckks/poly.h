@@ -119,8 +119,10 @@ class RnsPoly {
     void rescale_drop_last();
 
     /**
-     * Divides by P (every special prime in turn) and drops the special
-     * limbs, completing a key switch. Requires extended().
+     * Divides by P, the product of the special primes, and drops the
+     * special limbs, completing a key switch. Requires extended(). The
+     * result is byte for byte what dividing by one special prime at a
+     * time (centering each dropped limb) gives, in one pass.
      */
     void mod_down_special();
 
@@ -142,11 +144,12 @@ class RnsPoly {
 
   private:
     /**
-     * Divides by the modulus of the last limb and drops it: centers the
-     * last limb, subtracts it from every remaining limb, multiplies by the
-     * dropped modulus' inverse.
+     * Divides by the moduli of the last k limbs and drops them: the result
+     * of centering the last limb, subtracting it from every other limb and
+     * multiplying by its modulus' inverse, k times over, computed in one
+     * pass with k inverse and num_limbs() - k forward NTTs (NTT form).
      */
-    void divide_and_drop_last();
+    void divide_and_drop(int k);
 
     /** Books an ArenaVec acquisition into the context's counters. */
     void count_acquire(core::ArenaAcquire how) const;

@@ -53,7 +53,7 @@ TEST(CostModel, CalibrationMatchesMeasurement)
 
 TEST(CostModel, BootstrapCalibrationMatchesMeasurement)
 {
-    // The measured-bootstrap calibration path (the BENCH_bootstrap.json
+    // The measured-bootstrap calibration path (the 37.851 s N = 2^16
     // wall-clock is what the default constant was fitted against).
     CostModel m = CostModel::for_params(u64(1) << 16, 3, 3, 15);
     const double target = 37.8510701;  // the baseline's total, in seconds
@@ -67,9 +67,10 @@ TEST(CostModel, BootstrapCalibrationMatchesMeasurement)
 
 TEST(CostModel, DefaultConstantPricesPaperBootstrapClosely)
 {
-    // bench/baselines/BENCH_bootstrap.json measured 37.851 s at N = 2^16,
-    // l_eff = 4, l_boot = 15; the recalibrated default must price it
-    // within a few percent (it was ~1.9x under before the refit).
+    // The bootstrap measured 37.851 s at N = 2^16, l_eff = 4, l_boot = 15
+    // when the default was fitted (an earlier BENCH_bootstrap.json); the
+    // recalibrated default must price it within a few percent (it was
+    // ~1.9x under before the refit).
     const CostModel m = CostModel::for_params(u64(1) << 16, 3, 3, 15);
     const double measured = 37.8510701;
     EXPECT_NEAR(m.bootstrap(4), measured, 0.05 * measured);

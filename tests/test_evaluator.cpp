@@ -391,6 +391,34 @@ TEST(Evaluator, OpCountersTrackRotationsAndMults)
     EXPECT_EQ(c.keyswitch, 3u);
 }
 
+TEST(Evaluator, HoistedRotationAndRescaleNttCounts)
+{
+    // A hoisted rotation at level l runs two mod-downs, each one inverse
+    // NTT per special prime plus one forward NTT per surviving limb:
+    // 2 * (alpha + l + 1). A rescale runs l + 1 per polynomial.
+    CkksEnv& env = CkksEnv::shared();
+    const u64 alpha = static_cast<u64>(env.ctx.special_count());
+    const std::vector<double> a = random_vector(env.ctx.slot_count(), 1.0, 24);
+    for (int level = 1; level <= env.ctx.max_level(); ++level) {
+        const u64 l = static_cast<u64>(level);
+        Ciphertext ct = encrypt_vector(env, a, level);
+        const auto h = env.eval.hoist(ct);
+        env.ctx.counters().reset();
+        (void)env.eval.rotate_hoisted(h, 2);
+        EXPECT_EQ(env.ctx.counters().ntt, 2 * (alpha + l + 1))
+            << "rotate_hoisted at level " << level;
+
+        env.ctx.counters().reset();
+        ckks::RnsPoly c0 = ct.c0;
+        c0.rescale_drop_last();
+        EXPECT_EQ(env.ctx.counters().ntt, l + 1) << "rescale at " << level;
+        env.ctx.counters().reset();
+        env.eval.rescale_inplace(ct);
+        EXPECT_EQ(env.ctx.counters().ntt, 2 * (l + 1))
+            << "rescale_inplace at level " << level;
+    }
+}
+
 // ---------------------------------------------------------------------
 // PMult-accumulate (mul_plain_sum) against the eager reference
 // ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -231,6 +232,55 @@ TEST(KernelsSimd, BaseConvAccBitIdenticalToScalar)
                                   q);
                 EXPECT_EQ(s, v) << k::isa_name(isa) << " base_conv n=" << n
                                 << " len=" << len;
+            }
+        }
+    }
+}
+
+TEST(KernelsSimd, BaseConvAccCrossModulusRowsMatchModularSum)
+{
+    // RNS division feeds base_conv_acc rows that are residues of OTHER,
+    // possibly larger, moduli (the dropped limbs) and 0/1 rows (the
+    // centering bits). Every ISA must equal an independent mul_mod/add_mod
+    // sum of the rows reduced into the target modulus.
+    const std::vector<u64> primes =
+        generate_ntt_primes(61, 2, u64(1) << 12);
+    const Modulus big(std::max(primes[0], primes[1]));
+    const Modulus q61(std::min(primes[0], primes[1]));
+    const Modulus q46(generate_ntt_primes(46, 1, u64(1) << 12)[0]);
+    for (const Modulus& q : {q61, q46}) {
+        for (u64 n : kSizes) {
+            for (int len : {1, 2, 7, 8, 32}) {
+                std::vector<std::vector<u64>> lam_s(len);
+                std::vector<const u64*> lams(len);
+                std::vector<u64> hats(len);
+                std::mt19937_64 rng(500 + n + static_cast<u64>(len));
+                for (int d = 0; d < len; ++d) {
+                    if (d % 2 == 0) {
+                        lam_s[d] = adversarial_residues(n, big, 600 + d);
+                    } else {
+                        lam_s[d].resize(n);
+                        for (u64 x = 0; x < n; ++x) lam_s[d][x] = rng() & 1;
+                    }
+                    lams[d] = lam_s[d].data();
+                    hats[d] = d % 3 == 0 ? q.value() - 1 : rng() % q.value();
+                }
+                std::vector<u64> want(n, 0);
+                for (u64 x = 0; x < n; ++x) {
+                    for (int d = 0; d < len; ++d) {
+                        want[x] = add_mod(
+                            want[x], mul_mod(q.reduce(lam_s[d][x]), hats[d], q),
+                            q);
+                    }
+                }
+                for (k::Isa isa : supported_isas()) {
+                    std::vector<u64> got(n, 99);
+                    k::table(isa).base_conv_acc(got.data(), lams.data(),
+                                                hats.data(), len, n, q);
+                    EXPECT_EQ(got, want)
+                        << k::isa_name(isa) << " q=" << q.value()
+                        << " n=" << n << " len=" << len;
+                }
             }
         }
     }
