@@ -20,20 +20,20 @@ namespace {
 namespace k = ckks::kernels;
 
 /**
- * Per-ISA size sweep over the raw kernels: NTT forward/inverse on a
- * single limb and the key-switch inner product, each at ring sizes up to
- * N = 2^16 and (for the inner product) several digit counts. One row and
- * one JSON metric per (kernel, ISA, size) cell — this is what
- * check_regression.py diffs across commits, with the scalar rows pinning
- * the no-vectorization-regression bar and the vector rows the speedup.
+ * Per-ISA size sweep over the raw kernels at one prime width: NTT
+ * forward/inverse on a single limb and the key-switch inner product, each
+ * at ring sizes up to N = 2^16 and (for the inner product) several digit
+ * counts. One row and one JSON metric per (kernel, ISA, size) cell — this
+ * is what check_regression.py diffs across commits, with the scalar rows
+ * pinning the no-vectorization-regression bar and the vector rows the
+ * speedup. At 61 bits every table runs its 64-bit products; at 46 bits
+ * (network's width) the avx512ifma table runs its 52-bit ones. `prefix`
+ * starts every metric key.
  */
 void
-sweep_isas()
+sweep_isas(int bits, const std::string& prefix)
 {
-    std::vector<k::Isa> isas;
-    for (k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2, k::Isa::kAvx512}) {
-        if (k::isa_supported(isa)) isas.push_back(isa);
-    }
+    const std::vector<k::Isa> isas = k::supported_isas();
     const std::vector<u64> sizes = bench::smoke()
                                        ? std::vector<u64>{u64(1) << 10}
                                        : std::vector<u64>{u64(1) << 12,
@@ -42,11 +42,12 @@ sweep_isas()
     const std::vector<u64> digit_counts =
         bench::smoke() ? std::vector<u64>{2} : std::vector<u64>{2, 4, 8};
 
-    std::printf("\nper-ISA kernel sweep (single limb, 61-bit prime)\n");
-    std::printf("%-8s %8s %14s %14s\n", "isa", "n", "ntt fwd ms",
+    std::printf("\nper-ISA kernel sweep (single limb, %d-bit prime)\n",
+                bits);
+    std::printf("%-10s %8s %14s %14s\n", "isa", "n", "ntt fwd ms",
                 "ntt inv ms");
     for (u64 n : sizes) {
-        const ckks::Modulus q(ckks::generate_ntt_primes(61, 1, n)[0]);
+        const ckks::Modulus q(ckks::generate_ntt_primes(bits, 1, n)[0]);
         const ckks::NttTables tables(n, q);
         const k::NttView view = tables.view();
         std::mt19937_64 rng(13 + n);
@@ -69,20 +70,22 @@ sweep_isas()
                     t.ntt_inverse(view, poly.data());
                 }
             }) / iters;
-            std::printf("%-8s %8llu %14.4f %14.4f\n", k::isa_name(isa),
+            std::printf("%-10s %8llu %14.4f %14.4f\n", k::isa_name(isa),
                         static_cast<unsigned long long>(n), t_fwd * 1e3,
                         t_inv * 1e3);
             const std::string tag =
                 std::string(k::isa_name(isa)) + "_n" + std::to_string(n);
-            bench::json_metric("sweep_ntt_fwd_" + tag + "_ms", t_fwd * 1e3);
-            bench::json_metric("sweep_ntt_inv_" + tag + "_ms", t_inv * 1e3);
+            bench::json_metric(prefix + "ntt_fwd_" + tag + "_ms",
+                               t_fwd * 1e3);
+            bench::json_metric(prefix + "ntt_inv_" + tag + "_ms",
+                               t_inv * 1e3);
         }
     }
 
-    std::printf("\n%-8s %8s %8s %16s\n", "isa", "n", "digits",
+    std::printf("\n%-10s %8s %8s %16s\n", "isa", "n", "digits",
                 "ks inner ms");
     for (u64 n : sizes) {
-        const ckks::Modulus q(ckks::generate_ntt_primes(61, 1, n)[0]);
+        const ckks::Modulus q(ckks::generate_ntt_primes(bits, 1, n)[0]);
         std::mt19937_64 rng(17 + n);
         std::uniform_int_distribution<u64> dist(0, q.value() - 1);
         for (u64 nd : digit_counts) {
@@ -113,14 +116,15 @@ sweep_isas()
                                            bs.data(), as.data(), nd, n, q);
                     }
                 }) / iters;
-                std::printf("%-8s %8llu %8llu %16.4f\n", k::isa_name(isa),
+                std::printf("%-10s %8llu %8llu %16.4f\n", k::isa_name(isa),
                             static_cast<unsigned long long>(n),
                             static_cast<unsigned long long>(nd),
                             t_ip * 1e3);
                 const std::string tag = std::string(k::isa_name(isa)) +
                                         "_n" + std::to_string(n) + "_d" +
                                         std::to_string(nd);
-                bench::json_metric("sweep_ks_ip_" + tag + "_ms", t_ip * 1e3);
+                bench::json_metric(prefix + "ks_ip_" + tag + "_ms",
+                                   t_ip * 1e3);
             }
         }
     }
@@ -287,7 +291,8 @@ main(int argc, char** argv)
         bench::json_metric("rescale_ms", t_rs * 1e3);
     }
 
-    sweep_isas();
+    sweep_isas(61, "sweep_");
+    sweep_isas(46, "sweep_q46_");
 
     return 0;
 }

@@ -152,9 +152,15 @@ normalize_lazy_n(u64* a, u64 n, const Modulus& q)
     normalize_lazy(a, n, q);
 }
 
+/**
+ * ks_inner_product over coefficients [begin, end) — the whole scalar
+ * kernel, and the vector kernels' tail (digit reads keep their absolute
+ * coefficient index).
+ */
 void
-ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
-                 const u64* const* as, u64 num_digits, u64 n, const Modulus& q)
+ks_inner_product_range(u64* o0, u64* o1, const u64* const* xs,
+                       const u64* const* bs, const u64* const* as,
+                       u64 num_digits, u64 begin, u64 end, const Modulus& q)
 {
     // Lazy reduction: the digit sum accumulates per coefficient in a u128
     // and pays ONE Barrett reduce_128 per output instead of a mul_mod +
@@ -163,13 +169,13 @@ ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
     // stay below 2^127 — reduced between chunks to keep deeper digit
     // counts overflow-free.
     constexpr u64 kChunk = 16;
-    for (u64 j = 0; j < n; ++j) {
+    for (u64 j = begin; j < end; ++j) {
         u128 s0 = o0[j];  // carried-in partial sums (double-hoisting)
         u128 s1 = o1[j];
         u64 d = 0;
         while (d < num_digits) {
-            const u64 end = std::min(d + kChunk, num_digits);
-            for (; d < end; ++d) {
+            const u64 stop = std::min(d + kChunk, num_digits);
+            for (; d < stop; ++d) {
                 const u128 x = xs[d][j];
                 s0 += x * bs[d][j];
                 s1 += x * as[d][j];
@@ -185,8 +191,29 @@ ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
 }
 
 void
+ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
+                 const u64* const* as, u64 num_digits, u64 n, const Modulus& q)
+{
+    ks_inner_product_range(o0, o1, xs, bs, as, num_digits, 0, n, q);
+}
+
+/** base_conv_acc over [begin, end); see ks_inner_product_range. */
+void
+base_conv_acc_range(u64* dst, const u64* const* lams, const u64* hats,
+                    int len, u64 begin, u64 end, const Modulus& q)
+{
+    for (u64 x = begin; x < end; ++x) {
+        u128 acc = 0;
+        for (int j = 0; j < len; ++j) {
+            acc += u128(lams[j][x]) * hats[j];
+        }
+        dst[x] = q.reduce_128(acc);
+    }
+}
+
+void
 base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
-              u64 n, const Modulus& q)
+              u64 n, const Modulus& q, u64 row_bound)
 {
     // len is a key-switch digit width (<= alpha) or, in RnsPoly's one-pass
     // division, 2k rows of dropped-limb residues (possibly of larger
@@ -194,13 +221,8 @@ base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
     // and hat is below 2^61, so 32 products below 2^122 sum to < 2^127:
     // no u128 overflow.
     ORION_ASSERT(len >= 0 && len <= 32);
-    for (u64 x = 0; x < n; ++x) {
-        u128 acc = 0;
-        for (int j = 0; j < len; ++j) {
-            acc += u128(lams[j][x]) * hats[j];
-        }
-        dst[x] = q.reduce_128(acc);
-    }
+    ORION_ASSERT(row_bound <= u64(1) << 61);
+    base_conv_acc_range(dst, lams, hats, len, 0, n, q);
 }
 
 }  // namespace scalar
@@ -210,6 +232,8 @@ base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
 #define ORION_TARGET_AVX2 __attribute__((target("avx2")))
 #define ORION_TARGET_AVX512 \
     __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
+#define ORION_TARGET_AVX512IFMA \
+    __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,avx512ifma")))
 
 // =====================================================================
 // AVX2 kernels (4 x u64 lanes)
@@ -729,36 +753,15 @@ ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(o1 + j),
                             reduce128(s1_lo, s1_hi, r0, r1, qv));
     }
-    if (j < n) {
-        // Scalar tail over the remaining coefficients.
-        constexpr u64 kChunkTail = kChunk;
-        for (; j < n; ++j) {
-            u128 s0 = o0[j];
-            u128 s1 = o1[j];
-            u64 d = 0;
-            while (d < num_digits) {
-                const u64 end = std::min(d + kChunkTail, num_digits);
-                for (; d < end; ++d) {
-                    const u128 x = xs[d][j];
-                    s0 += x * bs[d][j];
-                    s1 += x * as[d][j];
-                }
-                if (d < num_digits) {
-                    s0 = q.reduce_128(s0);
-                    s1 = q.reduce_128(s1);
-                }
-            }
-            o0[j] = q.reduce_128(s0);
-            o1[j] = q.reduce_128(s1);
-        }
-    }
+    scalar::ks_inner_product_range(o0, o1, xs, bs, as, num_digits, j, n, q);
 }
 
 ORION_TARGET_AVX2 void
 base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
-              u64 n, const Modulus& q)
+              u64 n, const Modulus& q, u64 row_bound)
 {
     ORION_ASSERT(len >= 0 && len <= 32);
+    ORION_ASSERT(row_bound <= u64(1) << 61);
     const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
     const __m256i r0 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_lo()));
     const __m256i r1 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_hi()));
@@ -781,13 +784,7 @@ base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + x),
                             reduce128(lo, hi, r0, r1, qv));
     }
-    for (; x < n; ++x) {
-        u128 acc = 0;
-        for (int jj = 0; jj < len; ++jj) {
-            acc += u128(lams[jj][x]) * hats[jj];
-        }
-        dst[x] = q.reduce_128(acc);
-    }
+    scalar::base_conv_acc_range(dst, lams, hats, len, x, n, q);
 }
 
 }  // namespace avx2
@@ -964,243 +961,9 @@ normalize_lazy_n(u64* a, u64 n, const Modulus& q)
     for (; j < n; ++j) a[j] = normalize_lazy(a[j], q);
 }
 
-/**
- * Fused stages (span S in {4, 2, 1}) work on a PAIR of vectors at a
- * time: the 16 elements are deinterleaved into the 8 block-top elements
- * x and the 8 block-bottom elements y, the butterfly runs once per pair
- * on full 8-wide lanes (one Shoup product per butterfly, matching the
- * wide-span stages), and the results are interleaved back. Every
- * per-element u64 operation matches the scalar stage exactly.
- */
-
-/** Deinterleaved position of butterfly-top k in the 16-element pair. */
-template <int S>
-constexpr i64
-deint_lane(int k)
-{
-    return 2 * S * (k / S) + k % S;
-}
-
-/** Source lane of output element p: x lanes are 0..7, y lanes 8..15. */
-template <int S>
-constexpr i64
-inter_lane(int p)
-{
-    const int b = p / (2 * S);
-    const int r = p % (2 * S);
-    return r < S ? b * S + r : 8 + b * S + r - S;
-}
-
-template <int S>
-ORION_TARGET_AVX512 static inline __m512i
-deint_x_idx()
-{
-    return _mm512_set_epi64(deint_lane<S>(7), deint_lane<S>(6),
-                            deint_lane<S>(5), deint_lane<S>(4),
-                            deint_lane<S>(3), deint_lane<S>(2),
-                            deint_lane<S>(1), deint_lane<S>(0));
-}
-
-template <int S, int Base>
-ORION_TARGET_AVX512 static inline __m512i
-inter_idx()
-{
-    return _mm512_set_epi64(inter_lane<S>(Base + 7), inter_lane<S>(Base + 6),
-                            inter_lane<S>(Base + 5), inter_lane<S>(Base + 4),
-                            inter_lane<S>(Base + 3), inter_lane<S>(Base + 2),
-                            inter_lane<S>(Base + 1), inter_lane<S>(Base + 0));
-}
-
-/**
- * Twiddles of the 8 butterflies in one pair, one lane per butterfly in
- * deinterleaved order (butterfly k of the pair gets tab[m + blk + k/S]).
- * Reads only the blocks' own entries (the table slice [m, 2m) is exactly
- * as long as the stage needs).
- */
-template <int S>
-ORION_TARGET_AVX512 static inline __m512i
-load_twiddles(const u64* tab, u64 m, u64 blk)
-{
-    if constexpr (S == 4) {
-        const __m128i w2 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tab + m + blk));
-        const __m512i idx = _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0);
-        return _mm512_permutexvar_epi64(idx, _mm512_castsi128_si512(w2));
-    } else if constexpr (S == 2) {
-        const __m256i w4 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(tab + m + blk));
-        const __m512i idx = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
-        return _mm512_permutexvar_epi64(idx, _mm512_castsi256_si512(w4));
-    } else {
-        return _mm512_loadu_si512(tab + m + blk);
-    }
-}
-
-template <int S>
-ORION_TARGET_AVX512 static inline void
-fwd_fused(const NttView& v, u64* a, u64 m, __m512i qv, __m512i two_qv)
-{
-    static_assert(S == 1 || S == 2 || S == 4);
-    const __m512i xi = deint_x_idx<S>();
-    const __m512i yi = _mm512_add_epi64(xi, _mm512_set1_epi64(S));
-    const __m512i ia = inter_idx<S, 0>();
-    const __m512i ib = inter_idx<S, 8>();
-    for (u64 off = 0; off < v.n; off += 16) {
-        const u64 blk = off / (2 * S);
-        const __m512i wv = load_twiddles<S>(v.roots, m, blk);
-        const __m512i wsv = load_twiddles<S>(v.roots_shoup, m, blk);
-        const __m512i va = _mm512_loadu_si512(a + off);
-        const __m512i vb = _mm512_loadu_si512(a + off + 8);
-        const __m512i x = _mm512_permutex2var_epi64(va, xi, vb);
-        const __m512i y = _mm512_permutex2var_epi64(va, yi, vb);
-        const __m512i u = csub(x, two_qv);
-        const __m512i vv = shoup_lazy(y, wv, wsv, qv);
-        const __m512i sum = _mm512_add_epi64(u, vv);
-        const __m512i diff =
-            _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), vv);
-        _mm512_storeu_si512(a + off,
-                            _mm512_permutex2var_epi64(sum, ia, diff));
-        _mm512_storeu_si512(a + off + 8,
-                            _mm512_permutex2var_epi64(sum, ib, diff));
-    }
-}
-
-template <int S>
-ORION_TARGET_AVX512 static inline void
-inv_fused(const NttView& v, u64* a, u64 m, __m512i qv, __m512i two_qv)
-{
-    static_assert(S == 1 || S == 2 || S == 4);
-    const __m512i xi = deint_x_idx<S>();
-    const __m512i yi = _mm512_add_epi64(xi, _mm512_set1_epi64(S));
-    const __m512i ia = inter_idx<S, 0>();
-    const __m512i ib = inter_idx<S, 8>();
-    for (u64 off = 0; off < v.n; off += 16) {
-        const u64 blk = off / (2 * S);
-        const __m512i wv = load_twiddles<S>(v.inv_roots, m, blk);
-        const __m512i wsv = load_twiddles<S>(v.inv_roots_shoup, m, blk);
-        const __m512i va = _mm512_loadu_si512(a + off);
-        const __m512i vb = _mm512_loadu_si512(a + off + 8);
-        const __m512i u = _mm512_permutex2var_epi64(va, xi, vb);
-        const __m512i vv = _mm512_permutex2var_epi64(va, yi, vb);
-        const __m512i sum = csub(_mm512_add_epi64(u, vv), two_qv);
-        const __m512i diff = shoup_lazy(
-            _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), vv), wv, wsv, qv);
-        _mm512_storeu_si512(a + off,
-                            _mm512_permutex2var_epi64(sum, ia, diff));
-        _mm512_storeu_si512(a + off + 8,
-                            _mm512_permutex2var_epi64(sum, ib, diff));
-    }
-}
-
-ORION_TARGET_AVX512 void
-ntt_forward(const NttView& v, u64* a)
-{
-    if (v.n < 16) {
-        scalar::ntt_forward(v, a);
-        return;
-    }
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(v.q.value()));
-    const __m512i two_qv =
-        _mm512_set1_epi64(static_cast<i64>(2 * v.q.value()));
-    u64 t = v.n;
-    for (u64 m = 1; m < v.n; m <<= 1) {
-        t >>= 1;
-        if (t >= 8) {
-            for (u64 i = 0; i < m; ++i) {
-                const __m512i wv =
-                    _mm512_set1_epi64(static_cast<i64>(v.roots[m + i]));
-                const __m512i wsv = _mm512_set1_epi64(
-                    static_cast<i64>(v.roots_shoup[m + i]));
-                u64* x = a + 2 * i * t;
-                u64* y = x + t;
-                for (u64 j = 0; j < t; j += 8) {
-                    const __m512i u =
-                        csub(_mm512_loadu_si512(x + j), two_qv);
-                    const __m512i vv =
-                        shoup_lazy(_mm512_loadu_si512(y + j), wv, wsv, qv);
-                    _mm512_storeu_si512(x + j, _mm512_add_epi64(u, vv));
-                    _mm512_storeu_si512(
-                        y + j,
-                        _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), vv));
-                }
-            }
-        } else if (t == 4) {
-            fwd_fused<4>(v, a, m, qv, two_qv);
-        } else if (t == 2) {
-            fwd_fused<2>(v, a, m, qv, two_qv);
-        } else {
-            fwd_fused<1>(v, a, m, qv, two_qv);
-        }
-    }
-    normalize_lazy_n(a, v.n, v.q);
-}
-
-ORION_TARGET_AVX512 void
-ntt_inverse(const NttView& v, u64* a)
-{
-    if (v.n < 16) {
-        scalar::ntt_inverse(v, a);
-        return;
-    }
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(v.q.value()));
-    const __m512i two_qv =
-        _mm512_set1_epi64(static_cast<i64>(2 * v.q.value()));
-    u64 t = 1;
-    for (u64 m = v.n >> 1; m > 1; m >>= 1) {
-        if (t == 1) {
-            inv_fused<1>(v, a, m, qv, two_qv);
-        } else if (t == 2) {
-            inv_fused<2>(v, a, m, qv, two_qv);
-        } else if (t == 4) {
-            inv_fused<4>(v, a, m, qv, two_qv);
-        } else {
-            for (u64 i = 0; i < m; ++i) {
-                const __m512i wv =
-                    _mm512_set1_epi64(static_cast<i64>(v.inv_roots[m + i]));
-                const __m512i wsv = _mm512_set1_epi64(
-                    static_cast<i64>(v.inv_roots_shoup[m + i]));
-                u64* x = a + 2 * i * t;
-                u64* y = x + t;
-                for (u64 j = 0; j < t; j += 8) {
-                    const __m512i u = _mm512_loadu_si512(x + j);
-                    const __m512i vv = _mm512_loadu_si512(y + j);
-                    _mm512_storeu_si512(
-                        x + j, csub(_mm512_add_epi64(u, vv), two_qv));
-                    _mm512_storeu_si512(
-                        y + j,
-                        shoup_lazy(_mm512_sub_epi64(
-                                       _mm512_add_epi64(u, two_qv), vv),
-                                   wv, wsv, qv));
-                }
-            }
-        }
-        t <<= 1;
-    }
-    {
-        const __m512i niv = _mm512_set1_epi64(static_cast<i64>(v.n_inv));
-        const __m512i nisv =
-            _mm512_set1_epi64(static_cast<i64>(v.n_inv_shoup));
-        const __m512i lwv =
-            _mm512_set1_epi64(static_cast<i64>(v.inv_root_last_scaled));
-        const __m512i lwsv = _mm512_set1_epi64(
-            static_cast<i64>(v.inv_root_last_scaled_shoup));
-        u64* x = a;
-        u64* y = a + t;
-        for (u64 j = 0; j < t; j += 8) {
-            const __m512i u = _mm512_loadu_si512(x + j);
-            const __m512i vv = _mm512_loadu_si512(y + j);
-            _mm512_storeu_si512(
-                x + j, shoup_lazy(_mm512_add_epi64(u, vv), niv, nisv, qv));
-            _mm512_storeu_si512(
-                y + j,
-                shoup_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, two_qv), vv),
-                           lwv, lwsv, qv));
-        }
-    }
-    for (u64 j = 0; j < v.n; j += 8) {
-        _mm512_storeu_si512(a + j, csub(_mm512_loadu_si512(a + j), qv));
-    }
-}
+#define ORION_KERNEL_TARGET ORION_TARGET_AVX512
+#include "src/ckks/kernels_avx512_ntt.inc"
+#undef ORION_KERNEL_TARGET
 
 ORION_TARGET_AVX512 void
 ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
@@ -1254,35 +1017,15 @@ ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
         _mm512_storeu_si512(o0 + j, reduce128(s0_lo, s0_hi, r0, r1, qv));
         _mm512_storeu_si512(o1 + j, reduce128(s1_lo, s1_hi, r0, r1, qv));
     }
-    // Scalar tail over the remaining coefficients (keeps the original
-    // index j into every digit/key limb — delegating to the scalar kernel
-    // with offset outputs would misalign the digit reads).
-    for (; j < n; ++j) {
-        u128 s0 = o0[j];
-        u128 s1 = o1[j];
-        u64 d = 0;
-        while (d < num_digits) {
-            const u64 end = std::min(d + kChunk, num_digits);
-            for (; d < end; ++d) {
-                const u128 x = xs[d][j];
-                s0 += x * bs[d][j];
-                s1 += x * as[d][j];
-            }
-            if (d < num_digits) {
-                s0 = q.reduce_128(s0);
-                s1 = q.reduce_128(s1);
-            }
-        }
-        o0[j] = q.reduce_128(s0);
-        o1[j] = q.reduce_128(s1);
-    }
+    scalar::ks_inner_product_range(o0, o1, xs, bs, as, num_digits, j, n, q);
 }
 
 ORION_TARGET_AVX512 void
 base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
-              u64 n, const Modulus& q)
+              u64 n, const Modulus& q, u64 row_bound)
 {
     ORION_ASSERT(len >= 0 && len <= 32);
+    ORION_ASSERT(row_bound <= u64(1) << 61);
     const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
     const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
     const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
@@ -1304,16 +1047,239 @@ base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
         }
         _mm512_storeu_si512(dst + x, reduce128(lo, hi, r0, r1, qv));
     }
-    for (; x < n; ++x) {
-        u128 acc = 0;
-        for (int jj = 0; jj < len; ++jj) {
-            acc += u128(lams[jj][x]) * hats[jj];
-        }
-        dst[x] = q.reduce_128(acc);
-    }
+    scalar::base_conv_acc_range(dst, lams, hats, len, x, n, q);
 }
 
 }  // namespace avx512
+
+// =====================================================================
+// AVX-512 IFMA52 kernels (8 x u64 lanes, moduli below 2^50)
+//
+// VPMADD52LUQ / VPMADD52HUQ multiply the low 52 bits of two lanes and
+// add the low / high 52 bits of the 104-bit product to a 64-bit lane.
+// Below 2^50 every operand these kernels multiply fits 52 bits, so one
+// instruction replaces the four VPMULUDQ partial products of mulhi64.
+// A limb whose modulus is 2^50 or more (or a base conversion whose rows
+// are 2^52 or more) runs the whole call on the avx512 body instead.
+//
+// The outputs are the canonical residues in [0, q), so they equal the
+// other tables' bytes although the lazy intermediates may differ by
+// multiples of q. The proof obligations, for q < 2^50:
+//  - NTT lazy values stay below 4q < 2^52: one IFMA operand each.
+//  - The 52-bit Shoup constant floor(w * 2^52 / q) is exactly
+//    shoup_precompute(w) >> 12, so the NTT tables serve both products.
+//  - a * w - floor(a * w' / 2^52) * q lies in [0, 2q) for a < 2^52, the
+//    64-bit Shoup product's lazy range: with w * 2^52 = w' * q + e,
+//    0 <= e < q, it equals (a * e + q * (a * w' mod 2^52)) / 2^52.
+//  - Inner products accumulate lo += lo52(x * y) and hi += hi52(x * y).
+//    Canonical operands (< 2^50) keep lo52 < 2^52 and hi52 < 2^48, so
+//    the carried-in value plus 2^11 terms stays below 2^64 in both
+//    lanes. lo + hi * 2^52 is then the exact sum, and reduce128 maps it
+//    to the same canonical residue as the scalar u128 loop.
+// =====================================================================
+
+namespace avx512ifma {
+
+using avx512::csub;
+using avx512::normalize_lazy_n;
+using avx512::reduce128;
+
+/** True when q admits the 52-bit products (lazy values < 4q < 2^52). */
+inline bool
+fits52(const Modulus& q)
+{
+    return q.value() < (u64(1) << 50);
+}
+
+/**
+ * Lane-wise lazy Shoup product with 52-bit multiplies: a * w - hi * q
+ * with hi = floor(a * (ws >> 12) / 2^52), in [0, 2q) for a < 2^52. The
+ * difference is taken modulo 2^52 (its true value is below 2^51).
+ */
+ORION_TARGET_AVX512IFMA static inline __m512i
+shoup_lazy(__m512i a, __m512i w, __m512i ws, __m512i qv)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i hi =
+        _mm512_madd52hi_epu64(zero, a, _mm512_srli_epi64(ws, 12));
+    const __m512i r = _mm512_sub_epi64(_mm512_madd52lo_epu64(zero, a, w),
+                                       _mm512_madd52lo_epu64(zero, hi, qv));
+    return _mm512_and_epi64(r, _mm512_set1_epi64((i64(1) << 52) - 1));
+}
+
+/** reduce128 of the exact lane value lo + hi * 2^52 (lo, hi < 2^64). */
+ORION_TARGET_AVX512IFMA static inline __m512i
+reduce52(__m512i lo, __m512i hi, __m512i r0, __m512i r1, __m512i qv)
+{
+    const __m512i x0 = _mm512_add_epi64(lo, _mm512_slli_epi64(hi, 52));
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(x0, lo);
+    const __m512i top = _mm512_srli_epi64(hi, 12);
+    const __m512i x1 =
+        _mm512_mask_add_epi64(top, carry, top, _mm512_set1_epi64(1));
+    return reduce128(x0, x1, r0, r1, qv);
+}
+
+// The AVX-512 NTT body on the 52-bit Shoup product.
+namespace narrow {
+#define ORION_KERNEL_TARGET ORION_TARGET_AVX512IFMA
+#include "src/ckks/kernels_avx512_ntt.inc"
+#undef ORION_KERNEL_TARGET
+}  // namespace narrow
+
+void
+ntt_forward(const NttView& v, u64* a)
+{
+    if (fits52(v.q)) {
+        narrow::ntt_forward(v, a);
+    } else {
+        avx512::ntt_forward(v, a);
+    }
+}
+
+void
+ntt_inverse(const NttView& v, u64* a)
+{
+    if (fits52(v.q)) {
+        narrow::ntt_inverse(v, a);
+    } else {
+        avx512::ntt_inverse(v, a);
+    }
+}
+
+ORION_TARGET_AVX512IFMA void
+mul_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
+{
+    if (!fits52(q)) return avx512::mul_mod_n(a, b, n, q);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
+    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
+    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
+    u64 j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m512i av = _mm512_loadu_si512(a + j);
+        const __m512i bv = _mm512_loadu_si512(b + j);
+        _mm512_storeu_si512(a + j,
+                            reduce52(_mm512_madd52lo_epu64(zero, av, bv),
+                                     _mm512_madd52hi_epu64(zero, av, bv), r0,
+                                     r1, qv));
+    }
+    for (; j < n; ++j) a[j] = mul_mod(a[j], b[j], q);
+}
+
+ORION_TARGET_AVX512IFMA void
+add_product_n(u64* a, const u64* x, const u64* y, u64 n, const Modulus& q)
+{
+    if (!fits52(q)) return avx512::add_product_n(a, x, y, n, q);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
+    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
+    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
+    u64 j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m512i av = _mm512_loadu_si512(a + j);
+        const __m512i xv = _mm512_loadu_si512(x + j);
+        const __m512i yv = _mm512_loadu_si512(y + j);
+        _mm512_storeu_si512(a + j,
+                            reduce52(_mm512_madd52lo_epu64(av, xv, yv),
+                                     _mm512_madd52hi_epu64(zero, xv, yv), r0,
+                                     r1, qv));
+    }
+    for (; j < n; ++j) {
+        a[j] = q.reduce_128(u128(a[j]) + u128(x[j]) * y[j]);
+    }
+}
+
+ORION_TARGET_AVX512IFMA void
+mul_scalar_shoup_n(u64* a, const u64* src, u64 n, u64 w, u64 w_shoup,
+                   const Modulus& q)
+{
+    if (!fits52(q)) {
+        return avx512::mul_scalar_shoup_n(a, src, n, w, w_shoup, q);
+    }
+    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
+    const __m512i wv = _mm512_set1_epi64(static_cast<i64>(w));
+    const __m512i wsv = _mm512_set1_epi64(static_cast<i64>(w_shoup));
+    u64 j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m512i sv = _mm512_loadu_si512(src + j);
+        _mm512_storeu_si512(a + j, csub(shoup_lazy(sv, wv, wsv, qv), qv));
+    }
+    for (; j < n; ++j) a[j] = mul_mod_shoup(src[j], w, w_shoup, q);
+}
+
+ORION_TARGET_AVX512IFMA void
+ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
+                 const u64* const* as, u64 num_digits, u64 n, const Modulus& q)
+{
+    if (!fits52(q)) {
+        return avx512::ks_inner_product(o0, o1, xs, bs, as, num_digits, n, q);
+    }
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
+    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
+    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
+    constexpr u64 kChunk = u64(1) << 11;
+    u64 j = 0;
+    for (; j + 8 <= n; j += 8) {
+        __m512i s0_lo = _mm512_loadu_si512(o0 + j);
+        __m512i s0_hi = zero;
+        __m512i s1_lo = _mm512_loadu_si512(o1 + j);
+        __m512i s1_hi = zero;
+        u64 d = 0;
+        while (d < num_digits) {
+            const u64 end = std::min(d + kChunk, num_digits);
+            for (; d < end; ++d) {
+                const __m512i x = _mm512_loadu_si512(xs[d] + j);
+                const __m512i kb = _mm512_loadu_si512(bs[d] + j);
+                const __m512i ka = _mm512_loadu_si512(as[d] + j);
+                s0_lo = _mm512_madd52lo_epu64(s0_lo, x, kb);
+                s0_hi = _mm512_madd52hi_epu64(s0_hi, x, kb);
+                s1_lo = _mm512_madd52lo_epu64(s1_lo, x, ka);
+                s1_hi = _mm512_madd52hi_epu64(s1_hi, x, ka);
+            }
+            if (d < num_digits) {
+                s0_lo = reduce52(s0_lo, s0_hi, r0, r1, qv);
+                s0_hi = zero;
+                s1_lo = reduce52(s1_lo, s1_hi, r0, r1, qv);
+                s1_hi = zero;
+            }
+        }
+        _mm512_storeu_si512(o0 + j, reduce52(s0_lo, s0_hi, r0, r1, qv));
+        _mm512_storeu_si512(o1 + j, reduce52(s1_lo, s1_hi, r0, r1, qv));
+    }
+    scalar::ks_inner_product_range(o0, o1, xs, bs, as, num_digits, j, n, q);
+}
+
+ORION_TARGET_AVX512IFMA void
+base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
+              u64 n, const Modulus& q, u64 row_bound)
+{
+    // Rows below 2^52 and hats below q < 2^50: 32 terms keep lo < 2^57
+    // and hi < 2^55.
+    if (!fits52(q) || row_bound > u64(1) << 52) {
+        return avx512::base_conv_acc(dst, lams, hats, len, n, q, row_bound);
+    }
+    ORION_ASSERT(len >= 0 && len <= 32);
+    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
+    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
+    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
+    u64 x = 0;
+    for (; x + 8 <= n; x += 8) {
+        __m512i lo = _mm512_setzero_si512();
+        __m512i hi = _mm512_setzero_si512();
+        for (int jj = 0; jj < len; ++jj) {
+            const __m512i lam = _mm512_loadu_si512(lams[jj] + x);
+            const __m512i hat =
+                _mm512_set1_epi64(static_cast<i64>(hats[jj]));
+            lo = _mm512_madd52lo_epu64(lo, lam, hat);
+            hi = _mm512_madd52hi_epu64(hi, lam, hat);
+        }
+        _mm512_storeu_si512(dst + x, reduce52(lo, hi, r0, r1, qv));
+    }
+    scalar::base_conv_acc_range(dst, lams, hats, len, x, n, q);
+}
+
+}  // namespace avx512ifma
 
 #endif  // ORION_SIMD_X86
 
@@ -1346,19 +1312,28 @@ constexpr KernelTable kAvx512Table = {
     avx512::mul_scalar_shoup_n, avx512::normalize_lazy_n,
     avx512::ks_inner_product,   avx512::base_conv_acc,
 };
+constexpr KernelTable kAvx512IfmaTable = {
+    avx512ifma::ntt_forward,    avx512ifma::ntt_inverse,
+    avx512::add_mod_n,          avx512::sub_mod_n,
+    avx512ifma::mul_mod_n,      avx512ifma::add_product_n,
+    avx512ifma::mul_scalar_shoup_n, avx512::normalize_lazy_n,
+    avx512ifma::ks_inner_product,   avx512ifma::base_conv_acc,
+};
 #endif
+
+/** Every table, weakest first. */
+constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2, Isa::kAvx512,
+                            Isa::kAvx512Ifma};
 
 std::atomic<int> g_active_isa{-1};  // -1 = not yet initialized
 std::once_flag g_init_flag;
 
+/** The strongest supported ISA no stronger than `want`. */
 Isa
 clamp_to_supported(Isa want)
 {
-    if (want == Isa::kAvx512 && isa_supported(Isa::kAvx512)) {
-        return Isa::kAvx512;
-    }
-    if (want != Isa::kScalar && isa_supported(Isa::kAvx2)) {
-        return Isa::kAvx2;
+    for (int i = static_cast<int>(want); i > 0; --i) {
+        if (isa_supported(static_cast<Isa>(i))) return static_cast<Isa>(i);
     }
     return Isa::kScalar;
 }
@@ -1369,12 +1344,10 @@ init_dispatch()
     Isa pick = best_supported_isa();
     if (const char* env = std::getenv("ORION_SIMD");
         env != nullptr && *env != '\0') {
-        if (std::strcmp(env, "scalar") == 0) {
-            pick = Isa::kScalar;
-        } else if (std::strcmp(env, "avx2") == 0) {
-            pick = clamp_to_supported(Isa::kAvx2);
-        } else if (std::strcmp(env, "avx512") == 0) {
-            pick = clamp_to_supported(Isa::kAvx512);
+        for (Isa isa : kAllIsas) {
+            if (std::strcmp(env, isa_name(isa)) == 0) {
+                pick = clamp_to_supported(isa);
+            }
         }
         // Unknown values keep the CPUID pick (no hard failure: benches
         // and tests set this knob on hosts of unknown capability).
@@ -1391,21 +1364,31 @@ isa_supported(Isa isa)
 #if ORION_SIMD_X86
     __builtin_cpu_init();
     if (isa == Isa::kAvx2) return __builtin_cpu_supports("avx2") != 0;
-    return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512dq") != 0 &&
-           __builtin_cpu_supports("avx512vl") != 0 &&
-           __builtin_cpu_supports("avx512bw") != 0;
+    const bool avx512 = __builtin_cpu_supports("avx512f") != 0 &&
+                        __builtin_cpu_supports("avx512dq") != 0 &&
+                        __builtin_cpu_supports("avx512vl") != 0 &&
+                        __builtin_cpu_supports("avx512bw") != 0;
+    if (isa == Isa::kAvx512) return avx512;
+    return avx512 && __builtin_cpu_supports("avx512ifma") != 0;
 #else
     return false;
 #endif
 }
 
+std::vector<Isa>
+supported_isas()
+{
+    std::vector<Isa> out;
+    for (Isa isa : kAllIsas) {
+        if (isa_supported(isa)) out.push_back(isa);
+    }
+    return out;
+}
+
 Isa
 best_supported_isa()
 {
-    if (isa_supported(Isa::kAvx512)) return Isa::kAvx512;
-    if (isa_supported(Isa::kAvx2)) return Isa::kAvx2;
-    return Isa::kScalar;
+    return clamp_to_supported(Isa::kAvx512Ifma);
 }
 
 Isa
@@ -1431,6 +1414,7 @@ isa_name(Isa isa)
         case Isa::kScalar: return "scalar";
         case Isa::kAvx2: return "avx2";
         case Isa::kAvx512: return "avx512";
+        case Isa::kAvx512Ifma: return "avx512ifma";
     }
     return "unknown";
 }
@@ -1442,6 +1426,7 @@ table(Isa isa)
     switch (isa) {
         case Isa::kAvx2: return kAvx2Table;
         case Isa::kAvx512: return kAvx512Table;
+        case Isa::kAvx512Ifma: return kAvx512IfmaTable;
         default: return kScalarTable;
     }
 #else

@@ -8,27 +8,31 @@
  * Every limb-sized inner loop of the library — the Harvey lazy NTT
  * butterflies, the whole-limb lazy modarith passes, and the
  * u128-accumulated key-switch inner product — routes through the function
- * table returned by active(). Three implementations exist: portable
- * scalar (the PR-2 code, verbatim), AVX2, and AVX-512; the best one the
- * CPU supports is selected once at startup by CPUID, overridable with
- * ORION_SIMD=scalar|avx2|avx512 (requests above what the host supports
- * clamp down) or set_isa() from tests.
+ * table returned by active(). Four implementations exist: portable
+ * scalar (the reference loops), AVX2, AVX-512, and AVX-512 IFMA52,
+ * which runs limbs whose modulus is below 2^50 on native 52-bit
+ * multiply-adds and the rest on the AVX-512 bodies. The best one the CPU
+ * supports is selected once at startup by CPUID, overridable with
+ * ORION_SIMD=scalar|avx2|avx512|avx512ifma (requests above what the host
+ * supports clamp down) or set_isa() from tests.
  *
  * Dispatch contract (see DESIGN.md "Vectorized kernels & memory arenas"):
  * every vector kernel is BIT-IDENTICAL to the scalar reference on every
- * input — not just congruent mod q. This falls out of two facts. First,
- * the vector code performs exactly the same u64 mod-2^64 operations per
- * element as the scalar code (the 128-bit intermediates of Barrett and
- * Shoup reduction are decomposed into explicit mulhi/mullo/carry words
- * whose values match the scalar u128 arithmetic word for word), and no
- * kernel has cross-element dependencies that could reorder. Second, the
- * lazy-range invariants chosen in PR 2 guarantee no lane ever overflows:
- * with q < 2^61, lazy residues live in [0, 2q) (Shoup products) or
- * [0, 4q) (butterfly sums), so every u64 addition of two lane values
- * stays below 2^63, and the 16-term chunks of the key-switch digit sum
- * keep the 128-bit lane accumulators below 2^127 — exactly the scalar
- * bounds, so wraparound behavior is identical too (there is none).
+ * input the kernel admits — not just congruent mod q. Every entry
+ * returns canonical residues in [0, q), and the canonical residue of an
+ * exact computation is unique, so any exact algorithm yields the same
+ * bytes. The lazy-range invariants make every table exact: with
+ * q < 2^61, lazy residues live in [0, 2q) (Shoup products) or [0, 4q)
+ * (butterfly sums), every u64 addition of two lane values stays below
+ * 2^63, and the 16-term chunks of the key-switch digit sum keep the
+ * 128-bit accumulators below 2^127, so nothing wraps. The
+ * AVX2 and AVX-512 tables perform the scalar u64 operations word for
+ * word; the IFMA table's own bounds (lazy values below 4q < 2^52, a
+ * 52-bit Shoup constant, 52-bit split accumulators) are proved in
+ * kernels.cpp.
  */
+
+#include <vector>
 
 #include "src/ckks/modarith.h"
 
@@ -38,7 +42,8 @@ namespace orion::ckks::kernels {
 enum class Isa : int {
     kScalar = 0,
     kAvx2 = 1,
-    kAvx512 = 2,  ///< requires F, DQ, VL, and BW
+    kAvx512 = 2,      ///< F, DQ, VL, and BW; never uses IFMA
+    kAvx512Ifma = 3,  ///< the AVX-512 set plus IFMA (52-bit multiply-add)
 };
 
 /**
@@ -62,7 +67,8 @@ struct NttView {
  * One ISA's implementations. All array kernels accept arbitrary n
  * (vector bodies process full lanes, scalar tails finish the rest) and
  * allow dst == src aliasing where a src pointer exists; distinct arrays
- * must not otherwise overlap.
+ * must not otherwise overlap. Inputs are canonical residues in [0, q)
+ * unless an entry says otherwise.
  */
 struct KernelTable {
     /** In-place forward negacyclic NTT (lazy butterflies + normalize). */
@@ -102,15 +108,18 @@ struct KernelTable {
      * Fast-base-conversion accumulation for one target limb:
      *   dst[x] = (sum_j lams[j][x] * hats[j]) mod q,
      * len <= 32 terms summed in 128 bits, one Barrett per element. Rows
-     * may hold residues of other moduli (any value below 2^61), and dst
-     * may alias a row.
+     * may hold residues of other moduli: every row value is below
+     * row_bound <= 2^61 (the callers pass the largest modulus the rows
+     * come from). dst may alias a row.
      */
     void (*base_conv_acc)(u64* dst, const u64* const* lams, const u64* hats,
-                          int len, u64 n, const Modulus& q);
+                          int len, u64 n, const Modulus& q, u64 row_bound);
 };
 
 /** True when this build and CPU can run the given ISA's table. */
 bool isa_supported(Isa isa);
+/** Every ISA this build and host can run, weakest first. */
+std::vector<Isa> supported_isas();
 /** The strongest supported ISA (what dispatch picks sans override). */
 Isa best_supported_isa();
 /** The currently selected ISA. */

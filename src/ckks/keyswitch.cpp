@@ -63,7 +63,12 @@ KeySwitcher::decompose(const RnsPoly& c) const
         // Fill every target limb: digit limbs copy c directly; other limbs
         // get the fast base conversion sum_j lambda_j * (D/q_j mod m_t).
         // Target limbs are independent, so this hoistable decomposition
-        // parallelizes cleanly across the RNS base.
+        // parallelizes cleanly across the RNS base. Lambda row j is a
+        // residue mod q_j, below the largest digit prime.
+        u64 row_bound = 0;
+        for (int j = lo; j <= hi; ++j) {
+            row_bound = std::max(row_bound, ctx.q(j).value());
+        }
         core::parallel_for(0, ext.num_limbs(), [&](i64 ti) {
             const int t = static_cast<int>(ti);
             const int tg = ext.limb_global_index(t);
@@ -77,7 +82,7 @@ KeySwitcher::decompose(const RnsPoly& c) const
                 dc.hat_mod[static_cast<std::size_t>(tg)];
             kernels::active().base_conv_acc(dst, lam_ptrs.data(),
                                             hat_mod_t.data(), digit_len, n,
-                                            mt);
+                                            mt, row_bound);
         });
         ext.to_ntt();
         out.push_back(std::move(ext));

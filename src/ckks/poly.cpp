@@ -272,6 +272,11 @@ RnsPoly::divide_and_drop(int k)
     // rows[2s] = u_s, the canonical residue of x mod p_s after the s
     // earlier steps (computed in place over the dropped limb, so before
     // step s it is x itself), and rows[2s + 1] = b_s = [u_s > p_s / 2].
+    // Every row is below the largest dropped modulus.
+    u64 row_bound = 0;
+    for (int s = 0; s < k; ++s) {
+        row_bound = std::max(row_bound, limb_modulus(dropped(s)).value());
+    }
     core::ScratchVec<u64> b_block(static_cast<std::size_t>(k) * n);
     std::array<const u64*, 32> rows{};
     for (int s = 0; s < k; ++s) {
@@ -286,7 +291,8 @@ RnsPoly::divide_and_drop(int k)
             // before writing it).
             std::array<u64, 32> w{};
             w[static_cast<std::size_t>(2 * s)] = weights(i, s, w.data());
-            kt.base_conv_acc(u, rows.data(), w.data(), 2 * s + 1, n, p);
+            kt.base_conv_acc(u, rows.data(), w.data(), 2 * s + 1, n, p,
+                             row_bound);
         }
         const u64 half = p.value() / 2;
         for (u64 x = 0; x < n; ++x) b[x] = u[x] > half ? 1 : 0;
@@ -298,7 +304,8 @@ RnsPoly::divide_and_drop(int k)
         std::array<u64, 32> w{};
         const u64 d_inv = weights(j, k, w.data());
         core::ScratchVec<u64> tmp(n);
-        kt.base_conv_acc(tmp.data(), rows.data(), w.data(), 2 * k, n, q);
+        kt.base_conv_acc(tmp.data(), rows.data(), w.data(), 2 * k, n, q,
+                         row_bound);
         if (ntt_) limb_tables(j).forward(tmp.data());
         u64* a = limb(j);
         kt.mul_scalar_shoup_n(a, a, n, d_inv, shoup_precompute(d_inv, q), q);

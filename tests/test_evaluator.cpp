@@ -515,38 +515,40 @@ same_residues(const ckks::RnsPoly& a, const ckks::RnsPoly& b)
 
 TEST(MulPlainSum, ByteIdenticalToEagerLoopAcrossIsasAndThreads)
 {
-    const ckks::Context& ctx = wide_prime_context();
-    const ckks::Encoder encoder(ctx);
-    const ckks::Evaluator eval(ctx, encoder);
-    const int level = ctx.max_level();
+    // 61-bit primes take every table's 64-bit products; the toy chain's
+    // 30-41-bit primes take the IFMA table's 52-bit ones.
     namespace k = ckks::kernels;
-    const k::Isa saved = k::active_isa();
-
-    for (const std::size_t terms : {1, 2, 15, 16, 17, 32, 33, 64}) {
-        const SumOperands ops = make_sum_operands(ctx, terms, level, terms);
-        k::set_isa(k::Isa::kScalar);
-        const Ciphertext want = [&] {
-            const core::ScopedNumThreads serial(1);
-            return eager_sum(eval, ops);
-        }();
-        for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2,
-                                 k::Isa::kAvx512}) {
-            if (!k::isa_supported(isa)) continue;
-            k::set_isa(isa);
-            for (const int threads : {1, 2, 4}) {
-                const core::ScopedNumThreads scoped(threads);
-                const Ciphertext got =
-                    eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs);
-                EXPECT_TRUE(same_residues(got.c0, want.c0) &&
-                            same_residues(got.c1, want.c1))
-                    << terms << " terms, " << k::isa_name(isa) << ", "
-                    << threads << " threads";
-                EXPECT_EQ(got.level(), want.level());
-                EXPECT_EQ(got.scale, want.scale);
+    const IsaGuard guard;
+    const ckks::Context& toy = CkksEnv::shared().ctx;
+    for (const ckks::Context* ctx : {&wide_prime_context(), &toy}) {
+        const ckks::Encoder encoder(*ctx);
+        const ckks::Evaluator eval(*ctx, encoder);
+        const int level = ctx->max_level();
+        for (const std::size_t terms : {1, 2, 15, 16, 17, 32, 33, 64}) {
+            const SumOperands ops =
+                make_sum_operands(*ctx, terms, level, terms);
+            k::set_isa(k::Isa::kScalar);
+            const Ciphertext want = [&] {
+                const core::ScopedNumThreads serial(1);
+                return eager_sum(eval, ops);
+            }();
+            for (const k::Isa isa : k::supported_isas()) {
+                k::set_isa(isa);
+                for (const int threads : {1, 2, 4}) {
+                    const core::ScopedNumThreads scoped(threads);
+                    const Ciphertext got =
+                        eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs);
+                    EXPECT_TRUE(same_residues(got.c0, want.c0) &&
+                                same_residues(got.c1, want.c1))
+                        << ctx->q(0).bit_count() << "-bit q0, " << terms
+                        << " terms, " << k::isa_name(isa) << ", " << threads
+                        << " threads";
+                    EXPECT_EQ(got.level(), want.level());
+                    EXPECT_EQ(got.scale, want.scale);
+                }
             }
         }
     }
-    k::set_isa(saved);
 }
 
 TEST(MulPlainSum, CountsOnePmultPerTermAndOneHaddPerJoin)

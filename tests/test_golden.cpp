@@ -38,12 +38,6 @@ fingerprint(const std::vector<ckks::Ciphertext>& cts)
     return h;
 }
 
-/** Restores the active ISA on scope exit (set_isa is process-global). */
-struct IsaGuard {
-    k::Isa saved = k::active_isa();
-    ~IsaGuard() { k::set_isa(saved); }
-};
-
 /**
  * Runs `cn` on one fixed input under a seed-7 client's keys and checks the
  * output fingerprint at every supported ISA and each of `threads`.
@@ -58,9 +52,7 @@ expect_fingerprint(const core::CompiledNetwork& cn, const ckks::Context& ctx,
     const std::vector<ckks::Ciphertext> in = direct.client.encrypt({x});
 
     const IsaGuard guard;
-    for (const k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2,
-                             k::Isa::kAvx512}) {
-        if (!k::isa_supported(isa)) continue;
+    for (const k::Isa isa : k::supported_isas()) {
         k::set_isa(isa);
         for (const int t : threads) {
             const core::ScopedNumThreads scoped(t);

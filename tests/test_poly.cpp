@@ -8,6 +8,7 @@
 #include "src/ckks/ntt.h"
 #include "src/ckks/poly.h"
 #include "src/core/thread_pool.h"
+#include "tests/test_util.h"
 
 /**
  * @file
@@ -112,21 +113,6 @@ adversarial_poly(const Context& ctx, int level, bool extended, int k,
     return p;
 }
 
-std::vector<k::Isa>
-supported_isas()
-{
-    std::vector<k::Isa> out;
-    for (k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2, k::Isa::kAvx512}) {
-        if (k::isa_supported(isa)) out.push_back(isa);
-    }
-    return out;
-}
-
-struct IsaGuard {
-    k::Isa saved = k::active_isa();
-    ~IsaGuard() { k::set_isa(saved); }
-};
-
 /** Runs `divide` on a copy of `in` under every ISA and thread count. */
 template <typename Divide>
 void
@@ -136,8 +122,8 @@ expect_matches_reference(const Context& ctx, const RnsPoly& in, int k,
     RefPoly want = to_ref(in);
     for (int s = 0; s < k; ++s) ref_divide_and_drop_one(ctx, want);
 
-    IsaGuard guard;
-    for (k::Isa isa : supported_isas()) {
+    const test::IsaGuard guard;
+    for (k::Isa isa : k::supported_isas()) {
         k::set_isa(isa);
         for (int threads : {1, 4}) {
             core::ScopedPoolOverride pool(threads);

@@ -5,9 +5,9 @@
  * @file
  * Shared fixtures for the test suite: a lazily-constructed toy CKKS
  * environment (context + keys + evaluator) reused across test files so key
- * generation cost is paid once, random-vector helpers, and the small
- * residual conv net plus toy compile options the compiler and golden
- * suites share.
+ * generation cost is paid once, a kernel-ISA guard, random-vector helpers,
+ * and the small residual conv net plus toy compile options the compiler
+ * and golden suites share.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +59,12 @@ struct CkksEnv {
         static CkksEnv env;
         return env;
     }
+};
+
+/** Restores the active kernel ISA on scope exit (set_isa is global). */
+struct IsaGuard {
+    ckks::kernels::Isa saved = ckks::kernels::active_isa();
+    ~IsaGuard() { ckks::kernels::set_isa(saved); }
 };
 
 /** Asserts fn() throws an E whose message contains `needle`. */
