@@ -45,9 +45,9 @@ main()
     // The level-management policy found by the placement DAG solver
     // (the machinery of Figure 6).
     std::printf("\nlevel policy:\n");
-    for (const core::UnitDecision& d : compiled.placement.decisions) {
-        std::printf("  %-12s at level %d%s\n", d.name.c_str(), d.exec_level,
-                    d.bootstrap_before ? "  [bootstrap before]" : "");
+    for (const core::Instruction& d : compiled.placement.decisions) {
+        std::printf("  %-12s at level %d (layer %d)\n",
+                    core::to_string(d.op), d.level, d.layer_id);
     }
 
     // 3. Run it three ways.

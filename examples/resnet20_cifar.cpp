@@ -45,10 +45,10 @@ main(int argc, char** argv)
 
     std::printf("\nlevel policy (first 14 units):\n");
     int shown = 0;
-    for (const core::UnitDecision& d : cn.placement.decisions) {
+    for (const core::Instruction& d : cn.placement.decisions) {
         if (shown++ >= 14) break;
-        std::printf("  %-12s level %2d%s\n", d.name.c_str(), d.exec_level,
-                    d.bootstrap_before ? "  [bootstrap]" : "");
+        std::printf("  %-12s level %2d (layer %d)\n", core::to_string(d.op),
+                    d.level, d.layer_id);
     }
 
     // Functional FHE inference vs cleartext.

@@ -45,9 +45,10 @@ struct CompilerState {
     std::vector<u64> edge_cts;           // ciphertexts per layer output
     std::vector<int> payload_of;         // layer id -> linears/acts index
     std::map<int, double> scale_insert;  // Add input layer id -> factor
-    std::map<int, int> fork_of;          // Add/ReLU id -> fork layer id
     std::map<int, std::vector<int>> relu_stages_of;  // ReLU id -> payloads
-    std::map<int, int> stage_operand;    // stage synthetic id -> operand key
+    // Value keys of unit records: a layer's output is keyed by its layer
+    // id; sign-stage outputs get fresh keys from num_layers() up.
+    int next_key = 0;
 
     int batch = 1;          // effective (capacity-clamped) batch
     u64 batch_stride = 0;   // slot stride between batch lanes
@@ -543,122 +544,58 @@ build_activation_payload(CompilerState& st, const Layer& l)
 // Pass 5: chain construction (SESE regions around residual Adds).
 // ---------------------------------------------------------------------
 
-/** Synthetic layer ids for inserted scale units: -100 - add_input_id. */
-int
-scale_unit_id(int branch_producer)
+/** The placement unit that emits `ins`, priced by instruction_cost. */
+ChainItem
+unit_item(const CompilerState& st, const Instruction& ins)
 {
-    return -100 - branch_producer;
-}
-
-PlacementUnit
-make_unit(CompilerState& st, const Layer& l)
-{
-    PlacementUnit u;
-    u.layer_id = l.id;
-    u.name = nn::layer_kind_name(l.kind);
-    const CostModel& cost = st.opt->cost;
-    switch (l.kind) {
-    case LayerKind::kConv2d:
-    case LayerKind::kLinear:
-    case LayerKind::kAvgPool2d:
-    case LayerKind::kBatchNorm2d: {
-        const int payload = st.payload_of[static_cast<std::size_t>(l.id)];
+    ChainItem item;
+    PlacementUnit& u = item.unit;
+    u.ins = ins;
+    u.depth = instruction_cost(st.out, ins, st.opt->l_eff).depth;
+    u.latency = [&out = st.out, ins](int level) {
+        return instruction_cost(out, ins, level).seconds;
+    };
+    u.input_cts = ins.cts;
+    if (ins.op == Instruction::Op::kLinear) {
         const LinearLayerData& data =
-            st.out.linears[static_cast<std::size_t>(payload)];
-        u.depth = 1;
-        const PlanStats stats = data.stats;
-        u.latency = [&cost, stats](int lvl) {
-            return cost.linear_layer(stats, lvl);
-        };
-        u.input_cts = stats.input_cts;
-        u.output_cts = stats.output_cts;
-        break;
+            st.out.linears[static_cast<std::size_t>(ins.payload)];
+        u.input_cts = data.stats.input_cts;
     }
-    case LayerKind::kActivation: {
-        const int payload = st.payload_of[static_cast<std::size_t>(l.id)];
-        ORION_ASSERT(payload >= 0);  // ReLU goes through make_stage_unit
-        const ActivationData& data =
-            st.out.activations[static_cast<std::size_t>(payload)];
-        u.depth = data.depth;
-        const std::vector<int> degrees = data.stage_degrees;
-        const u64 cts = st.edge_cts[static_cast<std::size_t>(l.id)];
-        u.latency = [&cost, degrees, cts](int lvl) {
-            return cost.activation(degrees, lvl, cts, false);
-        };
-        u.input_cts = u.output_cts = cts;
-        break;
-    }
-    case LayerKind::kAdd: {
-        const u64 cts = st.edge_cts[static_cast<std::size_t>(l.id)];
-        u.depth = 0;
-        u.latency = [&cost, cts](int lvl) {
-            return static_cast<double>(cts) * cost.hadd(lvl);
-        };
-        u.input_cts = u.output_cts = cts;
-        break;
-    }
-    default:
-        ORION_ASSERT(false);
-    }
-    return u;
+    return item;
 }
 
-/** Synthetic layer ids for ReLU sign-stage units: -1000 - payload. */
+/** The record of a network layer's instruction: operands are layer keys. */
+Instruction
+layer_record(const CompilerState& st, const Layer& l, Instruction::Op op)
+{
+    Instruction ins;
+    ins.op = op;
+    ins.value = ins.layer_id = l.id;
+    ins.a = l.inputs[0];
+    ins.cts = st.edge_cts[static_cast<std::size_t>(l.id)];
+    ins.payload = st.payload_of[static_cast<std::size_t>(l.id)];
+    return ins;
+}
+
+/** The fork of a residual Add: the nearest common ancestor of its inputs. */
 int
-stage_unit_id(int payload)
+fork_of(const Network& net, const Layer& add)
 {
-    return -1000 - payload;
-}
-
-PlacementUnit
-make_stage_unit(CompilerState& st, int payload, u64 cts)
-{
-    const CostModel& cost = st.opt->cost;
-    const ActivationData& data =
-        st.out.activations[static_cast<std::size_t>(payload)];
-    PlacementUnit u;
-    u.layer_id = stage_unit_id(payload);
-    u.name = "SignStage";
-    u.depth = data.depth;
-    const std::vector<int> degrees = data.stage_degrees;
-    u.latency = [&cost, degrees, cts](int lvl) {
-        return cost.activation(degrees, lvl, cts, false);
-    };
-    u.input_cts = u.output_cts = cts;
-    return u;
-}
-
-PlacementUnit
-make_mul_unit(CompilerState& st, int relu_layer_id, u64 cts)
-{
-    const CostModel& cost = st.opt->cost;
-    PlacementUnit u;
-    u.layer_id = relu_layer_id;
-    u.name = "ReluMul";
-    u.depth = 1;
-    u.latency = [&cost, cts](int lvl) {
-        return static_cast<double>(cts) *
-               (cost.hmult(lvl) + cost.rescale(lvl));
-    };
-    u.input_cts = u.output_cts = cts;
-    return u;
-}
-
-PlacementUnit
-make_scale_unit(CompilerState& st, int branch_producer)
-{
-    const CostModel& cost = st.opt->cost;
-    const u64 cts = st.edge_cts[static_cast<std::size_t>(branch_producer)];
-    PlacementUnit u;
-    u.layer_id = scale_unit_id(branch_producer);
-    u.name = "Scale";
-    u.depth = 1;
-    u.latency = [&cost, cts](int lvl) {
-        return static_cast<double>(cts) *
-               (cost.pmult(lvl) + cost.rescale(lvl));
-    };
-    u.input_cts = u.output_cts = cts;
-    return u;
+    std::set<int> ancestors;
+    int cur = add.inputs[0];
+    while (true) {
+        ancestors.insert(cur);
+        const Layer& a = net.layer(cur);
+        if (a.inputs.empty()) break;
+        cur = a.inputs[0];
+    }
+    int fork = add.inputs[1];
+    while (ancestors.count(fork) == 0) {
+        const Layer& b = net.layer(fork);
+        ORION_CHECK(!b.inputs.empty(), "no common fork for Add");
+        fork = b.inputs[0];
+    }
+    return fork;
 }
 
 Chain build_chain(CompilerState& st, int from_exclusive, int to_inclusive);
@@ -667,6 +604,7 @@ Chain build_chain(CompilerState& st, int from_exclusive, int to_inclusive);
 void
 append_layer(CompilerState& st, Chain* chain, int id)
 {
+    using Op = Instruction::Op;
     const Layer& l = st.net->layer(id);
     if (is_passthrough(l.kind)) return;
     if (l.kind == LayerKind::kBatchNorm2d &&
@@ -677,100 +615,70 @@ append_layer(CompilerState& st, Chain* chain, int id)
         l.act.kind == nn::ActivationSpec::Kind::kRelu) {
         // ReLU = x * sign(x): a SESE region whose backbone is the sign
         // stages and whose other branch is the identity (x itself).
-        const u64 cts = st.edge_cts[static_cast<std::size_t>(id)];
-        st.fork_of[id] = l.inputs[0];
-        ChainItem region;
-        region.kind = ChainItem::Kind::kRegion;
-        region.unit = make_mul_unit(st, id, cts);
         Chain backbone;
         int prev_key = l.inputs[0];
         for (int payload : st.relu_stages_of.at(id)) {
-            ChainItem stage;
-            stage.kind = ChainItem::Kind::kUnit;
-            stage.unit = make_stage_unit(st, payload, cts);
-            st.stage_operand[stage_unit_id(payload)] = prev_key;
-            prev_key = stage_unit_id(payload);
-            backbone.items.push_back(std::move(stage));
+            Instruction stage;
+            stage.op = Op::kActivation;
+            stage.layer_id = -1000 - payload;  // see core::LayerTiming
+            stage.a = prev_key;
+            stage.value = prev_key = st.next_key++;
+            stage.cts = st.edge_cts[static_cast<std::size_t>(l.inputs[0])];
+            stage.payload = payload;
+            backbone.items.push_back(unit_item(st, stage));
         }
+        Instruction join = layer_record(st, l, Op::kMul);
+        join.b = prev_key;
+        ChainItem region = unit_item(st, join);
+        region.kind = ChainItem::Kind::kRegion;
+        region.fork = l.inputs[0];
         region.branches.push_back(std::move(backbone));
         region.branches.emplace_back();  // identity branch: x
         chain->items.push_back(std::move(region));
         return;
     }
     if (l.kind == LayerKind::kAdd) {
-        // Region: find the fork (nearest common ancestor of both inputs).
-        const Network& net = *st.net;
-        std::set<int> ancestors;
-        int cur = l.inputs[0];
-        while (true) {
-            ancestors.insert(cur);
-            const Layer& a = net.layer(cur);
-            if (a.inputs.empty()) break;
-            cur = a.inputs[0];
-        }
-        int fork = l.inputs[1];
-        while (ancestors.count(fork) == 0) {
-            const Layer& b = net.layer(fork);
-            ORION_CHECK(!b.inputs.empty(), "no common fork for Add");
-            fork = b.inputs[0];
-        }
-        st.fork_of[id] = fork;
-
-        ChainItem region;
+        const int fork = fork_of(*st.net, l);
+        Instruction join = layer_record(st, l, Op::kAdd);
+        join.b = l.inputs[1];
+        ChainItem region = unit_item(st, join);
         region.kind = ChainItem::Kind::kRegion;
-        region.unit = make_unit(st, l);
+        region.fork = fork;
         for (int in : {l.inputs[0], l.inputs[1]}) {
             Chain branch = build_chain(st, fork, in);
             if (auto it = st.scale_insert.find(in);
                 it != st.scale_insert.end()) {
-                ChainItem scale;
-                scale.kind = ChainItem::Kind::kUnit;
-                scale.unit = make_scale_unit(st, in);
-                branch.items.push_back(std::move(scale));
+                // The scaled value replaces the branch output's binding.
+                Instruction scale;
+                scale.op = Op::kScale;
+                scale.layer_id = -100 - in;  // see core::LayerTiming
+                scale.a = scale.value = in;
+                scale.scale_factor = it->second;
+                scale.cts = st.edge_cts[static_cast<std::size_t>(in)];
+                branch.items.push_back(unit_item(st, scale));
             }
             region.branches.push_back(std::move(branch));
         }
         chain->items.push_back(std::move(region));
         return;
     }
-    ChainItem item;
-    item.kind = ChainItem::Kind::kUnit;
-    item.unit = make_unit(st, l);
-    chain->items.push_back(std::move(item));
+    Op op = Op::kLinear;
+    if (l.kind == LayerKind::kActivation) op = Op::kActivation;
+    chain->items.push_back(unit_item(st, layer_record(st, l, op)));
 }
 
 Chain
 build_chain(CompilerState& st, int from_exclusive, int to_inclusive)
 {
     Chain chain;
-    if (from_exclusive == to_inclusive) return chain;
-    // Collect the backward path, recursing at Adds.
+    // Collect the backward path, continuing upward through each Add's fork.
     std::vector<int> path;
     int cur = to_inclusive;
     while (cur != from_exclusive) {
         path.push_back(cur);
         const Layer& l = st.net->layer(cur);
         ORION_CHECK(!l.inputs.empty(), "walked past the chain start");
-        // For Adds, continue upward through the fork.
-        if (l.kind == LayerKind::kAdd) {
-            // The fork is an ancestor of both inputs; find it the same way
-            // append_layer will.
-            std::set<int> ancestors;
-            int a = l.inputs[0];
-            while (true) {
-                ancestors.insert(a);
-                const Layer& al = st.net->layer(a);
-                if (al.inputs.empty()) break;
-                a = al.inputs[0];
-            }
-            int fork = l.inputs[1];
-            while (ancestors.count(fork) == 0) {
-                fork = st.net->layer(fork).inputs[0];
-            }
-            cur = fork;
-        } else {
-            cur = l.inputs[0];
-        }
+        cur = l.kind == LayerKind::kAdd ? fork_of(*st.net, l) : l.inputs[0];
     }
     std::reverse(path.begin(), path.end());
     for (int id : path) append_layer(st, &chain, id);
@@ -781,166 +689,68 @@ build_chain(CompilerState& st, int from_exclusive, int to_inclusive)
 // Pass 7: instruction emission.
 // ---------------------------------------------------------------------
 
+/**
+ * Emits the program: the input, every placement decision's record, the
+ * output. Each record is copied as is; its value keys resolve to program
+ * value ids (one per instruction, in program order).
+ */
 void
-emit_instructions(CompilerState& st, const PlacementResult& placement)
+emit_instructions(CompilerState& st)
 {
     const Network& net = *st.net;
-    CompiledNetwork& out = st.out;
-    std::map<int, int> value_of;  // layer id (or synthetic) -> value id
-    int next_value = 0;
-
-    // Input.
-    {
-        Instruction in;
-        in.op = Instruction::Op::kInput;
-        in.value = next_value++;
-        in.layer_id = net.input_id();
-        in.level = st.opt->l_eff;
-        in.cts = st.edge_cts[static_cast<std::size_t>(net.input_id())];
-        out.program.push_back(in);
-        value_of[net.input_id()] = in.value;
-        // Passthrough aliases resolve through this map lazily below.
-    }
-
-    auto resolve = [&](int id) -> int {
+    std::vector<Instruction>& program = st.out.program;
+    std::map<int, int> value_of;  // value key -> program value id
+    auto resolve = [&](int key) -> int {
         // Walk through passthrough layers / absorbed BNs to the value.
-        int cur = id;
-        while (value_of.count(cur) == 0) {
-            const Layer& l = net.layer(cur);
+        while (value_of.count(key) == 0) {
+            const Layer& l = net.layer(key);
             ORION_CHECK(!l.inputs.empty(), "unresolved value for layer "
-                                               << cur);
-            cur = l.inputs[0];
+                                               << key);
+            key = l.inputs[0];
         }
-        return value_of.at(cur);
+        return value_of.at(key);
+    };
+    auto emit = [&](Instruction ins) {
+        if (ins.a >= 0) ins.a = resolve(ins.a);
+        if (ins.b >= 0) ins.b = resolve(ins.b);
+        if (ins.value >= 0) {
+            value_of[ins.value] = static_cast<int>(program.size());
+        }
+        ins.value = static_cast<int>(program.size());
+        program.push_back(ins);
     };
 
-    for (const UnitDecision& d : placement.decisions) {
-        const bool is_fork_note = d.name.ends_with(":fork");
-        // Identify the consumed operand.
-        int operand_layer = -1;
-        if (d.layer_id >= 0) {
-            const Layer& l = net.layer(d.layer_id);
-            if (is_fork_note) {
-                operand_layer = st.fork_of.at(d.layer_id);
-            } else {
-                operand_layer = l.inputs[0];
-            }
-        } else if (d.layer_id <= -1000) {
-            operand_layer = st.stage_operand.at(d.layer_id);
-        } else {
-            operand_layer = -(d.layer_id + 100);  // scale unit: producer id
-        }
+    Instruction in;
+    in.op = Instruction::Op::kInput;
+    in.value = in.layer_id = net.input_id();
+    in.level = st.opt->l_eff;
+    in.cts = st.edge_cts[static_cast<std::size_t>(net.input_id())];
+    emit(in);
+    for (const Instruction& d : st.out.placement.decisions) emit(d);
+    Instruction out;
+    out.op = Instruction::Op::kOutput;
+    out.a = out.layer_id = net.output_id();
+    emit(out);
+}
 
-        if (d.bootstrap_before) {
-            Instruction boot;
-            boot.op = Instruction::Op::kBootstrap;
-            boot.a = resolve(operand_layer);
-            boot.value = next_value++;
-            // Name the originating layer so rejection/validation errors
-            // can point at the offending instruction, not just "a
-            // bootstrap somewhere".
-            boot.layer_id = d.layer_id;
-            boot.level = st.opt->l_eff;
-            boot.cts = d.boot_cts;
-            out.program.push_back(boot);
-            // The bootstrapped value replaces the old binding.
-            value_of[operand_layer] = boot.value;
-            out.num_bootstraps += d.boot_cts;
+/** Fills the program totals: one instruction_cost per instruction. */
+void
+tally_program(CompiledNetwork& cn)
+{
+    for (const Instruction& ins : cn.program) {
+        const InstructionCost c = instruction_cost(cn, ins, ins.level);
+        cn.total_rotations += c.rotations;
+        cn.total_pmults += c.pmults;
+        cn.num_bootstraps += c.bootstraps;
+        cn.modeled_latency += c.seconds;
+        // Table 2's depth column counts linear layers and activations
+        // together (e.g. MLP = 3 FC + 2 squares = 5).
+        cn.total_mult_depth += c.depth;
+        if (ins.op == Instruction::Op::kActivation ||
+            ins.op == Instruction::Op::kMul) {
+            cn.activation_depth += c.depth;
         }
-        if (is_fork_note) continue;
-
-        if (d.layer_id <= -1000) {
-            // One sign stage of a ReLU composite.
-            const int payload = -(d.layer_id + 1000);
-            Instruction act;
-            act.op = Instruction::Op::kActivation;
-            act.a = resolve(operand_layer);
-            act.value = next_value++;
-            act.layer_id = d.layer_id;
-            act.level = d.exec_level;
-            act.payload = payload;
-            // All stages share the ReLU edge's ciphertext count; walk the
-            // operand chain back to the originating network layer.
-            int key = operand_layer;
-            while (key < 0) key = st.stage_operand.at(key);
-            act.cts = st.edge_cts[static_cast<std::size_t>(key)];
-            out.program.push_back(act);
-            value_of[d.layer_id] = act.value;
-            continue;
-        }
-        if (d.layer_id < 0) {
-            // Synthetic scale unit on a residual branch.
-            const int producer = -(d.layer_id + 100);
-            Instruction sc;
-            sc.op = Instruction::Op::kScale;
-            sc.a = resolve(producer);
-            sc.value = next_value++;
-            sc.layer_id = d.layer_id;
-            sc.level = d.exec_level;
-            sc.scale_factor = st.scale_insert.at(producer);
-            sc.cts = st.edge_cts[static_cast<std::size_t>(producer)];
-            out.program.push_back(sc);
-            value_of[producer] = sc.value;
-            continue;
-        }
-
-        const Layer& l = net.layer(d.layer_id);
-        Instruction ins;
-        ins.layer_id = d.layer_id;
-        ins.level = d.exec_level;
-        ins.cts = st.edge_cts[static_cast<std::size_t>(d.layer_id)];
-        switch (l.kind) {
-        case LayerKind::kConv2d:
-        case LayerKind::kLinear:
-        case LayerKind::kAvgPool2d:
-        case LayerKind::kBatchNorm2d: {
-            ins.op = Instruction::Op::kLinear;
-            ins.a = resolve(l.inputs[0]);
-            ins.payload = st.payload_of[static_cast<std::size_t>(d.layer_id)];
-            const LinearLayerData& data =
-                out.linears[static_cast<std::size_t>(ins.payload)];
-            out.total_rotations += data.stats.total_rotations();
-            out.total_pmults += data.stats.pmults;
-            out.modeled_conv_latency +=
-                st.opt->cost.linear_layer(data.stats, d.exec_level);
-            break;
-        }
-        case LayerKind::kActivation: {
-            if (l.act.kind == nn::ActivationSpec::Kind::kRelu) {
-                // The x * sign(x) join: a = x, b = the last sign stage.
-                ins.op = Instruction::Op::kMul;
-                ins.a = resolve(l.inputs[0]);
-                ins.b = resolve(
-                    stage_unit_id(st.relu_stages_of.at(d.layer_id).back()));
-            } else {
-                ins.op = Instruction::Op::kActivation;
-                ins.a = resolve(l.inputs[0]);
-                ins.payload =
-                    st.payload_of[static_cast<std::size_t>(d.layer_id)];
-            }
-            break;
-        }
-        case LayerKind::kAdd: {
-            ins.op = Instruction::Op::kAdd;
-            ins.a = resolve(l.inputs[0]);
-            ins.b = resolve(l.inputs[1]);
-            break;
-        }
-        default:
-            ORION_ASSERT(false);
-        }
-        ins.value = next_value++;
-        out.program.push_back(ins);
-        value_of[d.layer_id] = ins.value;
     }
-
-    // Output.
-    Instruction fin;
-    fin.op = Instruction::Op::kOutput;
-    fin.a = resolve(net.output_id());
-    fin.value = next_value++;
-    fin.layer_id = net.output_id();
-    out.program.push_back(fin);
 }
 
 }  // namespace
@@ -968,6 +778,53 @@ CompiledNetwork::required_rotations() const
         out.push_back({step, level});
     }
     return out;
+}
+
+InstructionCost
+instruction_cost(const CompiledNetwork& cn, const Instruction& ins, int level)
+{
+    using Op = Instruction::Op;
+    const CostModel& cost = cn.cost_model;
+    const double cts = static_cast<double>(ins.cts);
+    InstructionCost c;
+    switch (ins.op) {
+    case Op::kInput:
+    case Op::kOutput:
+        break;
+    case Op::kBootstrap:
+        c.seconds = cts * cost.bootstrap(cn.l_eff);
+        c.bootstraps = ins.cts;
+        break;
+    case Op::kLinear: {
+        const PlanStats& stats =
+            cn.linears[static_cast<std::size_t>(ins.payload)].stats;
+        c.seconds = cost.linear_layer(stats, level);
+        c.rotations = stats.total_rotations();
+        c.pmults = stats.pmults;
+        c.depth = 1;
+        break;
+    }
+    case Op::kActivation: {
+        const ActivationData& data =
+            cn.activations[static_cast<std::size_t>(ins.payload)];
+        c.seconds = cost.activation(data.stage_degrees, level, ins.cts, false);
+        c.depth = data.depth;
+        break;
+    }
+    case Op::kMul:
+        c.seconds = cts * (cost.hmult(level) + cost.rescale(level));
+        c.depth = 1;
+        break;
+    case Op::kScale:
+        c.seconds = cts * (cost.pmult(level) + cost.rescale(level));
+        c.pmults = ins.cts;
+        c.depth = 1;
+        break;
+    case Op::kAdd:
+        c.seconds = cts * cost.hadd(level);
+        break;
+    }
+    return c;
 }
 
 const char*
@@ -1099,51 +956,26 @@ compile(const nn::Network& net, const CompileOptions& options)
         } else if (l.kind == LayerKind::kActivation) {
             st.payload_of[static_cast<std::size_t>(id)] =
                 build_activation_payload(st, l);
-            if (l.act.kind == nn::ActivationSpec::Kind::kRelu) {
-                for (int payload : st.relu_stages_of.at(id)) {
-                    st.out.activation_depth +=
-                        st.out
-                            .activations[static_cast<std::size_t>(payload)]
-                            .depth;
-                }
-                st.out.activation_depth += 1;  // the x * sign(x) multiply
-            } else {
-                st.out.activation_depth += st.out.activations.back().depth;
-            }
         }
     }
 
-    // Placement.
+    // Placement over one record per unit, then emission and the totals.
+    st.next_key = net.num_layers();
     Chain chain = build_chain(st, net.input_id(), net.output_id());
     PlacementConfig pconfig;
     pconfig.l_eff = options.l_eff;
-    pconfig.bootstrap_latency = options.cost.bootstrap(options.l_eff);
+    Instruction boot;
+    boot.op = Instruction::Op::kBootstrap;
+    pconfig.bootstrap_latency =
+        instruction_cost(st.out, boot, options.l_eff).seconds;
     st.out.placement = options.lazy_placement
                            ? place_bootstraps_lazy(chain, pconfig)
                            : place_bootstraps(chain, pconfig);
     st.out.placement_seconds = st.out.placement.solve_seconds;
-    st.out.modeled_latency = st.out.placement.latency;
-
-    emit_instructions(st, st.out.placement);
-
-    // Total multiplicative depth (the Table 2 depth column counts linear
-    // layers and activations together: e.g. MLP = 3 FC + 2 squares = 5).
-    for (const Instruction& ins : st.out.program) {
-        switch (ins.op) {
-        case Instruction::Op::kLinear:
-        case Instruction::Op::kScale:
-        case Instruction::Op::kMul:
-            st.out.total_mult_depth += 1;
-            break;
-        case Instruction::Op::kActivation:
-            st.out.total_mult_depth +=
-                st.out.activations[static_cast<std::size_t>(ins.payload)]
-                    .depth;
-            break;
-        default:
-            break;
-        }
-    }
+    emit_instructions(st);
+    tally_program(st.out);
+    ORION_CHECK(st.out.num_bootstraps == st.out.placement.num_bootstraps,
+                "the program's bootstraps differ from the placement's");
 
     // Input/output bookkeeping.
     st.out.input_shape = net.shape_of(net.input_id());

@@ -17,8 +17,9 @@
  *      between multiplexed layouts (single-shot multiplexing, Section 4),
  *      with a BSGS rotation plan per block-column.
  *   4. Bootstrap placement + level assignment (Section 5) on the SESE
- *      chain, using the analytic cost model.
- *   5. Instruction emission: one Instruction per op, carrying its
+ *      chain, whose units are the instructions they emit, priced by
+ *      instruction_cost.
+ *   5. Instruction emission: the placed records, carrying their
  *      execution level and ciphertext count. Scales are not fixed here:
  *      core::PreparedProgram resolves them symbolically and encodes each
  *      linear layer's weights at the repair scale Delta * q_l / in_scale,
@@ -31,6 +32,7 @@
 
 #include "src/approx/sign.h"
 #include "src/core/cost_model.h"
+#include "src/core/instruction.h"
 #include "src/core/placement.h"
 #include "src/nn/network.h"
 
@@ -78,29 +80,6 @@ struct CompileOptions {
      * compiles the exact historical single-sample program.
      */
     int batch = 1;
-};
-
-/** One FHE instruction of the compiled program. */
-struct Instruction {
-    enum class Op {
-        kInput,      ///< pack + encrypt the network input
-        kBootstrap,  ///< bootstrap all ciphertexts of value a
-        kLinear,     ///< value = Matrix(matrix_idx) * a  (+ bias)
-        kActivation, ///< value = act(a): x^2, SiLU poly, or one sign stage
-        kMul,        ///< value = a * b (the x * sign(x) join of ReLU)
-        kScale,      ///< value = scale_factor * a (PMult + rescale)
-        kAdd,        ///< value = a + b
-        kOutput,     ///< decrypt + unpack + de-normalize value a
-    };
-
-    Op op = Op::kInput;
-    int value = -1;      ///< id of the produced value
-    int a = -1, b = -1;  ///< operand value ids
-    int layer_id = -1;   ///< originating network layer
-    int level = 0;       ///< level at which the op executes (input level)
-    double scale_factor = 1.0;  ///< multiplier for kScale
-    u64 cts = 1;                ///< ciphertexts in the produced value
-    int payload = -1;           ///< index into linears()/activations()
 };
 
 /** Everything needed to execute one linear layer. */
@@ -162,7 +141,8 @@ struct CompiledNetwork {
     CostModel cost_model;
     int l_eff = 10;
 
-    // Statistics (Table 2 / 4 / 5 columns).
+    // Statistics (Table 2 / 4 / 5 columns). The counts, depths and
+    // modeled_latency are one instruction_cost tally over `program`.
     u64 slots = 0;
     u64 total_rotations = 0;
     u64 total_pmults = 0;
@@ -170,7 +150,6 @@ struct CompiledNetwork {
     int activation_depth = 0;  ///< sum of activation depths
     int total_mult_depth = 0;  ///< whole-circuit depth (Table 2's column)
     double modeled_latency = 0.0;
-    double modeled_conv_latency = 0.0;  ///< linear layers only (Table 4)
     double compile_seconds = 0.0;
     double placement_seconds = 0.0;
     PlacementResult placement;
@@ -188,6 +167,24 @@ struct CompiledNetwork {
     };
     std::vector<RotationUse> required_rotations() const;
 };
+
+/** The modeled price and operation counts of one instruction. */
+struct InstructionCost {
+    double seconds = 0.0;  ///< cost-model latency
+    u64 rotations = 0;     ///< linear-layer rotations
+    u64 pmults = 0;        ///< linear-layer diagonals and kScale products
+    u64 bootstraps = 0;    ///< bootstrapped ciphertexts
+    int depth = 0;         ///< multiplicative levels consumed
+};
+
+/**
+ * The one price-and-count function. Bootstrap placement prices every unit
+ * with it, compile() tallies the emitted program's totals with it, and
+ * the executor walk charges each instruction with it. `level` is the
+ * input level; a bootstrap always runs to cn.l_eff.
+ */
+InstructionCost instruction_cost(const CompiledNetwork& cn,
+                                 const Instruction& ins, int level);
 
 /** "kBootstrap", "kLinear", ... for error messages and reports. */
 const char* to_string(Instruction::Op op);

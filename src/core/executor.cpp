@@ -69,10 +69,11 @@ bias_tensor(const LinearLayerData& data)
 /**
  * The one program walk both backends run. It owns the value map, exact
  * level tracking with the operand-level check, the bootstrap / rotation /
- * pmult counts, cost-model charging, one exec.* span per instruction and
- * the per-layer wall-time breakdown. The backend only computes values:
- * one method per opcode, given the operands and returning the produced
- * value. Returns the kOutput instruction's operand.
+ * pmult counts and cost-model charge (both from instruction_cost, the
+ * function placement and the compile totals use), one exec.* span per
+ * instruction and the per-layer wall-time breakdown. The backend only
+ * computes values: one method per opcode, given the operands and
+ * returning the produced value. Returns the kOutput instruction's operand.
  */
 template <typename Backend>
 typename Backend::Value
@@ -85,13 +86,16 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
         int level = 0;
     };
     const auto t0 = Clock::now();
-    const CostModel& cost = cn.cost_model;
     std::map<int, Slot> values;
     Value output;
     for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
         const Instruction& ins = cn.program[idx];
         const auto ins_t0 = Clock::now();
         telemetry::SpanGuard ins_span(op_span_name(ins.op), ins.layer_id);
+        const InstructionCost price = instruction_cost(cn, ins, ins.level);
+        ORION_CHECK(ins.level >= price.depth,
+                    describe_instruction(ins) << ": runs at level "
+                                              << ins.level);
         // A bootstrap accepts its operand at any level; every other op
         // needs its operands at or above its execution level.
         auto operand = [&](int id) -> const Value& {
@@ -101,38 +105,26 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
                                                   << s.level);
             return s.value;
         };
-        const double cts = static_cast<double>(ins.cts);
         Slot& out = values[ins.value];
-        u64 bootstraps = 0, rotations = 0, pmults = 0;
-        double modeled = 0.0;
+        out.level = ins.level - price.depth;
         switch (ins.op) {
         case Op::kInput:
-            out = {backend.input(ins), ins.level};
+            out.value = backend.input(ins);
             break;
         case Op::kBootstrap:
-            out = {backend.bootstrap(idx, operand(ins.a)), cn.l_eff};
-            bootstraps = ins.cts;
-            modeled = cts * cost.bootstrap(cn.l_eff);
+            out.value = backend.bootstrap(idx, operand(ins.a));
+            out.level = cn.l_eff;
             break;
         case Op::kLinear: {
             const LinearLayerData& data =
                 cn.linears[static_cast<std::size_t>(ins.payload)];
-            out = {backend.linear(idx, ins, data, operand(ins.a)),
-                   ins.level - 1};
-            rotations = data.stats.total_rotations();
-            pmults = data.stats.pmults;
-            modeled = cost.linear_layer(data.stats, ins.level);
+            out.value = backend.linear(idx, ins, data, operand(ins.a));
             break;
         }
         case Op::kActivation: {
             const ActivationData& data =
                 cn.activations[static_cast<std::size_t>(ins.payload)];
-            ORION_CHECK(ins.level >= data.depth,
-                        "not enough levels for activation");
-            out = {backend.activation(idx, ins, data, operand(ins.a)),
-                   ins.level - data.depth};
-            modeled = cost.activation(data.stage_degrees, ins.level,
-                                      ins.cts, false);
+            out.value = backend.activation(idx, ins, data, operand(ins.a));
             break;
         }
         case Op::kMul:
@@ -142,19 +134,14 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
             ORION_CHECK(a.size() == b.size(), describe_instruction(ins)
                                                   << ": operand size mismatch");
             if (ins.op == Op::kMul) {
-                out = {backend.mul(ins, a, b), ins.level - 1};
-                modeled = cts * (cost.hmult(ins.level) +
-                                 cost.rescale(ins.level));
+                out.value = backend.mul(ins, a, b);
             } else {
-                out = {backend.add(ins, a, b), ins.level};
-                modeled = cts * cost.hadd(ins.level);
+                out.value = backend.add(ins, a, b);
             }
             break;
         }
         case Op::kScale:
-            out = {backend.scale(idx, ins, operand(ins.a)), ins.level - 1};
-            pmults = ins.cts;
-            modeled = cts * (cost.pmult(ins.level) + cost.rescale(ins.level));
+            out.value = backend.scale(idx, ins, operand(ins.a));
             break;
         case Op::kOutput:
             // The value map dies with this call; no need to copy the
@@ -162,10 +149,10 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
             output = std::move(values.at(ins.a).value);
             break;
         }
-        stats.bootstraps += bootstraps;
-        stats.rotations += rotations;
-        stats.pmults += pmults;
-        stats.modeled_latency += modeled;
+        stats.bootstraps += price.bootstraps;
+        stats.rotations += price.rotations;
+        stats.pmults += price.pmults;
+        stats.modeled_latency += price.seconds;
         charge_layer(stats.layer_times, ins.layer_id, seconds_since(ins_t0));
     }
     stats.wall_seconds = seconds_since(t0);

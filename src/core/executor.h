@@ -7,8 +7,9 @@
  *
  * Both backends run one program walk (executor.cpp): a single loop over
  * the instruction stream that tracks every value's level exactly, checks
- * operand levels, counts bootstraps / rotations / pmults, charges the
- * analytic cost model, opens one exec.* telemetry span per instruction,
+ * operand levels, counts bootstraps / rotations / pmults and charges the
+ * analytic cost model (both through instruction_cost, the function
+ * placement prices with), opens one exec.* telemetry span per instruction,
  * and merges per-layer wall time. A backend only computes values.
  * SimExecutor's backend computes them in cleartext (reference linear
  * algebra, polynomial activation approximations, injected bootstrap
@@ -39,8 +40,10 @@ namespace orion::core {
  * Wall-clock attribution of one network layer: consecutive program
  * instructions with the same Instruction::layer_id merge into one entry
  * (execution order is preserved), so the vector reads as the paper's
- * Table-4-style per-layer breakdown. layer_id -1 is compiler glue
- * (scales, residual adds) outside any frontend layer.
+ * Table-4-style per-layer breakdown. Negative ids are compiler units
+ * outside any frontend layer: -100 - p is the residual scale of layer
+ * p's output, -1000 - k is sign stage k (an activations() index) of a
+ * composite ReLU.
  */
 struct LayerTiming {
     int layer_id = -1;

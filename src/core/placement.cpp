@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
 
 namespace orion::core {
 
@@ -16,6 +18,41 @@ struct Trace {
     bool boot_before = false;
     int region_entry = -1;  ///< for region items: chosen branch entry level
 };
+
+/** The record of a bootstrap that lifts `key` to l_eff before `unit`. */
+Instruction
+bootstrap_record(const PlacementUnit& unit, int key, int l_eff)
+{
+    Instruction boot;
+    boot.op = Instruction::Op::kBootstrap;
+    boot.a = boot.value = key;  // the lifted value replaces the old binding
+    boot.layer_id = unit.ins.layer_id;
+    boot.level = l_eff;
+    boot.cts = unit.input_cts;
+    return boot;
+}
+
+/** `ins` stamped with the level it executes at. */
+Instruction
+at_level(Instruction ins, int level)
+{
+    ins.level = level;
+    return ins;
+}
+
+/** Fills the bootstrap totals and solve time from the decisions. */
+void
+finish(PlacementResult* result, std::chrono::steady_clock::time_point t0)
+{
+    for (const Instruction& d : result->decisions) {
+        if (d.op != Instruction::Op::kBootstrap) continue;
+        result->num_bootstraps += d.cts;
+        ++result->num_bootstrap_sites;
+    }
+    result->solve_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+}
 
 /**
  * Solves one chain for a fixed entry level. Region branches are solved
@@ -44,10 +81,8 @@ class ChainSolver {
     /** DP tables for one entry level. */
     struct Solve {
         // cost[i][l]: min cost of being before item i at level l (i in
-        // 0..n; i == n means after the last item). boots[i][l]: total
-        // bootstrapped ciphertexts along the optimal path.
+        // 0..n; i == n means after the last item).
         std::vector<std::vector<double>> cost;
-        std::vector<std::vector<u64>> boots;
         std::vector<std::vector<Trace>> trace;
     };
 
@@ -63,8 +98,6 @@ class ChainSolver {
         s.cost.assign(static_cast<std::size_t>(n + 1),
                       std::vector<double>(static_cast<std::size_t>(levels),
                                           kInf));
-        s.boots.assign(static_cast<std::size_t>(n + 1),
-                       std::vector<u64>(static_cast<std::size_t>(levels), 0));
         s.trace.assign(static_cast<std::size_t>(n + 1),
                        std::vector<Trace>(static_cast<std::size_t>(levels)));
         s.cost[0][static_cast<std::size_t>(entry)] = 0.0;
@@ -74,8 +107,6 @@ class ChainSolver {
                 chain_->items[static_cast<std::size_t>(i)];
             // Augment states with an optional bootstrap before item i.
             std::vector<double> pre = s.cost[static_cast<std::size_t>(i)];
-            std::vector<u64> pre_boots =
-                s.boots[static_cast<std::size_t>(i)];
             std::vector<Trace> pre_trace(static_cast<std::size_t>(levels));
             for (int l = 0; l < levels; ++l) {
                 pre_trace[static_cast<std::size_t>(l)].prev_level = l;
@@ -91,10 +122,6 @@ class ChainSolver {
                 const int top = config_->l_eff;
                 if (boosted < pre[static_cast<std::size_t>(top)]) {
                     pre[static_cast<std::size_t>(top)] = boosted;
-                    pre_boots[static_cast<std::size_t>(top)] =
-                        s.boots[static_cast<std::size_t>(i)]
-                               [static_cast<std::size_t>(l)] +
-                        item.unit.input_cts;
                     pre_trace[static_cast<std::size_t>(top)] = Trace{
                         l, -1, true, -1};
                 }
@@ -114,9 +141,6 @@ class ChainSolver {
                                            [static_cast<std::size_t>(out)];
                         if (c < slot) {
                             slot = c;
-                            s.boots[static_cast<std::size_t>(i + 1)]
-                                   [static_cast<std::size_t>(out)] =
-                                pre_boots[static_cast<std::size_t>(l)];
                             Trace tr = tr_in;
                             tr.exec_level = e;
                             s.trace[static_cast<std::size_t>(i + 1)]
@@ -132,33 +156,21 @@ class ChainSolver {
                         // Suffix minima over branch exit levels.
                         std::vector<std::vector<double>> best_cost(
                             solvers.size());
-                        std::vector<std::vector<u64>> best_boots(
-                            solvers.size());
                         for (std::size_t br = 0; br < solvers.size(); ++br) {
                             const Solve& bs = solvers[br]->solve(e);
                             auto& bc = best_cost[br];
-                            auto& bb = best_boots[br];
                             bc.assign(static_cast<std::size_t>(levels), kInf);
-                            bb.assign(static_cast<std::size_t>(levels), 0);
                             double run = kInf;
-                            u64 run_boots = 0;
                             for (int b = config_->l_eff; b >= 0; --b) {
                                 const double v =
                                     bs.cost.back()
                                         [static_cast<std::size_t>(b)];
-                                if (v < run) {
-                                    run = v;
-                                    run_boots =
-                                        bs.boots.back()
-                                            [static_cast<std::size_t>(b)];
-                                }
+                                run = std::min(run, v);
                                 bc[static_cast<std::size_t>(b)] = run;
-                                bb[static_cast<std::size_t>(b)] = run_boots;
                             }
                         }
                         for (int b = 0; b <= config_->l_eff; ++b) {
                             double c = base + item.unit.latency(b);
-                            u64 boots = pre_boots[static_cast<std::size_t>(l)];
                             bool feasible = true;
                             for (std::size_t br = 0; br < solvers.size();
                                  ++br) {
@@ -169,9 +181,6 @@ class ChainSolver {
                                     break;
                                 }
                                 c += bc;
-                                boots +=
-                                    best_boots[br]
-                                              [static_cast<std::size_t>(b)];
                             }
                             if (!feasible) continue;
                             const int out = b - item.unit.depth;
@@ -181,9 +190,6 @@ class ChainSolver {
                                       [static_cast<std::size_t>(out)];
                             if (c < slot) {
                                 slot = c;
-                                s.boots[static_cast<std::size_t>(i + 1)]
-                                       [static_cast<std::size_t>(out)] =
-                                    boots;
                                 Trace tr = tr_in;
                                 tr.exec_level = b;
                                 tr.region_entry = e;
@@ -200,7 +206,7 @@ class ChainSolver {
 
     /** Reconstructs decisions for the optimal path entry -> exit. */
     void
-    extract(int entry, int exit, std::vector<UnitDecision>* out)
+    extract(int entry, int exit, std::vector<Instruction>* out)
     {
         const Solve& s = solve(entry);
         const int n = static_cast<int>(chain_->items.size());
@@ -219,19 +225,15 @@ class ChainSolver {
         for (const auto& [idx, tr] : steps) {
             const ChainItem& item =
                 chain_->items[static_cast<std::size_t>(idx)];
-            UnitDecision d;
-            d.layer_id = item.unit.layer_id;
-            d.name = item.unit.name;
-            d.bootstrap_before = tr.boot_before;
-            d.boot_cts = tr.boot_before ? item.unit.input_cts : 0;
-            d.exec_level = tr.exec_level;
-            if (item.kind == ChainItem::Kind::kRegion) {
-                // Emit the bootstrap-before decision (if any), then the
-                // branches' decisions, then the join itself.
-                UnitDecision fork_note = d;
-                fork_note.exec_level = tr.region_entry;
-                fork_note.name = item.unit.name + ":fork";
-                out->push_back(fork_note);
+            const bool region = item.kind == ChainItem::Kind::kRegion;
+            if (tr.boot_before) {
+                // A region's bootstrap lifts the fork value both branches
+                // read; a unit's lifts its operand.
+                out->push_back(bootstrap_record(
+                    item.unit, region ? item.fork : item.unit.ins.a,
+                    config_->l_eff));
+            }
+            if (region) {
                 const auto& solvers = branch_solvers_.at(idx);
                 for (const auto& solver : solvers) {
                     // The branch exits at the cheapest level >= the join
@@ -249,13 +251,8 @@ class ChainSolver {
                     }
                     solver->extract(tr.region_entry, exit, out);
                 }
-                UnitDecision join = d;
-                join.bootstrap_before = false;
-                join.boot_cts = 0;
-                out->push_back(join);
-            } else {
-                out->push_back(d);
             }
+            out->push_back(at_level(item.unit.ins, tr.exec_level));
         }
     }
 
@@ -268,46 +265,26 @@ class ChainSolver {
 
 }  // namespace
 
-u64
-chain_unit_count(const Chain& chain)
-{
-    u64 count = 0;
-    for (const ChainItem& item : chain.items) {
-        ++count;
-        for (const Chain& branch : item.branches) {
-            count += chain_unit_count(branch);
-        }
-    }
-    return count;
-}
-
 PlacementResult
 place_bootstraps(const Chain& chain, const PlacementConfig& config)
 {
     const auto t0 = std::chrono::steady_clock::now();
     ChainSolver solver(chain, config);
-    const auto& s = solver.solve(config.entry_level());
+    const auto& s = solver.solve(config.l_eff);
 
     PlacementResult result;
+    int exit_level = 0;
     for (int b = 0; b <= config.l_eff; ++b) {
         const double c = s.cost.back()[static_cast<std::size_t>(b)];
         if (c < result.latency) {
             result.latency = c;
-            result.exit_level = b;
+            exit_level = b;
         }
     }
     ORION_CHECK(result.latency < kInf, "placement infeasible: a unit needs "
                                        "more levels than l_eff provides");
-    result.num_bootstraps =
-        s.boots.back()[static_cast<std::size_t>(result.exit_level)];
-    solver.extract(config.entry_level(), result.exit_level,
-                   &result.decisions);
-    for (const UnitDecision& d : result.decisions) {
-        if (d.bootstrap_before) ++result.num_bootstrap_sites;
-    }
-    result.solve_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    solver.extract(config.l_eff, exit_level, &result.decisions);
+    finish(&result, t0);
     return result;
 }
 
@@ -319,23 +296,10 @@ lazy_walk(const Chain& chain, const PlacementConfig& config, int level,
           PlacementResult* result)
 {
     for (const ChainItem& item : chain.items) {
+        const PlacementUnit& u = item.unit;
+        std::vector<int> lifts;  // keys bootstrapped before u runs
         if (item.kind == ChainItem::Kind::kUnit) {
-            UnitDecision d;
-            d.layer_id = item.unit.layer_id;
-            d.name = item.unit.name;
-            if (level < item.unit.depth) {
-                d.bootstrap_before = true;
-                d.boot_cts = item.unit.input_cts;
-                result->latency += config.bootstrap_latency *
-                                   static_cast<double>(item.unit.input_cts);
-                result->num_bootstraps += item.unit.input_cts;
-                ++result->num_bootstrap_sites;
-                level = config.l_eff;
-            }
-            d.exec_level = level;
-            result->latency += item.unit.latency(level);
-            level -= item.unit.depth;
-            result->decisions.push_back(std::move(d));
+            if (level < u.depth) lifts = {u.ins.a};
         } else {
             // Run each branch lazily from the current level, then meet at
             // the minimum exit level (mod-down the higher branch for free).
@@ -344,23 +308,20 @@ lazy_walk(const Chain& chain, const PlacementConfig& config, int level,
                 join_level = std::min(
                     join_level, lazy_walk(branch, config, level, result));
             }
-            UnitDecision join;
-            join.layer_id = item.unit.layer_id;
-            join.name = item.unit.name;
-            join.exec_level = join_level;
-            result->latency += item.unit.latency(join_level);
-            level = join_level - item.unit.depth;
-            if (level < 0) {
-                // Join itself cannot run: bootstrap both inputs.
-                result->latency += config.bootstrap_latency * 2.0 *
-                                   static_cast<double>(item.unit.input_cts);
-                result->num_bootstraps += 2 * item.unit.input_cts;
-                ++result->num_bootstrap_sites;
-                join.exec_level = config.l_eff;
-                level = config.l_eff - item.unit.depth;
-            }
-            result->decisions.push_back(std::move(join));
+            level = join_level;
+            // A join that cannot run bootstraps both of its inputs.
+            if (level < u.depth) lifts = {u.ins.a, u.ins.b};
         }
+        for (int key : lifts) {
+            result->decisions.push_back(
+                bootstrap_record(u, key, config.l_eff));
+            result->latency +=
+                config.bootstrap_latency * static_cast<double>(u.input_cts);
+            level = config.l_eff;
+        }
+        result->decisions.push_back(at_level(u.ins, level));
+        result->latency += u.latency(level);
+        level -= u.depth;
     }
     return level;
 }
@@ -373,11 +334,8 @@ place_bootstraps_lazy(const Chain& chain, const PlacementConfig& config)
     const auto t0 = std::chrono::steady_clock::now();
     PlacementResult result;
     result.latency = 0.0;
-    result.exit_level = lazy_walk(chain, config, config.entry_level(),
-                                  &result);
-    result.solve_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    lazy_walk(chain, config, config.l_eff, &result);
+    finish(&result, t0);
     return result;
 }
 

@@ -21,24 +21,23 @@
 
 #include <functional>
 #include <limits>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "src/common.h"
+#include "src/core/instruction.h"
 
 namespace orion::core {
 
-/** One schedulable unit of the placement chain. */
+/**
+ * One schedulable unit of the placement chain. Its record is the
+ * instruction it emits, with the compiler's value keys as operands; the
+ * solver copies the record into the decisions and stamps its level.
+ */
 struct PlacementUnit {
-    int layer_id = -1;  ///< originating network layer (-1 for synthetic)
-    std::string name;
+    Instruction ins;
     int depth = 0;  ///< multiplicative levels consumed
     /** Latency (seconds) when executed with input level l. */
     std::function<double(int)> latency = [](int) { return 0.0; };
-    u64 input_cts = 1;   ///< ciphertexts on the incoming edge
-    u64 output_cts = 1;  ///< ciphertexts on the outgoing edge
+    u64 input_cts = 1;  ///< ciphertexts on the incoming edge
 };
 
 struct ChainItem;
@@ -54,37 +53,28 @@ struct ChainItem {
     Kind kind = Kind::kUnit;
     PlacementUnit unit;  ///< the unit itself, or the join unit of a region
     std::vector<Chain> branches;  ///< region branches (fork out -> join in)
+    /** Region: the key of the value every branch starts from. */
+    int fork = -1;
 };
 
 /** Placement configuration. */
 struct PlacementConfig {
-    int l_eff = 10;                    ///< level reached by bootstrapping
-    double bootstrap_latency = 10.0;   ///< per-ciphertext bootstrap cost (s)
-    int max_entry_level = -1;          ///< fresh-input level (default l_eff)
-
-    int
-    entry_level() const
-    {
-        return max_entry_level < 0 ? l_eff : max_entry_level;
-    }
-};
-
-/** One scheduling decision, in flattened topological order. */
-struct UnitDecision {
-    int layer_id = -1;
-    std::string name;
-    bool bootstrap_before = false;
-    u64 boot_cts = 0;    ///< ciphertexts bootstrapped (when bootstrap_before)
-    int exec_level = 0;  ///< input level at which the unit executes
+    int l_eff = 10;                   ///< level of fresh inputs and bootstraps
+    double bootstrap_latency = 10.0;  ///< per-ciphertext bootstrap cost (s)
 };
 
 /** The level-management policy found by the solver. */
 struct PlacementResult {
     double latency = std::numeric_limits<double>::infinity();
-    u64 num_bootstraps = 0;  ///< total bootstrapped ciphertexts
-    u64 num_bootstrap_sites = 0;  ///< distinct edges with a bootstrap
-    int exit_level = 0;
-    std::vector<UnitDecision> decisions;
+    u64 num_bootstraps = 0;       ///< total bootstrapped ciphertexts
+    u64 num_bootstrap_sites = 0;  ///< edges with a bootstrap
+    /**
+     * The scheduled units in flattened topological order: each unit's
+     * record stamped with its execution level, preceded by one kBootstrap
+     * record (a = value = the lifted key, level l_eff) per bootstrapped
+     * edge. Emission copies these records verbatim.
+     */
+    std::vector<Instruction> decisions;
     double solve_seconds = 0.0;  ///< Table 5's "Boot. Place." column
 };
 
@@ -95,13 +85,10 @@ PlacementResult place_bootstraps(const Chain& chain,
 /**
  * Baseline: bootstrap only when the next unit cannot execute (the naive
  * strategy Section 5.1 warns about). Units always execute at the highest
- * available level.
+ * available level; a join that cannot run bootstraps both of its inputs.
  */
 PlacementResult place_bootstraps_lazy(const Chain& chain,
                                       const PlacementConfig& config);
-
-/** Number of units (recursively) in a chain, for reporting. */
-u64 chain_unit_count(const Chain& chain);
 
 }  // namespace orion::core
 

@@ -122,10 +122,40 @@ TEST(Compiler, SimLatencyMatchesPlacementModel)
     core::SimExecutor sim(cn, 0.0);
     const core::ExecutionResult r =
         sim.run(random_vector(2 * 8 * 8, 1.0, 37));
-    // The executor charges the same cost model the placement optimized,
-    // so totals agree up to the join bookkeeping.
-    EXPECT_NEAR(r.modeled_latency, cn.modeled_latency,
-                0.05 * cn.modeled_latency + 1e-9);
+    // The walk and the compile totals are the same program-order sum of
+    // instruction_cost, so they agree exactly.
+    EXPECT_EQ(r.modeled_latency, cn.modeled_latency);
+    EXPECT_EQ(r.pmults, cn.total_pmults);
+    EXPECT_EQ(r.bootstraps, cn.num_bootstraps);
+}
+
+TEST(Compiler, LazyPlacementEmitsWhatItPrices)
+{
+    // Linear -> ReLU -> Linear: the ReLU's sign backbone uses up the
+    // levels, so the lazy baseline bootstraps both inputs of the x *
+    // sign(x) join. The emitted program must carry those bootstraps,
+    // run the join where it was priced, and execute.
+    Network net("lazy-relu");
+    int id = net.add_flatten(net.add_input(1, 1, 16));
+    id = net.add_linear(id, 16, random_vector(16 * 16, 0.3, 1),
+                        random_vector(16, 0.1, 2));
+    id = net.add_activation(id, ActivationSpec::relu());
+    id = net.add_linear(id, 4, random_vector(4 * 16, 0.3, 3),
+                        random_vector(4, 0.1, 4));
+    net.set_output(id);
+    for (int l_eff : {5, 10, 16}) {
+        CompileOptions opt = toy_options(1024, l_eff);
+        opt.lazy_placement = true;
+        const CompiledNetwork cn = core::compile(net, opt);
+        EXPECT_EQ(cn.num_bootstraps, cn.placement.num_bootstraps) << l_eff;
+        EXPECT_NEAR(cn.modeled_latency, cn.placement.latency,
+                    1e-9 * cn.placement.latency)
+            << l_eff;
+        core::SimExecutor sim(cn, 0.0);
+        const core::ExecutionResult r = sim.run(random_vector(16, 1.0, 5));
+        EXPECT_EQ(r.bootstraps, cn.num_bootstraps) << l_eff;
+        EXPECT_EQ(r.modeled_latency, cn.modeled_latency) << l_eff;
+    }
 }
 
 TEST(Compiler, RasterPackingNeedsMoreRotationsOnStridedNets)
@@ -268,6 +298,8 @@ expect_ckks_matches_simulation(const Network& net, int l_eff)
     EXPECT_EQ(after.total_rotations() - before.total_rotations(),
               cn.total_rotations + cn.num_bootstraps * circuit_rotations);
     EXPECT_EQ(rf.rotations, cn.total_rotations);
+    EXPECT_EQ(rf.pmults, cn.total_pmults);
+    EXPECT_EQ(rf.bootstraps, cn.num_bootstraps);
 
     // One program walk: both backends count and charge identically and
     // attribute time to the same layer sequence.

@@ -9,8 +9,7 @@ PlacementUnit
 unit(int id, int depth, double base_latency = 1.0)
 {
     PlacementUnit u;
-    u.layer_id = id;
-    u.name = "u" + std::to_string(id);
+    u.ins.layer_id = u.ins.value = id;
     u.depth = depth;
     u.latency = [base_latency](int lvl) {
         return base_latency * (1.0 + 0.1 * lvl);
@@ -36,9 +35,9 @@ void
 validate_decisions(const PlacementResult& r, const PlacementConfig& cfg)
 {
     // Every unit executes at a level at least its depth, never above l_eff.
-    for (const UnitDecision& d : r.decisions) {
-        EXPECT_GE(d.exec_level, 0) << d.name;
-        EXPECT_LE(d.exec_level, cfg.l_eff) << d.name;
+    for (const Instruction& d : r.decisions) {
+        EXPECT_GE(d.level, 0) << "layer " << d.layer_id;
+        EXPECT_LE(d.level, cfg.l_eff) << "layer " << d.layer_id;
     }
 }
 
@@ -81,8 +80,8 @@ TEST(Placement, PrefersCheapLowLevelExecution)
     cfg.bootstrap_latency = 1000.0;
     const PlacementResult r = place_bootstraps(c, cfg);
     ASSERT_EQ(r.decisions.size(), 2u);
-    EXPECT_EQ(r.decisions[0].exec_level, 2);
-    EXPECT_EQ(r.decisions[1].exec_level, 1);
+    EXPECT_EQ(r.decisions[0].level, 2);
+    EXPECT_EQ(r.decisions[1].level, 1);
     EXPECT_EQ(r.num_bootstraps, 0u);
 }
 
@@ -187,7 +186,6 @@ TEST(Placement, MultiCiphertextEdgesWeightBootstrapCost)
     for (int i = 0; i < 4; ++i) {
         PlacementUnit u = unit(i, 1);
         u.input_cts = 4;
-        u.output_cts = 4;
         units.push_back(std::move(u));
     }
     const Chain c = chain_of(std::move(units));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "src/core/placement.h"
@@ -10,8 +11,8 @@ namespace {
 /**
  * Property tests for the placement DP: on randomly generated small chains
  * the solver must (a) match an exhaustive brute-force optimum, (b) never
- * lose to the lazy baseline, and (c) produce internally consistent
- * decisions. This is the strongest evidence that the level-digraph
+ * lose to the lazy baseline, and (c) produce decisions that replay to
+ * the reported latency and bootstrap count. This is the strongest evidence that the level-digraph
  * shortest path (Section 5.2) is solved exactly.
  */
 
@@ -28,8 +29,7 @@ make_random_unit(std::mt19937_64& rng, int l_eff, int id)
     std::uniform_real_distribution<double> base_dist(0.1, 5.0);
     std::uniform_real_distribution<double> slope_dist(0.0, 1.0);
     PlacementUnit u;
-    u.layer_id = id;
-    u.name = "u" + std::to_string(id);
+    u.ins.layer_id = id;
     u.depth = depth_dist(rng);
     const double base = base_dist(rng);
     const double slope = slope_dist(rng);
@@ -77,8 +77,58 @@ brute_force(const std::vector<PlacementUnit>& units,
         }
     };
     Rec rec{units, cfg, best, n};
-    rec.go(0, cfg.entry_level(), 0.0);
+    rec.go(0, cfg.l_eff, 0.0);
     return best;
+}
+
+/** What replaying a placement's decisions adds up to. */
+struct Replay {
+    double latency = 0.0;
+    u64 bootstraps = 0;
+};
+
+/**
+ * Replays decisions as a program walk over the records' value keys (the
+ * chain's input is key 0, at l_eff): each record runs at a level its
+ * operands have reached and that covers its unit's depth, and each
+ * kBootstrap record lifts its key to l_eff.
+ */
+Replay
+replay(const PlacementResult& r,
+       const std::map<int, PlacementUnit>& unit_of,
+       const PlacementConfig& cfg)
+{
+    Replay out;
+    std::map<int, int> level_of = {{0, cfg.l_eff}};
+    for (const Instruction& d : r.decisions) {
+        if (d.op == Instruction::Op::kBootstrap) {
+            EXPECT_EQ(d.level, cfg.l_eff);
+            out.latency +=
+                cfg.bootstrap_latency * static_cast<double>(d.cts);
+            out.bootstraps += d.cts;
+            level_of[d.a] = cfg.l_eff;
+            continue;
+        }
+        const PlacementUnit& u = unit_of.at(d.layer_id);
+        for (int key : {d.a, d.b}) {
+            if (key >= 0) EXPECT_GE(level_of.at(key), d.level) << key;
+        }
+        EXPECT_GE(d.level, u.depth) << "layer " << d.layer_id;
+        out.latency += u.latency(d.level);
+        level_of[d.value] = d.level - u.depth;
+    }
+    return out;
+}
+
+/** Checks that r's decisions replay to exactly what r reports. */
+void
+expect_replays(const PlacementResult& r,
+               const std::map<int, PlacementUnit>& unit_of,
+               const PlacementConfig& cfg)
+{
+    const Replay got = replay(r, unit_of, cfg);
+    EXPECT_EQ(got.bootstraps, r.num_bootstraps);
+    EXPECT_NEAR(got.latency, r.latency, 1e-9 * r.latency);
 }
 
 class PlacementPropertyTest
@@ -89,8 +139,13 @@ TEST_P(PlacementPropertyTest, DpMatchesBruteForceOptimum)
     const RandomChainParams& p = GetParam();
     std::mt19937_64 rng(p.seed);
     std::vector<PlacementUnit> units;
+    std::map<int, PlacementUnit> unit_of;
     for (int i = 0; i < p.units; ++i) {
-        units.push_back(make_random_unit(rng, p.l_eff, i));
+        PlacementUnit u = make_random_unit(rng, p.l_eff, i);
+        u.ins.a = i;  // a chain: unit i reads key i, writes key i + 1
+        u.ins.value = i + 1;
+        units.push_back(u);
+        unit_of[i] = u;
     }
     Chain chain;
     for (const PlacementUnit& u : units) {
@@ -112,23 +167,69 @@ TEST_P(PlacementPropertyTest, DpMatchesBruteForceOptimum)
     const PlacementResult lazy = place_bootstraps_lazy(chain, cfg);
     EXPECT_LE(dp.latency, lazy.latency + 1e-9) << "seed " << p.seed;
 
-    // Decisions replay consistently.
-    int level = cfg.entry_level();
-    double replayed = 0.0;
-    std::size_t i = 0;
-    for (const UnitDecision& d : dp.decisions) {
-        const PlacementUnit& u = units[i++];
-        if (d.bootstrap_before) {
-            replayed += cfg.bootstrap_latency *
-                        static_cast<double>(u.input_cts);
-            level = cfg.l_eff;
+    expect_replays(dp, unit_of, cfg);
+    expect_replays(lazy, unit_of, cfg);
+}
+
+/**
+ * ReLU-shaped regions (Section 5.2): a sign backbone whose stages use up
+ * every level l_eff provides, so it ends at level 0, an empty identity
+ * branch, and a depth-1 x * sign(x) join; random units sit between
+ * regions. Both solvers' decisions must replay to what they report,
+ * including the lazy baseline's bootstraps before a join that cannot run.
+ */
+TEST_P(PlacementPropertyTest, ReluRegionDecisionsReplay)
+{
+    const RandomChainParams& p = GetParam();
+    std::mt19937_64 rng(p.seed);
+    std::map<int, PlacementUnit> unit_of;
+    int next_id = 0;
+    int key = 0;  // the value the next item reads
+    auto add_unit = [&](PlacementUnit u, int a) {
+        u.ins.layer_id = next_id++;
+        u.ins.a = a;
+        u.ins.value = 1000 + u.ins.layer_id;
+        unit_of[u.ins.layer_id] = u;
+        ChainItem item;
+        item.unit = u;
+        return item;
+    };
+    Chain chain;
+    for (int block = 0; block < 2; ++block) {
+        Chain backbone;
+        int stage_key = key;
+        for (int depth : {p.l_eff / 2, p.l_eff - p.l_eff / 2}) {
+            PlacementUnit stage = make_random_unit(rng, p.l_eff, 0);
+            stage.depth = depth;
+            backbone.items.push_back(add_unit(stage, stage_key));
+            stage_key = backbone.items.back().unit.ins.value;
         }
-        ASSERT_LE(d.exec_level, level);
-        ASSERT_GE(d.exec_level, u.depth);
-        replayed += u.latency(d.exec_level);
-        level = d.exec_level - u.depth;
+        PlacementUnit join = make_random_unit(rng, p.l_eff, 0);
+        join.depth = 1;
+        join.ins.b = stage_key;
+        ChainItem region = add_unit(join, key);
+        region.kind = ChainItem::Kind::kRegion;
+        region.fork = key;
+        region.branches.push_back(std::move(backbone));
+        region.branches.emplace_back();  // identity: x itself
+        key = region.unit.ins.value;
+        chain.items.push_back(std::move(region));
+        chain.items.push_back(
+            add_unit(make_random_unit(rng, p.l_eff, 0), key));
+        key = chain.items.back().unit.ins.value;
     }
-    EXPECT_NEAR(replayed, dp.latency, 1e-9 + 1e-9 * dp.latency);
+    PlacementConfig cfg;
+    cfg.l_eff = p.l_eff;
+    cfg.bootstrap_latency = 7.5;
+
+    const PlacementResult dp = place_bootstraps(chain, cfg);
+    const PlacementResult lazy = place_bootstraps_lazy(chain, cfg);
+    EXPECT_LE(dp.latency, lazy.latency + 1e-9) << "seed " << p.seed;
+    // The first region is entered at l_eff and its backbone ends at level
+    // 0, so the lazy join must bootstrap both of its inputs.
+    EXPECT_GE(lazy.num_bootstraps, 2u);
+    expect_replays(dp, unit_of, cfg);
+    expect_replays(lazy, unit_of, cfg);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -159,7 +260,7 @@ TEST(PlacementProperty, RegionMatchesFlattenedEquivalentWhenShortcutFree)
     {
         ChainItem region;
         region.kind = ChainItem::Kind::kRegion;
-        region.unit.layer_id = 100;
+        region.unit.ins.layer_id = 100;
         region.unit.depth = 0;
         region.unit.latency = [](int) { return 0.0; };
         Chain backbone = flat;  // same units inside the region
