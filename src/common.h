@@ -71,6 +71,15 @@ is_power_of_two(u64 x)
     return x != 0 && (x & (x - 1)) == 0;
 }
 
+/** The smallest power of two >= x (1 for x = 0). */
+constexpr u64
+next_power_of_two(u64 x)
+{
+    u64 p = 1;
+    while (p < x) p <<= 1;
+    return p;
+}
+
 /** Integer log2 of a power of two. */
 constexpr int
 log2_exact(u64 x)

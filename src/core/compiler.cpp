@@ -42,6 +42,8 @@ struct CompilerState {
     double input_max = 1.0;
     std::vector<double> nu;              // per-layer edge normalization
     std::vector<int> gap;                // layout gap of each layer output
+    std::vector<u64> period;             // replication period of each
+                                         // layer output (0 = one copy)
     std::vector<u64> edge_cts;           // ciphertexts per layer output
     std::vector<int> payload_of;         // layer id -> linears/acts index
     std::map<int, double> scale_insert;  // Add input layer id -> factor
@@ -319,6 +321,7 @@ stats_from_plan(const lin::BlockedPlan& plan, u64 in_cts, u64 out_cts)
         s.giant_rotations += bp.giant_rotation_count();
         s.pmults += bp.pmult_count();
     }
+    s.sum_rotations = plan.sum_rotation_count();
     s.input_cts = in_cts;
     s.output_cts = out_cts;
     return s;
@@ -336,7 +339,85 @@ value_layout(const CompilerState& st, int id)
     if (l.kind == LayerKind::kFlatten) {
         return value_layout(st, l.inputs[0]);
     }
-    return layout_for(l.out_shape, st.gap[static_cast<std::size_t>(id)]);
+    return layout_for(l.out_shape, st.gap[static_cast<std::size_t>(id)])
+        .with_period(st.period[static_cast<std::size_t>(id)]);
+}
+
+/**
+ * Picks the fully connected layers that take the hybrid form and the
+ * replication period of every value (DESIGN.md "Hybrid diagonals and
+ * replicated layouts"). A linear layer is hybrid when its input fits one
+ * ciphertext, n_o = out_features rounded up to a power of two is at most
+ * n_i = the input span rounded up, and the input can be made periodic
+ * with period n_i without a mask. That holds when the value's producer -
+ * reached through flattens, absorbed BatchNorms and element-wise
+ * activations, each with this one consumer - is the network input (the
+ * client packs the copies), a conv, pool, BatchNorm or diagonal-form
+ * linear layer (it replicates its clean output before any activation
+ * sees it), or a hybrid layer (its output already repeats with period
+ * n_o, which equals the consumer's n_i), and when the hybrid form plus
+ * any replication needs no more rotations than the diagonal form. Runs
+ * only at B = 1: a batch lane is not cyclic, so a fold would leave
+ * partial sums at the lane edges.
+ */
+void
+choose_periods(CompilerState& st)
+{
+    const Network& net = *st.net;
+    st.period.assign(static_cast<std::size_t>(net.num_layers()), 0);
+    if (st.batch > 1) return;
+    for (int id = 0; id < net.num_layers(); ++id) {
+        const Layer& l = net.layer(id);
+        if (l.kind != LayerKind::kLinear) continue;
+        const lin::TensorLayout in =
+            value_layout(st, l.inputs[0]).with_period(0);
+        const u64 span = in.total_slots();
+        const u64 n_i = next_power_of_two(span);
+        if (span > st.opt->slots ||
+            next_power_of_two(static_cast<u64>(l.out_features)) > n_i) {
+            continue;
+        }
+        std::vector<int> path;
+        int cur = l.inputs[0];
+        bool single = true;
+        for (;;) {
+            path.push_back(cur);
+            single = single && net.consumers(cur).size() == 1;
+            const Layer& p = net.layer(cur);
+            const bool elementwise =
+                p.kind == LayerKind::kFlatten ||
+                p.kind == LayerKind::kActivation ||
+                (p.kind == LayerKind::kBatchNorm2d &&
+                 st.bn_absorbed[static_cast<std::size_t>(cur)]);
+            if (!elementwise) break;
+            cur = p.inputs[0];
+        }
+        if (!single || net.layer(cur).kind == LayerKind::kAdd) continue;
+        const u64 have = st.period[static_cast<std::size_t>(cur)];
+        ORION_ASSERT(have == 0 || have == n_i);
+        // The copies are free from the client or a hybrid producer; any
+        // other producer pays log2(slots / n_i) rotate-and-adds. Keep the
+        // diagonal form where they would cost more rotations than the
+        // hybrid form saves (a narrow input in a wide slot vector).
+        const u64 replication =
+            have != 0 || net.layer(cur).kind == LayerKind::kInput
+                ? 0
+                : lin::BlockedPlan::replication(n_i, st.opt->slots).size();
+        const u64 n1 = st.opt->use_bsgs ? 0 : 1;
+        auto rotations = [&](const lin::TensorLayout& layout) {
+            return lin::BlockedPlan::build(
+                       lin::build_linear_structure(l.out_features, layout,
+                                                   st.opt->slots),
+                       n1)
+                .rotation_count();
+        };
+        if (rotations(in.with_period(n_i)) + replication > rotations(in)) {
+            continue;
+        }
+        for (int v : path) st.period[static_cast<std::size_t>(v)] = n_i;
+        st.period[static_cast<std::size_t>(id)] =
+            next_power_of_two(static_cast<u64>(l.out_features));
+    }
 }
 
 /** Builds the LinearLayerData of a conv / pool / linear / standalone BN. */
@@ -429,6 +510,9 @@ build_linear_payload(CompilerState& st, const Layer& l)
         }
     }
 
+    data.out_layout =
+        data.out_layout.with_period(st.period[static_cast<std::size_t>(l.id)]);
+
     // The plan always comes from the matrix that gets encoded, so it covers
     // exactly the diagonals PreparedProgram will hold (zero weights drop
     // out). Structural compiles have no values and plan every diagonal a
@@ -455,6 +539,12 @@ build_linear_payload(CompilerState& st, const Layer& l)
         data.rows = data.matrix->rows();
         data.cols = data.matrix->cols();
         data.plan = lin::BlockedPlan::build(*data.matrix, n1);
+    }
+    // A hybrid output already repeats with its period; any other output
+    // with a period is clean and gets copied over the slot vector.
+    if (!(linear && lin::is_hybrid_linear(l.out_features, in_layout))) {
+        data.plan.replicate_steps =
+            lin::BlockedPlan::replication(data.out_layout.period, opt.slots);
     }
     data.stats = stats_from_plan(
         data.plan, std::max<u64>(1, ceil_div(data.cols, opt.slots)),
@@ -758,18 +848,26 @@ tally_program(CompiledNetwork& cn)
 std::vector<CompiledNetwork::RotationUse>
 CompiledNetwork::required_rotations() const
 {
-    // Every rotation of a linear layer happens at the instruction's
-    // execution level (babies and giants both precede the rescale), so
-    // each step's key only has to cover the highest level any layer
-    // rotates by it.
+    // A linear layer's babies and giants rotate at the instruction's
+    // execution level (before the rescale), its fold and replication one
+    // level lower, so each step's key only has to cover the highest level
+    // any layer rotates by it.
     std::map<int, int> level_of;
+    auto use = [&](int step, int level) {
+        auto [it, inserted] = level_of.emplace(step, level);
+        if (!inserted) it->second = std::max(it->second, level);
+    };
     for (const Instruction& ins : program) {
         if (ins.op != Instruction::Op::kLinear) continue;
-        const LinearLayerData& data =
-            linears[static_cast<std::size_t>(ins.payload)];
-        for (int s : data.plan.required_steps()) {
-            auto [it, inserted] = level_of.emplace(s, ins.level);
-            if (!inserted) it->second = std::max(it->second, ins.level);
+        const lin::BlockedPlan& plan =
+            linears[static_cast<std::size_t>(ins.payload)].plan;
+        for (const auto& [key, bp] : plan.block_plans) {
+            (void)key;
+            for (int s : bp.required_steps()) use(s, ins.level);
+        }
+        for (const std::vector<u64>* sums :
+             {&plan.fold_steps, &plan.replicate_steps}) {
+            for (u64 s : *sums) use(static_cast<int>(s), ins.level - 1);
         }
     }
     std::vector<RotationUse> out;
@@ -918,8 +1016,7 @@ compile(const nn::Network& net, const CompileOptions& options)
             limit_name += "#" + std::to_string(id);
         }
     }
-    u64 lane_stride = 1;
-    while (lane_stride < max_span) lane_stride <<= 1;
+    const u64 lane_stride = next_power_of_two(max_span);
     const int capacity =
         lane_stride > options.slots
             ? 1
@@ -930,6 +1027,7 @@ compile(const nn::Network& net, const CompileOptions& options)
     st.out.batch_stride = st.batch_stride;
     st.out.batch_capacity = capacity;
     st.out.batch_limit_layer = limit_name;
+    choose_periods(st);
 
     // Payloads, in topological order.
     for (int id = 0; id < net.num_layers(); ++id) {
@@ -979,14 +1077,10 @@ compile(const nn::Network& net, const CompileOptions& options)
 
     // Input/output bookkeeping.
     st.out.input_shape = net.shape_of(net.input_id());
-    st.out.input_layout = st.batched(layout_for(
-        st.out.input_shape,
-        st.gap[static_cast<std::size_t>(net.input_id())]));
+    st.out.input_layout = st.batched(value_layout(st, net.input_id()));
     st.out.input_nu = st.nu[static_cast<std::size_t>(net.input_id())];
     st.out.output_nu = st.nu[static_cast<std::size_t>(net.output_id())];
-    st.out.output_layout = st.batched(layout_for(
-        net.shape_of(net.output_id()),
-        st.gap[static_cast<std::size_t>(net.output_id())]));
+    st.out.output_layout = st.batched(value_layout(st, net.output_id()));
     st.out.output_size = net.shape_of(net.output_id()).size();
 
     st.out.compile_seconds =

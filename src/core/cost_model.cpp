@@ -1,5 +1,6 @@
 #include "src/core/cost_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -123,7 +124,10 @@ CostModel::linear_layer(const PlanStats& stats, int level) const
                rotation_hoisted(level) +
            static_cast<double>(stats.pmults) *
                (pmult(level) + hadd(level)) +
-           static_cast<double>(stats.output_cts) * rescale(level);
+           static_cast<double>(stats.output_cts) * rescale(level) +
+           static_cast<double>(stats.sum_rotations) *
+               (rotation(std::max(0, level - 1)) +
+                hadd(std::max(0, level - 1)));
 }
 
 double

@@ -31,8 +31,14 @@ struct PlanStats {
     u64 output_cts = 0;       ///< ciphertexts holding the output tensor
     u64 hoists = 0;           ///< hoisted decompositions (one per input ct
                               ///  per column use)
+    u64 sum_rotations = 0;    ///< rotate-and-adds after the rescale (hybrid
+                              ///  fold, replication)
 
-    u64 total_rotations() const { return baby_rotations + giant_rotations; }
+    u64
+    total_rotations() const
+    {
+        return baby_rotations + giant_rotations + sum_rotations;
+    }
 };
 
 /** Closed-form latency model for CKKS primitives. */
@@ -81,7 +87,10 @@ class CostModel {
 
     // ---- aggregate latencies ----
 
-    /** One linear layer (BSGS matvec) executed at the given level. */
+    /**
+     * One linear layer (BSGS matvec) executed at the given level; its
+     * rotate-and-adds run one level lower, after the rescale.
+     */
     double linear_layer(const PlanStats& stats, int level) const;
 
     /**

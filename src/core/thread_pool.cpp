@@ -8,8 +8,23 @@ namespace orion::core {
 
 namespace {
 
-/** Set while the current thread runs a worker loop (nesting guard). */
-thread_local bool tls_on_worker = false;
+/**
+ * Set for the life of a worker loop, and while a caller runs iterations of
+ * a parallel region it launched (the nesting guard).
+ */
+thread_local bool tls_in_region = false;
+
+/** Marks the calling thread as inside a region for its lifetime. */
+class RegionGuard {
+  public:
+    RegionGuard() : previous_(tls_in_region) { tls_in_region = true; }
+    ~RegionGuard() { tls_in_region = previous_; }
+    RegionGuard(const RegionGuard&) = delete;
+    RegionGuard& operator=(const RegionGuard&) = delete;
+
+  private:
+    bool previous_;
+};
 
 /** Per-thread pool override installed by ScopedPoolOverride. */
 thread_local std::shared_ptr<ThreadPool> tls_pool_override;
@@ -42,9 +57,9 @@ ThreadPool::~ThreadPool()
 }
 
 bool
-ThreadPool::on_worker_thread()
+ThreadPool::in_region()
 {
-    return tls_on_worker;
+    return tls_in_region;
 }
 
 void
@@ -60,7 +75,7 @@ ThreadPool::enqueue(std::function<void()> task)
 void
 ThreadPool::worker_loop()
 {
-    tls_on_worker = true;
+    tls_in_region = true;
     for (;;) {
         std::function<void()> task;
         {
@@ -80,17 +95,23 @@ ThreadPool::parallel_for(i64 begin, i64 end,
 {
     const i64 count = end - begin;
     if (count <= 0) return;
-    if (count == 1 || workers_.empty() || on_worker_thread()) {
+    if (count == 1 || workers_.empty() || in_region()) {
         for (i64 i = begin; i < end; ++i) fn(i);
         return;
     }
 
+    // Every index is claimed exactly once (next) and counted exactly once
+    // when it finishes (finished), whether it ran or was skipped after a
+    // failure. The caller waits for the count, not for the helper tasks:
+    // a helper still queued behind other work finds nothing left to claim
+    // when it starts, and the region does not wait for it.
     struct State {
         std::atomic<i64> next{0};
         i64 end = 0;
+        i64 count = 0;
         const std::function<void(i64)>* fn = nullptr;
         std::atomic<bool> failed{false};
-        std::atomic<int> pending{0};
+        std::atomic<i64> finished{0};
         std::mutex mu;
         std::condition_variable done;
         std::exception_ptr error;
@@ -98,38 +119,45 @@ ThreadPool::parallel_for(i64 begin, i64 end,
     auto st = std::make_shared<State>();
     st->next = begin;
     st->end = end;
+    st->count = count;
     st->fn = &fn;
 
-    auto drain = [](const std::shared_ptr<State>& s) {
-        try {
-            while (!s->failed.load(std::memory_order_relaxed)) {
-                const i64 i = s->next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= s->end) break;
-                (*s->fn)(i);
+    auto drain = [](State& s) {
+        for (;;) {
+            const i64 i = s.next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= s.end) return;
+            if (!s.failed.load(std::memory_order_relaxed)) {
+                try {
+                    (*s.fn)(i);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lk(s.mu);
+                    if (!s.error) s.error = std::current_exception();
+                    s.failed.store(true, std::memory_order_relaxed);
+                }
             }
-        } catch (...) {
-            std::lock_guard<std::mutex> lk(s->mu);
-            if (!s->error) s->error = std::current_exception();
-            s->failed.store(true, std::memory_order_relaxed);
+            if (s.finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                s.count) {
+                std::lock_guard<std::mutex> lk(s.mu);
+                s.done.notify_all();
+            }
         }
     };
 
     const int helpers = static_cast<int>(std::min<i64>(
         static_cast<i64>(workers_.size()), count - 1));
-    st->pending = helpers;
     for (int h = 0; h < helpers; ++h) {
-        enqueue([st, drain] {
-            drain(st);
-            if (st->pending.fetch_sub(1) == 1) {
-                std::lock_guard<std::mutex> lk(st->mu);
-                st->done.notify_all();
-            }
-        });
+        enqueue([st, drain] { drain(*st); });
     }
-    drain(st);
+    {
+        // The caller's own nested regions run inline, as a worker's do.
+        const RegionGuard guard;
+        drain(*st);
+    }
     {
         std::unique_lock<std::mutex> lk(st->mu);
-        st->done.wait(lk, [&] { return st->pending.load() == 0; });
+        st->done.wait(lk, [&] {
+            return st->finished.load(std::memory_order_acquire) == count;
+        });
     }
     if (st->error) std::rethrow_exception(st->error);
 }
@@ -171,9 +199,9 @@ void
 parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn)
 {
     // Lock-free fast paths first: trivial ranges, nested launches from
-    // pool workers, and a serial global pool all run inline without
+    // inside a region, and a serial global pool all run inline without
     // touching g_pool_mu (this is the common case inside hot kernels).
-    if (end - begin <= 1 || ThreadPool::on_worker_thread()) {
+    if (end - begin <= 1 || ThreadPool::in_region()) {
         for (i64 i = begin; i < end; ++i) fn(i);
         return;
     }
@@ -193,7 +221,7 @@ parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn)
 int
 current_parallelism()
 {
-    if (ThreadPool::on_worker_thread()) return 1;
+    if (ThreadPool::in_region()) return 1;
     if (tls_pool_override) return tls_pool_override->num_threads();
     const int global = g_pool_size.load(std::memory_order_relaxed);
     return global > 0 ? global : config().resolved_num_threads();

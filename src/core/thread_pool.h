@@ -12,8 +12,11 @@
  *    integer math, so results are bit-identical for ANY thread count.
  *    Reductions are always finalized serially in a fixed order.
  *  - Kernels nest (a parallel BSGS baby step performs a parallel NTT).
- *    Nested regions run inline on the calling worker - this is also the
- *    deadlock guard: a worker never blocks waiting on queue capacity.
+ *    Nested regions run inline on the thread that reaches them, worker or
+ *    the region's own caller - this is also the deadlock guard: no thread
+ *    inside a region ever waits on queued work. A region completes when
+ *    its iterations have finished, not when its helper tasks have run, so
+ *    a helper still queued behind a sibling's work cannot hold it up.
  *  - num_threads = 1 must not spawn threads at all, so single-threaded
  *    runs exercise exactly the same code path as the seed implementation.
  *
@@ -51,21 +54,25 @@ class ThreadPool {
     /** Threads participating in parallel_for (workers + calling thread). */
     int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-    /** True when the current thread is a worker of any ThreadPool. */
-    static bool on_worker_thread();
+    /**
+     * True on a worker of any ThreadPool, and on a caller while it runs
+     * iterations of its own region: parallel work launched there runs
+     * inline.
+     */
+    static bool in_region();
 
     /**
      * Runs fn(i) for every i in [begin, end), distributing iterations
      * across the pool. Blocks until all iterations complete. Runs inline
      * when the pool is serial, the range is trivial, or the caller is
-     * already a pool worker (nesting / deadlock guard).
+     * already inside a region (nesting / deadlock guard).
      */
     void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn);
 
     /**
      * Schedules a single task and returns its future. Runs inline (and
-     * returns a ready future) when the pool is serial or the caller is a
-     * pool worker, so waiting on the future can never deadlock.
+     * returns a ready future) when the pool is serial or the caller is
+     * inside a region, so waiting on the future can never deadlock.
      */
     template <typename F>
     auto
@@ -75,7 +82,7 @@ class ThreadPool {
         auto task =
             std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
         std::future<R> fut = task->get_future();
-        if (workers_.empty() || on_worker_thread()) {
+        if (workers_.empty() || in_region()) {
             (*task)();
         } else {
             enqueue([task] { (*task)(); });
@@ -110,14 +117,14 @@ class ThreadPool {
 
 /**
  * The kernels' entry point. Dispatch order: trivial ranges and calls from
- * pool workers run inline (no locks); otherwise the calling thread's
+ * inside a region run inline (no locks); otherwise the calling thread's
  * ScopedPoolOverride pool, if any; otherwise the global pool.
  */
 void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn);
 
 /**
  * Number of threads a parallel_for launched from the current thread would
- * use: 1 on pool workers (nested regions run inline), the override pool's
+ * use: 1 inside a region (nested regions run inline), the override pool's
  * size under a ScopedPoolOverride, otherwise the global pool's size. Used
  * by kernels that pick a chunk count for per-thread partial results; the
  * chunking only affects scheduling, never values, so any return value

@@ -171,6 +171,14 @@ BlockedMatrix::block(u64 br, u64 bc) const
     return it == blocks_.end() ? nullptr : &it->second;
 }
 
+void
+BlockedMatrix::set_fold_steps(std::vector<u64> steps)
+{
+    ORION_CHECK(steps.empty() || (row_blocks() == 1 && col_blocks() == 1),
+                "only a one-block matrix folds");
+    fold_steps_ = std::move(steps);
+}
+
 std::vector<double>
 BlockedMatrix::apply(const std::vector<double>& x) const
 {
@@ -187,6 +195,12 @@ BlockedMatrix::apply(const std::vector<double>& x) const
         const std::vector<double> part = block.apply(seg);
         for (u64 i = 0; i < block_dim_; ++i) {
             y[br * block_dim_ + i] += part[i];
+        }
+    }
+    for (u64 s : fold_steps_) {
+        const std::vector<double> prev = y;
+        for (u64 i = 0; i < block_dim_; ++i) {
+            y[i] += prev[(i + s) % block_dim_];
         }
     }
     return y;
@@ -228,6 +242,7 @@ structure_of(const BlockedMatrix& m)
             s.blocks[{br, bc}] = block->diagonal_indices();
         }
     }
+    s.fold_steps = m.fold_steps();
     return s;
 }
 
@@ -262,6 +277,7 @@ BlockedPlan::build(const BlockedStructure& s, u64 n1)
         }
         plan.column_babies[bc] = {babies.begin(), babies.end()};
     }
+    plan.fold_steps = s.fold_steps;
     return plan;
 }
 
@@ -285,7 +301,21 @@ BlockedPlan::rotation_count() const
         (void)key;
         count += bp.giant_rotation_count();
     }
-    return count;
+    return count + sum_rotation_count();
+}
+
+u64
+BlockedPlan::sum_rotation_count() const
+{
+    return fold_steps.size() + replicate_steps.size();
+}
+
+std::vector<u64>
+BlockedPlan::replication(u64 period, u64 slots)
+{
+    std::vector<u64> steps;
+    for (u64 p = period; p != 0 && p < slots; p <<= 1) steps.push_back(p);
+    return steps;
 }
 
 u64
@@ -306,6 +336,9 @@ BlockedPlan::required_steps() const
     for (const auto& [key, bp] : block_plans) {
         (void)key;
         for (int s : bp.required_steps()) steps.insert(s);
+    }
+    for (const std::vector<u64>* sums : {&fold_steps, &replicate_steps}) {
+        for (u64 s : *sums) steps.insert(static_cast<int>(s));
     }
     return {steps.begin(), steps.end()};
 }
@@ -445,6 +478,17 @@ HeBlockedMatrix::apply(const ckks::Evaluator& eval,
         ckks::Ciphertext ct = eval.finalize_accumulator(accs[br]);
         eval.rescale_inplace(ct);
         out.push_back(std::move(ct));
+    }
+    // Fold, then replicate: each a chain of rotate-and-adds on the one
+    // output ciphertext, one level below the product.
+    ORION_CHECK(plan_.sum_rotation_count() == 0 || out.size() == 1,
+                "rotate-and-add steps need a one-ciphertext output");
+    for (const std::vector<u64>* sums :
+         {&plan_.fold_steps, &plan_.replicate_steps}) {
+        for (u64 s : *sums) {
+            eval.add_inplace(out[0],
+                             eval.rotate(out[0], static_cast<int>(s)));
+        }
     }
     return out;
 }

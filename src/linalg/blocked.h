@@ -37,7 +37,18 @@ class BlockedMatrix {
     /** The (br, bc) block, or nullptr when all-zero. */
     const DiagonalMatrix* block(u64 br, u64 bc) const;
 
-    /** Cleartext matvec (x padded to col_blocks * block_dim). */
+    /**
+     * Rotate-and-add steps that complete the product (see
+     * BlockedPlan::fold_steps); empty for a plain diagonal matrix. Only a
+     * one-block matrix folds.
+     */
+    const std::vector<u64>& fold_steps() const { return fold_steps_; }
+    void set_fold_steps(std::vector<u64> steps);
+
+    /**
+     * Cleartext matvec (x padded to col_blocks * block_dim), folded by
+     * fold_steps.
+     */
     std::vector<double> apply(const std::vector<double>& x) const;
 
     /** Sum of materialized diagonals over all blocks. */
@@ -46,6 +57,7 @@ class BlockedMatrix {
   private:
     u64 rows_, cols_, block_dim_;
     std::map<std::pair<u64, u64>, DiagonalMatrix> blocks_;
+    std::vector<u64> fold_steps_;
 };
 
 /**
@@ -58,6 +70,8 @@ struct BlockedStructure {
     u64 rows = 0, cols = 0, block_dim = 0;
     /** (block_row, block_col) -> sorted nonzero diagonal indices. */
     std::map<std::pair<u64, u64>, std::vector<u64>> blocks;
+    /** As BlockedMatrix::fold_steps. */
+    std::vector<u64> fold_steps;
 
     u64 row_blocks() const { return ceil_div(rows, block_dim); }
     u64 col_blocks() const { return ceil_div(cols, block_dim); }
@@ -67,25 +81,45 @@ struct BlockedStructure {
 /** Structure of an (already built) value matrix. */
 BlockedStructure structure_of(const BlockedMatrix& m);
 
-/** Rotation schedule for a blocked matvec (per-block BSGS, shared babies). */
+/**
+ * Rotation schedule for a blocked matvec (per-block BSGS, shared babies),
+ * followed on a one-block product by rotate-and-add steps.
+ */
 struct BlockedPlan {
     /** Plan of each materialized block, keyed by (block_row, block_col). */
     std::map<std::pair<u64, u64>, BsgsPlan> block_plans;
     /** Baby steps of each block-column (the union over its blocks). */
     std::map<u64, std::vector<u64>> column_babies;
+    /**
+     * After the rescale, y += rot(y, s) for each s here, then for each s
+     * in replicate_steps. The fold sums a hybrid product's partial sums
+     * (toeplitz.h: n_i/2, ..., n_o); replication copies a clean output
+     * over the slot vector with period P (P, 2P, ..., slots/2).
+     */
+    std::vector<u64> fold_steps;
+    std::vector<u64> replicate_steps;
 
     /**
      * Total ciphertext rotations: per column, its shared nontrivial baby
-     * steps; per block, its nontrivial giant steps.
+     * steps; per block, its nontrivial giant steps; the fold and
+     * replication steps.
      */
     u64 rotation_count() const;
+    /** Fold plus replication rotations (after the rescale). */
+    u64 sum_rotation_count() const;
     u64 pmult_count() const;
     std::vector<int> required_steps() const;
 
-    /** Plans the diagonals m materializes (its zero weights skipped). */
+    /**
+     * Plans the diagonals m materializes (its zero weights skipped) and
+     * its fold. No replication: that is the consumer's requirement.
+     */
     static BlockedPlan build(const BlockedMatrix& m, u64 n1 = 0);
     /** Plans from diagonal index sets alone (no values needed). */
     static BlockedPlan build(const BlockedStructure& s, u64 n1 = 0);
+
+    /** The replication steps P, 2P, ..., slots/2 of period P. */
+    static std::vector<u64> replication(u64 period, u64 slots);
 };
 
 /**
@@ -121,8 +155,9 @@ class HeBlockedMatrix {
 
     /**
      * y = M x homomorphically over ciphertext vectors; one level consumed
-     * (the result is rescaled once, to level() - 1). in.size() must equal
-     * col_blocks(); the result has row_blocks() entries.
+     * (the result is rescaled once, to level() - 1), then the plan's fold
+     * and replication steps. in.size() must equal col_blocks(); the result
+     * has row_blocks() entries.
      */
     std::vector<ckks::Ciphertext> apply(
         const ckks::Evaluator& eval,

@@ -21,6 +21,11 @@
  * block-diagonal shifts of the single-sample matrix — the diagonal index
  * sets (and hence the rotation plans) are identical to B = 1. batch = 1
  * with batch_stride = 0 is bit-identical to the historical layout.
+ *
+ * Replication: a single-sample layout may carry a period P (a power of
+ * two dividing the slot count, at least the span). The slot vector then
+ * repeats with period P: slot j holds what slot j mod P holds. This is
+ * the input a hybrid fully connected layer reads (toeplitz.h).
  */
 
 #include "src/common.h"
@@ -37,6 +42,8 @@ struct TensorLayout {
     int batch = 1;
     /** Slot offset between consecutive samples (0 when batch == 1). */
     u64 batch_stride = 0;
+    /** Replication period (0 = one copy, zeros beyond the span). */
+    u64 period = 0;
 
     TensorLayout() = default;
     TensorLayout(int c, int h, int w, int g = 1)
@@ -84,6 +91,20 @@ struct TensorLayout {
         TensorLayout l = *this;
         l.batch = b;
         l.batch_stride = b > 1 ? stride : 0;
+        return l;
+    }
+
+    /** A copy of this layout replicated with period p (0 = one copy). */
+    TensorLayout
+    with_period(u64 p) const
+    {
+        ORION_CHECK(p == 0 || (batch == 1 && p >= base_slots() &&
+                               is_power_of_two(p)),
+                    "bad replication period " << p << " for a "
+                                              << base_slots()
+                                              << "-slot layout");
+        TensorLayout l = *this;
+        l.period = p;
         return l;
     }
 
@@ -135,6 +156,7 @@ struct TensorLayout {
                 }
             }
         }
+        replicate(out);
         return out;
     }
 
@@ -168,6 +190,7 @@ struct TensorLayout {
                 }
             }
         }
+        replicate(out);
         return out;
     }
 
@@ -222,7 +245,18 @@ struct TensorLayout {
     {
         return channels == o.channels && height == o.height &&
                width == o.width && gap == o.gap && batch == o.batch &&
-               batch_stride == o.batch_stride;
+               batch_stride == o.batch_stride && period == o.period;
+    }
+
+  private:
+    /** Copies slots [0, period) over the rest of a packed vector. */
+    void
+    replicate(std::vector<double>& slots) const
+    {
+        if (period == 0) return;
+        for (u64 j = period; j < slots.size(); ++j) {
+            slots[j] = slots[j - period];
+        }
     }
 };
 

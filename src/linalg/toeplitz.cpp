@@ -6,6 +6,13 @@
 
 namespace orion::lin {
 
+bool
+is_hybrid_linear(int out_features, const TensorLayout& in)
+{
+    return in.period != 0 &&
+           next_power_of_two(static_cast<u64>(out_features)) <= in.period;
+}
+
 TensorLayout
 conv_output_layout(const Conv2dSpec& spec, const TensorLayout& in)
 {
@@ -76,15 +83,24 @@ scatter_conv(const Conv2dSpec& spec, const TensorLayout& in,
 
 /**
  * Rows of a fully-connected layer's matrix: output lanes reuse the input's
- * batch stride, so lane b's block of rows starts at b * batch_stride.
+ * batch stride, so lane b's block of rows starts at b * batch_stride. A
+ * hybrid matrix spans the whole block.
  */
 u64
-linear_rows(int out_features, const TensorLayout& in)
+linear_rows(int out_features, const TensorLayout& in, u64 block_dim)
 {
+    if (is_hybrid_linear(out_features, in)) return block_dim;
     const int nb = std::max(1, in.batch);
     return nb > 1 ? static_cast<u64>(nb - 1) * in.batch_stride +
                         static_cast<u64>(out_features)
                   : static_cast<u64>(out_features);
+}
+
+/** Columns of a fully-connected layer's matrix. */
+u64
+linear_cols(int out_features, const TensorLayout& in, u64 block_dim)
+{
+    return is_hybrid_linear(out_features, in) ? block_dim : in.total_slots();
 }
 
 /**
@@ -94,10 +110,18 @@ linear_rows(int out_features, const TensorLayout& in)
  * tensor in logical (c, y, x) order (the layout permutation is absorbed
  * into the column). Lane b's rows and columns both shift by
  * b * batch_stride.
+ *
+ * The hybrid form (is_hybrid_linear) instead emits, for every slot
+ * i < hybrid_rows and k < n_o, the weight W[i mod n_o][feature at column
+ * (i + k) mod n_i] on generalized diagonal k, at column (i + k) mod
+ * block_dim: the slot the rotation by k brings to i holds that column of
+ * the n_i-periodic input. The entries repeat with period n_i in i, so one
+ * period already gives the whole diagonal set.
  */
 template <class Emit>
 void
-scatter_linear(int out_features, const TensorLayout& in, const Emit& emit)
+scatter_linear(int out_features, const TensorLayout& in, u64 block_dim,
+               u64 hybrid_rows, const Emit& emit)
 {
     // Column of logical feature f under the input layout.
     std::vector<u64> col_of(in.logical_size());
@@ -109,6 +133,27 @@ scatter_linear(int out_features, const TensorLayout& in, const Emit& emit)
             }
         }
     }
+    if (is_hybrid_linear(out_features, in)) {
+        const u64 n_i = in.period;
+        const u64 n_o = next_power_of_two(static_cast<u64>(out_features));
+        ORION_CHECK(block_dim % n_i == 0,
+                    "replication period " << n_i << " does not divide "
+                                          << block_dim << " slots");
+        constexpr u64 kNone = ~u64(0);
+        std::vector<u64> feature_of(n_i, kNone);
+        for (u64 cf = 0; cf < col_of.size(); ++cf) feature_of[col_of[cf]] = cf;
+        for (u64 i = 0; i < hybrid_rows; ++i) {
+            const u64 r = i % n_o;
+            if (r >= static_cast<u64>(out_features)) continue;
+            for (u64 k = 0; k < n_o; ++k) {
+                const u64 cf = feature_of[(i + k) % n_i];
+                if (cf == kNone) continue;
+                emit(i, (i + k) % block_dim, static_cast<int>(r),
+                     r * col_of.size() + cf);
+            }
+        }
+        return;
+    }
     const int nb = std::max(1, in.batch);
     for (int b = 0; b < nb; ++b) {
         const u64 lane = static_cast<u64>(b) * in.batch_stride;
@@ -119,6 +164,17 @@ scatter_linear(int out_features, const TensorLayout& in, const Emit& emit)
             }
         }
     }
+}
+
+/** The hybrid fold n_i/2, ..., n_o (empty for the diagonal form). */
+std::vector<u64>
+linear_fold_steps(int out_features, const TensorLayout& in)
+{
+    std::vector<u64> steps;
+    if (!is_hybrid_linear(out_features, in)) return steps;
+    const u64 n_o = next_power_of_two(static_cast<u64>(out_features));
+    for (u64 s = in.period / 2; s >= n_o; s >>= 1) steps.push_back(s);
+    return steps;
 }
 
 /** Per-(block pair) bitmask collector of nonzero diagonal indices. */
@@ -212,13 +268,17 @@ build_linear_matrix(int out_features, int in_features,
                     out_scale.size() ==
                         static_cast<std::size_t>(out_features),
                 "out_scale must have one entry per output feature");
-    BlockedMatrix m(linear_rows(out_features, in), in.total_slots(),
-                    block_dim);
-    scatter_linear(out_features, in, [&](u64 row, u64 col, int r, u64 widx) {
-        const double s =
-            out_scale.empty() ? 1.0 : out_scale[static_cast<std::size_t>(r)];
-        m.add(row, col, s * weights[widx]);
-    });
+    BlockedMatrix m(linear_rows(out_features, in, block_dim),
+                    linear_cols(out_features, in, block_dim), block_dim);
+    scatter_linear(out_features, in, block_dim, block_dim,
+                   [&](u64 row, u64 col, int r, u64 widx) {
+                       const double s =
+                           out_scale.empty()
+                               ? 1.0
+                               : out_scale[static_cast<std::size_t>(r)];
+                       m.add(row, col, s * weights[widx]);
+                   });
+    m.set_fold_steps(linear_fold_steps(out_features, in));
     return m;
 }
 
@@ -226,11 +286,13 @@ BlockedStructure
 build_linear_structure(int out_features, const TensorLayout& in,
                        u64 block_dim)
 {
-    StructureSink sink(linear_rows(out_features, in), in.total_slots(),
-                       block_dim);
-    scatter_linear(out_features, in,
+    StructureSink sink(linear_rows(out_features, in, block_dim),
+                       linear_cols(out_features, in, block_dim), block_dim);
+    scatter_linear(out_features, in, block_dim, in.period,
                    [&](u64 row, u64 col, int, u64) { sink.add(row, col); });
-    return sink.finish();
+    BlockedStructure s = sink.finish();
+    s.fold_steps = linear_fold_steps(out_features, in);
+    return s;
 }
 
 Conv2dSpec

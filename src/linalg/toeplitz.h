@@ -81,10 +81,25 @@ BlockedMatrix build_conv_matrix(const Conv2dSpec& spec,
                                 const std::vector<double>& channel_scale = {});
 
 /**
+ * True when a fully connected layer over `in` takes the hybrid form of
+ * GAZELLE (Juvekar et al., USENIX Security 2018): the input is replicated
+ * with period n_i = in.period, and n_o = out_features rounded up to a
+ * power of two is at most n_i. The matrix then has the n_o diagonals
+ * d_k[i] = W[i mod n_o][(i + k) mod n_i] (W zero-padded to n_o x n_i)
+ * over the whole slot block, and its fold_steps n_i/2, ..., n_o sum the
+ * n_i / n_o partial products. Every column is hit exactly once per slot,
+ * so slot i of the output holds y[i mod n_o]: the output is replicated
+ * with period n_o, never a partial sum. Otherwise the layer is one
+ * zero-padded diagonal matrix with up to rows + span - 1 diagonals.
+ */
+bool is_hybrid_linear(int out_features, const TensorLayout& in);
+
+/**
  * Builds the matrix of a fully-connected layer applied to a tensor in the
- * given input layout (the layout permutation is absorbed into the matrix).
- * Weights are [out_features][in_features] row-major, where in_features
- * enumerates the tensor in logical (c, y, x) order.
+ * given input layout (the layout permutation is absorbed into the matrix):
+ * the hybrid form when is_hybrid_linear, else the diagonal form. Weights
+ * are [out_features][in_features] row-major, where in_features enumerates
+ * the tensor in logical (c, y, x) order.
  */
 BlockedMatrix build_linear_matrix(int out_features, int in_features,
                                   const std::vector<double>& weights,
@@ -124,7 +139,7 @@ BlockedStructure build_conv_structure(const Conv2dSpec& spec,
                                       const TensorLayout& in,
                                       const TensorLayout& out, u64 block_dim);
 
-/** Diagonal structure of a dense fully-connected layer. */
+/** Diagonal structure (and fold) of a dense fully-connected layer. */
 BlockedStructure build_linear_structure(int out_features,
                                         const TensorLayout& in,
                                         u64 block_dim);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/core/executor.h"
 #include "src/nn/models.h"
 #include "tests/serve_env.h"
@@ -340,6 +342,9 @@ expect_zero_weight_program_runs(const Network& net)
     const core::LinearLayerData& data = cn.linears.front();
     ASSERT_NE(data.matrix, nullptr);
     ASSERT_EQ(data.plan.pmult_count(), data.matrix->num_diagonals());
+    opt.structural_only = true;
+    EXPECT_EQ(core::compile(net, opt).linears.front().plan.pmult_count(),
+              data.plan.pmult_count() + 1);
 
     DirectRun fhe(cn, env.ctx,
                   std::make_shared<const core::PreparedProgram>(cn, env.ctx));
@@ -365,14 +370,33 @@ TEST(Compiler, ZeroWeightDiagonalsRunUnderCkks)
         return w;
     };
     {
-        // 1x8x8 -> 16: W[0][63] alone sits on diagonal 63.
+        // 1x8x8 -> 128 keeps the diagonal form (128 rows exceed the
+        // 64-slot input period): W[0][63] alone sits on diagonal 63.
         Network net("zero-linear");
         int id = net.add_flatten(net.add_input(1, 8, 8));
-        std::vector<double> w = weights(16 * 64);
+        std::vector<double> w = weights(128 * 64);
         w[63] = 0.0;
-        id = net.add_linear(id, 16, std::move(w));
+        id = net.add_linear(id, 128, std::move(w));
         net.set_output(id);
         SCOPED_TRACE("linear");
+        expect_zero_weight_program_runs(net);
+    }
+    {
+        // 1x8x8 -> 16 is hybrid (n_i = 64, n_o = 16): diagonal 5 holds
+        // W[r][(r + 5 + 16 j) mod 64] for r < 16, j < 4. All zero, it
+        // drops out of the plan.
+        Network net("zero-hybrid");
+        int id = net.add_flatten(net.add_input(1, 8, 8));
+        std::vector<double> w = weights(16 * 64);
+        for (int r = 0; r < 16; ++r) {
+            for (int j = 0; j < 4; ++j) {
+                w[static_cast<std::size_t>(r * 64 + (r + 5 + 16 * j) % 64)] =
+                    0.0;
+            }
+        }
+        id = net.add_linear(id, 16, std::move(w));
+        net.set_output(id);
+        SCOPED_TRACE("hybrid");
         expect_zero_weight_program_runs(net);
     }
     {
@@ -418,6 +442,18 @@ TEST(Compiler, StructuralCompileMatchesValueCompile)
         EXPECT_EQ(structural.total_rotations, valued.total_rotations);
         EXPECT_EQ(structural.total_pmults, valued.total_pmults);
         EXPECT_EQ(structural.num_bootstraps, valued.num_bootstraps);
+        ASSERT_EQ(structural.linears.size(), valued.linears.size());
+        for (std::size_t i = 0; i < valued.linears.size(); ++i) {
+            const lin::BlockedPlan& ps = structural.linears[i].plan;
+            const lin::BlockedPlan& pv = valued.linears[i].plan;
+            EXPECT_EQ(ps.pmult_count(), pv.pmult_count()) << "layer " << i;
+            EXPECT_EQ(ps.rotation_count(), pv.rotation_count()) << i;
+            EXPECT_EQ(ps.fold_steps, pv.fold_steps) << "layer " << i;
+            EXPECT_EQ(ps.replicate_steps, pv.replicate_steps) << i;
+            EXPECT_EQ(structural.linears[i].out_layout,
+                      valued.linears[i].out_layout)
+                << "layer " << i;
+        }
         const auto a = structural.required_rotations();
         const auto b = valued.required_rotations();
         ASSERT_EQ(a.size(), b.size());
@@ -425,6 +461,230 @@ TEST(Compiler, StructuralCompileMatchesValueCompile)
             EXPECT_EQ(a[i].step, b[i].step) << i;
             EXPECT_EQ(a[i].level, b[i].level) << i;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hybrid fully connected layers (DESIGN.md "Hybrid diagonals and
+// replicated layouts")
+// ---------------------------------------------------------------------
+
+/** Gaussian weights of a fixed seed. */
+std::vector<double>
+gaussian(u64 n, u64 seed)
+{
+    std::mt19937_64 rng(seed);
+    std::normal_distribution<double> dist(0.0, 0.3);
+    std::vector<double> w(n);
+    for (double& v : w) v = dist(rng);
+    return w;
+}
+
+/**
+ * A c x h x w input, optionally a 3x3 stride-2 conv to 4 channels and a
+ * square, then flatten and fully connected layers of the given widths
+ * with squares between them; every layer has a bias.
+ */
+Network
+fc_net(const char* name, int c, int h, int w, bool strided_conv,
+       const std::vector<int>& widths)
+{
+    Network net(name);
+    int id = net.add_input(c, h, w);
+    u64 seed = 300;
+    if (strided_conv) {
+        lin::Conv2dSpec spec;
+        spec.in_channels = c;
+        spec.out_channels = 4;
+        spec.kernel_h = spec.kernel_w = 3;
+        spec.stride = 2;
+        spec.pad = 1;
+        id = net.add_conv2d(id, spec, gaussian(spec.weight_count(), seed++),
+                            gaussian(4, seed++));
+        id = net.add_activation(id, ActivationSpec::square());
+    }
+    id = net.add_flatten(id);
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+        if (i > 0) id = net.add_activation(id, ActivationSpec::square());
+        const int in = static_cast<int>(net.shape_of(id).size());
+        id = net.add_linear(id, widths[i],
+                            gaussian(static_cast<u64>(in) * widths[i], seed++),
+                            gaussian(static_cast<u64>(widths[i]), seed++));
+    }
+    net.set_output(id);
+    return net;
+}
+
+/** The toy-context compile of `net` at `batch` lanes, with values. */
+CompiledNetwork
+compile_toy(const Network& net, int batch)
+{
+    CkksEnv& env = CkksEnv::shared();
+    CompileOptions opt = toy_options(env.ctx.slot_count(), 4);
+    opt.structural_only = false;
+    opt.batch = batch;
+    return core::compile(net, opt);
+}
+
+/**
+ * Runs `xs` (one per lane) through `cn` under real CKKS and checks every
+ * lane against the cleartext backend: at least 10 bits of agreement, and
+ * the walk's rotation count equal to the kernels'. Returns the outputs.
+ */
+std::vector<std::vector<double>>
+expect_lanes_match_cleartext(const CompiledNetwork& cn,
+                             const std::vector<std::vector<double>>& xs)
+{
+    CkksEnv& env = CkksEnv::shared();
+    DirectRun fhe(cn, env.ctx,
+                  std::make_shared<const core::PreparedProgram>(cn, env.ctx));
+    const std::vector<ckks::Ciphertext> in = fhe.client.encrypt(xs);
+    const ckks::OpCounters before = env.ctx.counters();
+    const core::EncryptedResult r = fhe.exec.run_encrypted(in);
+    EXPECT_EQ(env.ctx.counters().total_rotations() - before.total_rotations(),
+              cn.total_rotations);
+    EXPECT_EQ(r.rotations, cn.total_rotations);
+    EXPECT_EQ(r.pmults, cn.total_pmults);
+    const std::vector<std::vector<double>> got =
+        fhe.client.decrypt(r.outputs, static_cast<int>(xs.size()));
+    for (std::size_t b = 0; b < xs.size(); ++b) {
+        const std::vector<double> want =
+            core::SimExecutor(cn, 0.0).run(xs[b]).output;
+        EXPECT_LT(rel_err(got[b], want), std::exp2(-10.0)) << "lane " << b;
+    }
+    return got;
+}
+
+TEST(Compiler, HybridLinearLayersMatchCleartextUnderCkks)
+{
+    struct Case {
+        const char* name;
+        Network net;
+        u64 input_period;  ///< the client's replication (0 = none)
+        /** Per linear layer: {n_i, fold steps, replication steps}. */
+        std::vector<std::tuple<u64, std::vector<u64>, std::vector<u64>>>
+            layers;
+    };
+    const Case cases[] = {
+        // rows < cols on a network input that the client replicates.
+        {"rows<cols",
+         fc_net("rows<cols", 1, 8, 8, false, {16, 5}),
+         64,
+         {{64, {32, 16}, {}}, {16, {8}, {}}}},
+        // rows == cols: no fold.
+        {"rows==cols",
+         fc_net("rows==cols", 1, 4, 4, false, {16, 16}),
+         16,
+         {{16, {}, {}}, {16, {}, {}}}},
+        // Non-power-of-two rows: zero-padded to n_o = 16 and 8.
+        {"rows=12",
+         fc_net("rows=12", 1, 8, 8, false, {12, 5}),
+         64,
+         {{64, {32, 16}, {}}, {16, {8}, {}}}},
+        // A stride-2 conv's gap-2 output spans 64 slots; the conv
+        // replicates it before the square sees it.
+        {"gapped",
+         fc_net("gapped", 1, 8, 8, true, {10}),
+         0,
+         {{0, {}, {64, 128, 256, 512}}, {64, {32, 16}, {}}}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const CompiledNetwork cn = compile_toy(c.net, 1);
+        EXPECT_EQ(cn.input_layout.period, c.input_period);
+        ASSERT_EQ(cn.linears.size(), c.layers.size());
+        for (std::size_t i = 0; i < c.layers.size(); ++i) {
+            const auto& [n_i, fold, replicate] = c.layers[i];
+            const core::LinearLayerData& data = cn.linears[i];
+            EXPECT_EQ(data.in_layout.period, n_i) << "layer " << i;
+            EXPECT_EQ(data.plan.fold_steps, fold) << "layer " << i;
+            EXPECT_EQ(data.plan.replicate_steps, replicate) << "layer " << i;
+            if (data.kind == nn::LayerKind::kLinear) {
+                // n_o diagonals, whatever the input span.
+                EXPECT_EQ(data.plan.pmult_count(),
+                          next_power_of_two(
+                              static_cast<u64>(data.out_features)))
+                    << "layer " << i;
+            }
+        }
+        const u64 in_size = c.net.shape_of(c.net.input_id()).size();
+        expect_lanes_match_cleartext(cn, {random_vector(in_size, 1.0, 77)});
+    }
+}
+
+TEST(Compiler, BatchedDiagonalFormMatchesSingleSampleHybrid)
+{
+    // A batch lane is not cyclic, so B = 2 keeps the diagonal form; each
+    // lane must still agree with the B = 1 hybrid program.
+    const Network net = fc_net("batched", 1, 8, 8, false, {16, 5});
+    const CompiledNetwork one = compile_toy(net, 1);
+    const CompiledNetwork two = compile_toy(net, 2);
+    ASSERT_EQ(two.batch, 2);
+    for (const core::LinearLayerData& data : two.linears) {
+        EXPECT_EQ(data.in_layout.period, 0u);
+        EXPECT_TRUE(data.plan.fold_steps.empty());
+    }
+    EXPECT_LT(one.total_pmults, two.total_pmults);
+    const std::vector<std::vector<double>> xs = {
+        random_vector(64, 1.0, 81), random_vector(64, 1.0, 82)};
+    const std::vector<std::vector<double>> batched =
+        expect_lanes_match_cleartext(two, xs);
+    for (std::size_t b = 0; b < xs.size(); ++b) {
+        const std::vector<double> single =
+            expect_lanes_match_cleartext(one, {xs[b]}).front();
+        EXPECT_LT(rel_err(batched[b], single), std::exp2(-10.0))
+            << "lane " << b;
+    }
+}
+
+/** Per-layer exact counts of one linear layer. */
+struct LayerCounts {
+    u64 rotations, pmults, steps;
+};
+
+void
+expect_counts(const CompiledNetwork& cn, u64 rotations, u64 pmults,
+              u64 galois_steps, const std::vector<LayerCounts>& layers)
+{
+    EXPECT_EQ(cn.total_rotations, rotations);
+    EXPECT_EQ(cn.total_pmults, pmults);
+    EXPECT_EQ(cn.required_rotations().size(), galois_steps);
+    ASSERT_EQ(cn.linears.size(), layers.size());
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const core::PlanStats& s = cn.linears[i].stats;
+        EXPECT_EQ(s.total_rotations(), layers[i].rotations) << "layer " << i;
+        EXPECT_EQ(s.pmults, layers[i].pmults) << "layer " << i;
+        EXPECT_EQ(cn.linears[i].plan.required_steps().size(),
+                  layers[i].steps)
+            << "layer " << i;
+    }
+}
+
+TEST(Compiler, HybridCountsArePinned)
+{
+    {
+        // LoLA at network(2^13, 14), l_eff 8: conv (replicates, period
+        // 2048), FC1 100 x 1352-slot span (128 diagonals, fold 1024 ..
+        // 128), FC2 10 x 100 (16 diagonals, fold 64 .. 16).
+        SCOPED_TRACE("lola");
+        CompileOptions opt;
+        opt.slots = 4096;
+        opt.l_eff = 8;
+        opt.cost = core::CostModel::for_params(8192, 3, 3, 14);
+        const CompiledNetwork cn = core::compile(nn::make_lola(), opt);
+        expect_counts(cn, 73, 493, 52,
+                      {{39, 349, 39}, {25, 128, 25}, {9, 16, 9}});
+    }
+    {
+        SCOPED_TRACE("micro");
+        CkksEnv& env = CkksEnv::shared();
+        CompileOptions opt;
+        opt.slots = env.ctx.slot_count();
+        opt.l_eff = 4;
+        opt.cost = core::CostModel::for_params(env.ctx.degree(), 3, 3, 3);
+        opt.calibration_samples = 3;
+        const CompiledNetwork cn = core::compile(nn::make_micro_mlp(), opt);
+        expect_counts(cn, 13, 24, 9, {{8, 16, 8}, {5, 8, 5}});
     }
 }
 

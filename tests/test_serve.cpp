@@ -889,6 +889,20 @@ TEST(ServeBootstrap, BootStageSpansAccountForServedExecuteTime)
 // Slot-batched inference
 // ---------------------------------------------------------------------
 
+/** The micro MLP compiled with `batch` lanes for the shared toy context. */
+CompiledNetwork
+compile_micro_batched(const Network& net, int batch)
+{
+    CkksEnv& env = CkksEnv::shared();
+    core::CompileOptions opt;
+    opt.slots = env.ctx.slot_count();
+    opt.l_eff = 4;
+    opt.cost = core::CostModel::for_params(env.ctx.degree(), 3, 3, 3);
+    opt.calibration_samples = 3;
+    opt.batch = batch;
+    return core::compile(net, opt);
+}
+
 /** The micro MLP compiled with 16 batch lanes (built once; read-only). */
 struct BatchServeEnv {
     Network net;
@@ -896,18 +910,10 @@ struct BatchServeEnv {
     std::shared_ptr<const core::PreparedProgram> prepared;
 
     BatchServeEnv()
-        : net(nn::make_micro_mlp())
+        : net(nn::make_micro_mlp()), cn(compile_micro_batched(net, 16))
     {
-        CkksEnv& env = CkksEnv::shared();
-        core::CompileOptions opt;
-        opt.slots = env.ctx.slot_count();
-        opt.l_eff = 4;
-        opt.cost = core::CostModel::for_params(env.ctx.degree(), 3, 3, 3);
-        opt.calibration_samples = 3;
-        opt.batch = 16;
-        cn = core::compile(net, opt);
-        prepared =
-            std::make_shared<const core::PreparedProgram>(cn, env.ctx);
+        prepared = std::make_shared<const core::PreparedProgram>(
+            cn, CkksEnv::shared().ctx);
     }
 
     static BatchServeEnv&
@@ -920,7 +926,6 @@ struct BatchServeEnv {
 
 TEST(ServeBatch, CompilerInfersCapacityAndPlanIsUnchanged)
 {
-    ServeEnv& senv = ServeEnv::shared();
     BatchServeEnv& benv = BatchServeEnv::shared();
     // The micro MLP spans 64 slots per sample, so 1024 toy slots carry
     // exactly 16 lanes at stride 64.
@@ -928,9 +933,19 @@ TEST(ServeBatch, CompilerInfersCapacityAndPlanIsUnchanged)
     EXPECT_EQ(benv.cn.batch_capacity, 16);
     EXPECT_EQ(benv.cn.batch_stride, 64u);
     EXPECT_FALSE(benv.cn.batch_limit_layer.empty());
-    // Block-diagonal batching: the rotation/pmult schedule is the
-    // single-sample schedule — only the diagonal values changed.
-    EXPECT_EQ(benv.cn.total_rotations, senv.cn.total_rotations);
+    // Block-diagonal batching: the rotation/pmult schedule does not depend
+    // on the lane count - only the diagonal values change. (B = 1 compiles
+    // the hybrid form instead, whose fold needs a cyclic lane.)
+    const CompiledNetwork two = compile_micro_batched(benv.net, 2);
+    ASSERT_EQ(two.batch, 2);
+    EXPECT_EQ(benv.cn.total_rotations, two.total_rotations);
+    EXPECT_EQ(benv.cn.total_pmults, two.total_pmults);
+    ASSERT_EQ(benv.cn.linears.size(), two.linears.size());
+    for (std::size_t i = 0; i < two.linears.size(); ++i) {
+        EXPECT_EQ(benv.cn.linears[i].plan.required_steps(),
+                  two.linears[i].plan.required_steps())
+            << "layer " << i;
+    }
     EXPECT_EQ(benv.cn.input_layout.batch, 16);
     EXPECT_EQ(benv.cn.output_layout.batch, 16);
 }
@@ -971,7 +986,7 @@ TEST(ServeBatch, BatchedRequestMatchesPerSampleExecution)
 
     // One program execution served all lanes; the ledger counts images.
     EXPECT_EQ(reply.stats.batch_count, static_cast<u64>(count));
-    EXPECT_EQ(reply.stats.rotations, senv.cn.total_rotations);
+    EXPECT_EQ(reply.stats.rotations, benv.cn.total_rotations);
     const serve::ServerStats s = server.stats();
     EXPECT_EQ(s.completed, 1u);
     EXPECT_EQ(s.images, static_cast<u64>(count));

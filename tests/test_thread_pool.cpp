@@ -7,7 +7,10 @@
  */
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -101,6 +104,53 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
         pool.parallel_for(0, 4, [&](i64) { inner_total.fetch_add(1); });
     });
     EXPECT_EQ(inner_total.load(), 8 * 4);
+}
+
+TEST(ThreadPool, CallerNestedRegionDoesNotWaitForSiblings)
+{
+    // Both outer items run at once, one on the caller and one on the
+    // worker. Each runs a nested region, then waits for the other item's
+    // nested region. A caller whose nested region waited for its queued
+    // helper would block until the worker's item gave up.
+    ThreadPool pool(2);
+    std::mutex mu;
+    std::condition_variable cv;
+    int started = 0, nested_done = 0, timeouts = 0;
+    auto wait_for = [&](std::unique_lock<std::mutex>& lk, int* counter) {
+        if (!cv.wait_for(lk, std::chrono::seconds(2),
+                         [&] { return *counter == 2; })) {
+            ++timeouts;
+        }
+    };
+    pool.parallel_for(0, 2, [&](i64) {
+        {
+            std::unique_lock<std::mutex> lk(mu);
+            ++started;
+            cv.notify_all();
+            wait_for(lk, &started);
+        }
+        std::atomic<int> inner{0};
+        pool.parallel_for(0, 4, [&](i64) { inner.fetch_add(1); });
+        EXPECT_EQ(inner.load(), 4);
+        std::unique_lock<std::mutex> lk(mu);
+        ++nested_done;
+        cv.notify_all();
+        wait_for(lk, &nested_done);
+    });
+    EXPECT_EQ(timeouts, 0);
+}
+
+TEST(ThreadPool, CallerRegionReportsSerialParallelism)
+{
+    const ScopedNumThreads scoped(2);
+    std::atomic<int> max_seen{0};
+    core::parallel_for(0, 2, [&](i64) {
+        const int p = core::current_parallelism();
+        int prev = max_seen.load();
+        while (prev < p && !max_seen.compare_exchange_weak(prev, p)) {
+        }
+    });
+    EXPECT_EQ(max_seen.load(), 1);
 }
 
 TEST(ThreadPool, NestedSubmitRunsInlineWithoutDeadlock)

@@ -202,6 +202,57 @@ TEST(Toeplitz, LinearLayerMatchesDense)
     }
 }
 
+TEST(Toeplitz, HybridLinearOutputRepeatsEveryRow)
+{
+    // Hybrid form over an input replicated with period n_i: every slot of
+    // the folded product holds y[i mod n_o] - a row's full dot product or
+    // the zero of a padding row, never a partial sum.
+    struct Case {
+        TensorLayout in;
+        int out_features;
+    };
+    const Case cases[] = {
+        {TensorLayout(1, 1, 64), 16},   // rows < cols
+        {TensorLayout(1, 1, 16), 16},   // rows == cols: no fold
+        {TensorLayout(1, 1, 50), 12},   // padded rows and columns
+        {TensorLayout(4, 3, 3, 2), 7},  // multiplexed (gapped) input
+    };
+    const u64 block_dim = 1u << 10;
+    for (const Case& c : cases) {
+        const u64 n_i = next_power_of_two(c.in.total_slots());
+        const u64 n_o = next_power_of_two(static_cast<u64>(c.out_features));
+        const TensorLayout in = c.in.with_period(n_i);
+        SCOPED_TRACE(testing::Message() << n_i << " -> " << n_o);
+        ASSERT_TRUE(lin::is_hybrid_linear(c.out_features, in));
+        const int in_features = static_cast<int>(in.logical_size());
+        const std::vector<double> w = random_weights(
+            static_cast<u64>(c.out_features) * in_features, 107);
+        const std::vector<double> x = random_vector(in_features, 1.0, 108);
+        const BlockedMatrix m = lin::build_linear_matrix(
+            c.out_features, in_features, w, in, block_dim);
+        EXPECT_EQ(m.num_diagonals(), n_o);
+        std::vector<u64> fold;
+        for (u64 s = n_i / 2; s >= n_o; s /= 2) fold.push_back(s);
+        EXPECT_EQ(m.fold_steps(), fold);
+        const lin::BlockedStructure s =
+            lin::build_linear_structure(c.out_features, in, block_dim);
+        EXPECT_EQ(s.num_diagonals(), n_o);
+        EXPECT_EQ(s.fold_steps, fold);
+
+        const std::vector<double> y = m.apply(in.pack(x, block_dim));
+        for (u64 i = 0; i < block_dim; ++i) {
+            const u64 r = i % n_o;
+            double expect = 0;
+            for (int f = 0; r < static_cast<u64>(c.out_features) &&
+                            f < in_features;
+                 ++f) {
+                expect += w[r * in_features + f] * x[f];
+            }
+            ASSERT_NEAR(y[i], expect, 1e-9) << "slot " << i;
+        }
+    }
+}
+
 TEST(Toeplitz, AvgPoolMatchesReference)
 {
     const TensorLayout in(2, 8, 8, 1);
