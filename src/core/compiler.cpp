@@ -30,6 +30,13 @@ layout_for(const nn::Shape& s, int gap)
     return lin::TensorLayout(s.c, s.h, s.w, gap);
 }
 
+/** A fully connected layer's matrix shape and plan over one input layout. */
+struct LinearForm {
+    lin::TensorLayout in;
+    u64 rows = 0, cols = 0;
+    lin::BlockedPlan plan;
+};
+
 /** The whole compile state, threaded through the passes. */
 struct CompilerState {
     const Network* net;
@@ -48,6 +55,9 @@ struct CompilerState {
     std::vector<int> payload_of;         // layer id -> linears/acts index
     std::map<int, double> scale_insert;  // Add input layer id -> factor
     std::map<int, std::vector<int>> relu_stages_of;  // ReLU id -> payloads
+    // Linear layer id -> the structure and plan choose_periods built for
+    // the form it chose, reused by a structural compile's payload.
+    std::map<int, LinearForm> linear_forms;
     // Value keys of unit records: a layer's output is keyed by its layer
     // id; sign-stage outputs get fresh keys from num_layers() up.
     int next_key = 0;
@@ -403,17 +413,21 @@ choose_periods(CompilerState& st)
             have != 0 || net.layer(cur).kind == LayerKind::kInput
                 ? 0
                 : lin::BlockedPlan::replication(n_i, st.opt->slots).size();
-        const u64 n1 = st.opt->use_bsgs ? 0 : 1;
-        auto rotations = [&](const lin::TensorLayout& layout) {
-            return lin::BlockedPlan::build(
-                       lin::build_linear_structure(l.out_features, layout,
-                                                   st.opt->slots),
-                       n1)
-                .rotation_count();
+        auto form = [&](const lin::TensorLayout& layout) {
+            const lin::BlockedStructure s = lin::build_linear_structure(
+                l.out_features, layout, st.opt->slots);
+            return LinearForm{layout, s.rows, s.cols,
+                              lin::BlockedPlan::build(
+                                  s, st.opt->use_bsgs ? 0 : 1)};
         };
-        if (rotations(in.with_period(n_i)) + replication > rotations(in)) {
+        LinearForm hybrid = form(in.with_period(n_i));
+        LinearForm diagonal = form(in);
+        if (hybrid.plan.rotation_count() + replication >
+            diagonal.plan.rotation_count()) {
+            st.linear_forms.emplace(id, std::move(diagonal));
             continue;
         }
+        st.linear_forms.emplace(id, std::move(hybrid));
         for (int v : path) st.period[static_cast<std::size_t>(v)] = n_i;
         st.period[static_cast<std::size_t>(id)] =
             next_power_of_two(static_cast<u64>(l.out_features));
@@ -516,10 +530,17 @@ build_linear_payload(CompilerState& st, const Layer& l)
     // The plan always comes from the matrix that gets encoded, so it covers
     // exactly the diagonals PreparedProgram will hold (zero weights drop
     // out). Structural compiles have no values and plan every diagonal a
-    // weight can touch.
+    // weight can touch; a fully connected layer reuses the plan
+    // choose_periods built for the form it chose.
     const bool linear = data.kind == LayerKind::kLinear;
     const u64 n1 = opt.use_bsgs ? 0 : 1;
-    if (opt.structural_only) {
+    const auto chosen = st.linear_forms.find(l.id);
+    if (opt.structural_only && chosen != st.linear_forms.end()) {
+        ORION_ASSERT(chosen->second.in == in_layout);
+        data.rows = chosen->second.rows;
+        data.cols = chosen->second.cols;
+        data.plan = std::move(chosen->second.plan);
+    } else if (opt.structural_only) {
         const lin::BlockedStructure structure =
             linear ? lin::build_linear_structure(l.out_features, in_layout,
                                                  opt.slots)

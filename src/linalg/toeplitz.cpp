@@ -1,6 +1,7 @@
 #include "src/linalg/toeplitz.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/core/thread_pool.h"
 
@@ -28,14 +29,64 @@ conv_output_layout(const Conv2dSpec& spec, const TensorLayout& in)
 
 namespace {
 
+/** Output positions lo..hi (inclusive; empty when lo > hi). */
+struct Span {
+    int lo = 0;
+    int hi = -1;
+};
+
 /**
- * Walks every filter tap of a convolution between the given layouts and
- * calls emit(row, col, o, widx): one matrix row per output element
- * (Figure 3a), with the tap scattered to its (row, col) position under the
- * multiplexed layouts. widx indexes the weights [co][ci/groups][kh][kw].
- * Batch lanes shift row and column by the same b * batch_stride, so they
- * land on the same generalized diagonals (block-diagonal weights: one BSGS
- * product serves all lanes).
+ * For each of `taps` kernel offsets k along one axis, the output
+ * positions o < n_out whose tap reads inside the input:
+ * 0 <= o * stride + k * dilation - pad < n_in. The bounds are
+ * closed-form, so no output pixel is tested on its own.
+ */
+std::vector<Span>
+tap_spans(const Conv2dSpec& spec, int taps, int n_out, int n_in)
+{
+    std::vector<Span> spans(static_cast<std::size_t>(taps));
+    for (int k = 0; k < taps; ++k) {
+        const int shift = k * spec.dilation - spec.pad;
+        const int top = n_in - 1 - shift;
+        if (top < 0) continue;
+        spans[static_cast<std::size_t>(k)] = {
+            shift >= 0 ? 0 : (-shift + spec.stride - 1) / spec.stride,
+            std::min(n_out - 1, top / spec.stride)};
+    }
+    return spans;
+}
+
+/**
+ * One (lane, output channel, input channel, tap) of a convolution and
+ * its output rectangle, rows y by columns x: the output pixels where that
+ * tap reads inside the input. Output pixel (oy, ox) is matrix row
+ * row(oy, ox) and reads input pixel (oy * stride + dy, ox * stride + dx)
+ * at column col(oy, ox), with weight widx in [co][ci/groups][kh][kw]
+ * order.
+ */
+struct ConvRect {
+    const TensorLayout* in;
+    const TensorLayout* out;
+    int b, o, c, stride, dy, dx;
+    u64 widx;
+    Span y, x;
+
+    u64 row(int oy, int ox) const { return out->slot_of(b, o, oy, ox); }
+    u64
+    col(int oy, int ox) const
+    {
+        return in->slot_of(b, c, oy * stride + dy, ox * stride + dx);
+    }
+};
+
+/**
+ * Walks a convolution between the given layouts one (lane, output
+ * channel, input channel, tap) at a time and calls emit(rect) with the
+ * tap's valid output rectangle (Figure 3a: one matrix row per output
+ * element, the tap scattered to its (row, col) under the multiplexed
+ * layouts). Batch lanes shift row and column by the same
+ * b * batch_stride, so they land on the same generalized diagonals
+ * (block-diagonal weights: one BSGS product serves all lanes).
  */
 template <class Emit>
 void
@@ -47,33 +98,32 @@ scatter_conv(const Conv2dSpec& spec, const TensorLayout& in,
                 "conv input/output batch mismatch");
     const int ci_per_group = spec.in_channels / spec.groups;
     const int co_per_group = spec.out_channels / spec.groups;
+    const std::vector<Span> ys =
+        tap_spans(spec, spec.kernel_h, out.height, in.height);
+    const std::vector<Span> xs =
+        tap_spans(spec, spec.kernel_w, out.width, in.width);
+    ConvRect t{&in, &out, 0, 0, 0, spec.stride, 0, 0, 0, {}, {}};
     const int nb = std::max(1, in.batch);
-    for (int b = 0; b < nb; ++b) {
-        for (int o = 0; o < spec.out_channels; ++o) {
-            const int group = o / co_per_group;
-            for (int oy = 0; oy < out.height; ++oy) {
-                for (int ox = 0; ox < out.width; ++ox) {
-                    const u64 row = out.slot_of(b, o, oy, ox);
-                    for (int ci = 0; ci < ci_per_group; ++ci) {
-                        const int c = group * ci_per_group + ci;
-                        for (int ky = 0; ky < spec.kernel_h; ++ky) {
-                            const int iy = oy * spec.stride - spec.pad +
-                                           ky * spec.dilation;
-                            if (iy < 0 || iy >= in.height) continue;
-                            for (int kx = 0; kx < spec.kernel_w; ++kx) {
-                                const int ix = ox * spec.stride - spec.pad +
-                                               kx * spec.dilation;
-                                if (ix < 0 || ix >= in.width) continue;
-                                const u64 widx =
-                                    ((static_cast<u64>(o) * ci_per_group +
-                                      ci) *
-                                         spec.kernel_h +
-                                     ky) *
-                                        spec.kernel_w +
-                                    kx;
-                                emit(row, in.slot_of(b, c, iy, ix), o, widx);
-                            }
-                        }
+    for (t.b = 0; t.b < nb; ++t.b) {
+        for (t.o = 0; t.o < spec.out_channels; ++t.o) {
+            const int group = t.o / co_per_group;
+            for (int ci = 0; ci < ci_per_group; ++ci) {
+                t.c = group * ci_per_group + ci;
+                for (int ky = 0; ky < spec.kernel_h; ++ky) {
+                    t.y = ys[static_cast<std::size_t>(ky)];
+                    if (t.y.lo > t.y.hi) continue;
+                    t.dy = ky * spec.dilation - spec.pad;
+                    for (int kx = 0; kx < spec.kernel_w; ++kx) {
+                        t.x = xs[static_cast<std::size_t>(kx)];
+                        if (t.x.lo > t.x.hi) continue;
+                        t.dx = kx * spec.dilation - spec.pad;
+                        t.widx = ((static_cast<u64>(t.o) * ci_per_group +
+                                   ci) *
+                                      spec.kernel_h +
+                                  ky) *
+                                     spec.kernel_w +
+                                 kx;
+                        emit(t);
                     }
                 }
             }
@@ -105,18 +155,20 @@ linear_cols(int out_features, const TensorLayout& in, u64 block_dim)
 
 /**
  * Walks every weight of a fully-connected layer applied to a tensor in
- * layout `in` and calls emit(row, col, r, widx), where widx indexes the
- * weights [out_features][in_features] and in_features enumerates the
- * tensor in logical (c, y, x) order (the layout permutation is absorbed
- * into the column). Lane b's rows and columns both shift by
- * b * batch_stride.
+ * layout `in` and calls emit(row, col, n, r, widx) for a column run: the
+ * n entries (row + i, col) hold the weights widx + i * in_features of
+ * output features r + i. Weights are [out_features][in_features] and
+ * in_features enumerates the tensor in logical (c, y, x) order (the
+ * layout permutation is absorbed into the column). The diagonal form
+ * emits one run per (lane, input feature) covering every output feature;
+ * lane b's rows and columns both shift by b * batch_stride.
  *
  * The hybrid form (is_hybrid_linear) instead emits, for every slot
  * i < hybrid_rows and k < n_o, the weight W[i mod n_o][feature at column
  * (i + k) mod n_i] on generalized diagonal k, at column (i + k) mod
- * block_dim: the slot the rotation by k brings to i holds that column of
- * the n_i-periodic input. The entries repeat with period n_i in i, so one
- * period already gives the whole diagonal set.
+ * block_dim, as a run of one: the slot the rotation by k brings to i
+ * holds that column of the n_i-periodic input. The entries repeat with
+ * period n_i in i, so one period already gives the whole diagonal set.
  */
 template <class Emit>
 void
@@ -148,7 +200,7 @@ scatter_linear(int out_features, const TensorLayout& in, u64 block_dim,
             for (u64 k = 0; k < n_o; ++k) {
                 const u64 cf = feature_of[(i + k) % n_i];
                 if (cf == kNone) continue;
-                emit(i, (i + k) % block_dim, static_cast<int>(r),
+                emit(i, (i + k) % block_dim, u64(1), static_cast<int>(r),
                      r * col_of.size() + cf);
             }
         }
@@ -157,11 +209,9 @@ scatter_linear(int out_features, const TensorLayout& in, u64 block_dim,
     const int nb = std::max(1, in.batch);
     for (int b = 0; b < nb; ++b) {
         const u64 lane = static_cast<u64>(b) * in.batch_stride;
-        for (int r = 0; r < out_features; ++r) {
-            for (u64 cf = 0; cf < col_of.size(); ++cf) {
-                emit(lane + static_cast<u64>(r), lane + col_of[cf], r,
-                     static_cast<u64>(r) * col_of.size() + cf);
-            }
+        for (u64 cf = 0; cf < col_of.size(); ++cf) {
+            emit(lane, lane + col_of[cf], static_cast<u64>(out_features), 0,
+                 cf);
         }
     }
 }
@@ -177,7 +227,13 @@ linear_fold_steps(int out_features, const TensorLayout& in)
     return steps;
 }
 
-/** Per-(block pair) bitmask collector of nonzero diagonal indices. */
+/**
+ * Collector of the nonzero generalized diagonals of each block pair.
+ * Every touched block pair keeps a flat bitset of its block_dim
+ * diagonals (one bit each, so multi-block layers stay small), and the
+ * sink caches the block pair it wrote last: the marks of one block cost
+ * no map lookup.
+ */
 class StructureSink {
   public:
     StructureSink(u64 rows, u64 cols, u64 block_dim)
@@ -187,32 +243,99 @@ class StructureSink {
         s_.block_dim = block_dim;
     }
 
+    /** Marks the diagonal holding entry (r, c). */
     void
     add(u64 r, u64 c)
     {
-        const std::pair<u64, u64> key{r / s_.block_dim, c / s_.block_dim};
-        std::vector<bool>& bits = bitsets_[key];
-        if (bits.empty()) bits.assign(s_.block_dim, false);
-        const u64 rr = r % s_.block_dim;
-        const u64 cc = c % s_.block_dim;
-        bits[(cc + s_.block_dim - rr) % s_.block_dim] = true;
+        const u64 d = s_.block_dim;
+        const u64 k = (c % d + d - r % d) % d;
+        bits(r / d, c / d)[k >> 6] |= u64(1) << (k & 63);
+    }
+
+    /**
+     * Marks the n entries (r + i * dr, c + i * dc). Equal steps keep a run
+     * on one generalized diagonal until it leaves its block pair, so it
+     * costs one mark per block pair. A column run (dr = 1, dc = 0) covers
+     * a contiguous, possibly wrapping, range of diagonals in each row
+     * block. Any other run is marked entry by entry.
+     */
+    void
+    add_run(u64 r, u64 c, u64 dr, u64 dc, u64 n)
+    {
+        const u64 d = s_.block_dim;
+        if (dr == dc && dr > 0) {
+            while (n > 0) {
+                const u64 left = std::min(d - r % d, d - c % d);
+                const u64 take = std::min(n, ceil_div(left, dr));
+                add(r, c);
+                r += take * dr;
+                c += take * dr;
+                n -= take;
+            }
+        } else if (dr == 1 && dc == 0) {
+            while (n > 0) {
+                // Rows r .. r + take - 1 of one row block put column c on
+                // diagonals first, first - 1, ..., first - take + 1.
+                const u64 take = std::min(n, d - r % d);
+                const u64 first = (c % d + d - r % d) % d;
+                const u64 lo = (first + d - (take - 1)) % d;
+                u64* w = bits(r / d, c / d);
+                mark(w, lo, std::min(lo + take, d));
+                if (lo + take > d) mark(w, 0, lo + take - d);
+                r += take;
+                n -= take;
+            }
+        } else {
+            for (u64 i = 0; i < n; ++i) add(r + i * dr, c + i * dc);
+        }
     }
 
     BlockedStructure
     finish()
     {
-        for (auto& [key, bits] : bitsets_) {
+        for (const auto& [key, words] : bitsets_) {
             std::vector<u64>& out = s_.blocks[key];
-            for (u64 k = 0; k < s_.block_dim; ++k) {
-                if (bits[k]) out.push_back(k);
+            for (std::size_t i = 0; i < words.size(); ++i) {
+                for (u64 w = words[i]; w != 0; w &= w - 1) {
+                    out.push_back(64 * i + std::countr_zero(w));
+                }
             }
         }
         return std::move(s_);
     }
 
   private:
+    /** The bitset of block pair (br, bc), created zero on first use. */
+    u64*
+    bits(u64 br, u64 bc)
+    {
+        if (cur_ == nullptr || br != cur_key_.first ||
+            bc != cur_key_.second) {
+            cur_key_ = {br, bc};
+            std::vector<u64>& words = bitsets_[cur_key_];
+            if (words.empty()) words.assign(ceil_div(s_.block_dim, 64), 0);
+            cur_ = words.data();
+        }
+        return cur_;
+    }
+
+    /** Sets bits lo .. hi - 1. */
+    static void
+    mark(u64* words, u64 lo, u64 hi)
+    {
+        while (lo < hi) {
+            const u64 bit = lo & 63;
+            const u64 take = std::min<u64>(64 - bit, hi - lo);
+            const u64 ones = take == 64 ? ~u64(0) : (u64(1) << take) - 1;
+            words[lo >> 6] |= ones << bit;
+            lo += take;
+        }
+    }
+
     BlockedStructure s_;
-    std::map<std::pair<u64, u64>, std::vector<bool>> bitsets_;
+    std::map<std::pair<u64, u64>, std::vector<u64>> bitsets_;
+    std::pair<u64, u64> cur_key_{0, 0};
+    u64* cur_ = nullptr;
 };
 
 }  // namespace
@@ -232,12 +355,17 @@ build_conv_matrix(const Conv2dSpec& spec, const std::vector<double>& weights,
                 "channel_scale must have one entry per output channel");
     BlockedMatrix m(std::max(out.total_slots(), u64(1)),
                     std::max(in.total_slots(), u64(1)), block_dim);
-    scatter_conv(spec, in, out, [&](u64 row, u64 col, int o, u64 widx) {
+    scatter_conv(spec, in, out, [&](const ConvRect& t) {
         const double oscale =
             channel_scale.empty()
                 ? 1.0
-                : channel_scale[static_cast<std::size_t>(o)];
-        m.add(row, col, oscale * weights[widx]);
+                : channel_scale[static_cast<std::size_t>(t.o)];
+        const double v = oscale * weights[t.widx];
+        for (int oy = t.y.lo; oy <= t.y.hi; ++oy) {
+            for (int ox = t.x.lo; ox <= t.x.hi; ++ox) {
+                m.add(t.row(oy, ox), t.col(oy, ox), v);
+            }
+        }
     });
     return m;
 }
@@ -246,9 +374,33 @@ BlockedStructure
 build_conv_structure(const Conv2dSpec& spec, const TensorLayout& in,
                      const TensorLayout& out, u64 block_dim)
 {
+    // slot_of is affine in y and in x within a channel. When the row and
+    // the column advance by the same step along both axes, col - row is
+    // constant over a whole rectangle: one generalized diagonal, as long
+    // as its first and last entries share a block pair (rows and columns
+    // only grow inside it). Otherwise each output row is one run.
+    const u64 row_dx = static_cast<u64>(out.gap);
+    const u64 col_dx = static_cast<u64>(in.gap) * spec.stride;
+    const bool one_diagonal =
+        row_dx == col_dx &&
+        row_dx * out.grid_width() == col_dx * in.grid_width();
     StructureSink sink(out.total_slots(), in.total_slots(), block_dim);
-    scatter_conv(spec, in, out,
-                 [&](u64 row, u64 col, int, u64) { sink.add(row, col); });
+    scatter_conv(spec, in, out, [&](const ConvRect& t) {
+        const u64 r0 = t.row(t.y.lo, t.x.lo);
+        const u64 c0 = t.col(t.y.lo, t.x.lo);
+        const bool one_block =
+            r0 / block_dim == t.row(t.y.hi, t.x.hi) / block_dim &&
+            c0 / block_dim == t.col(t.y.hi, t.x.hi) / block_dim;
+        if (one_diagonal && one_block) {
+            sink.add(r0, c0);
+            return;
+        }
+        const u64 n = static_cast<u64>(t.x.hi - t.x.lo + 1);
+        for (int oy = t.y.lo; oy <= t.y.hi; ++oy) {
+            sink.add_run(t.row(oy, t.x.lo), t.col(oy, t.x.lo), row_dx, col_dx,
+                         n);
+        }
+    });
     return sink.finish();
 }
 
@@ -270,14 +422,16 @@ build_linear_matrix(int out_features, int in_features,
                 "out_scale must have one entry per output feature");
     BlockedMatrix m(linear_rows(out_features, in, block_dim),
                     linear_cols(out_features, in, block_dim), block_dim);
-    scatter_linear(out_features, in, block_dim, block_dim,
-                   [&](u64 row, u64 col, int r, u64 widx) {
-                       const double s =
-                           out_scale.empty()
-                               ? 1.0
-                               : out_scale[static_cast<std::size_t>(r)];
-                       m.add(row, col, s * weights[widx]);
-                   });
+    const u64 per_feature = static_cast<u64>(in_features);
+    scatter_linear(
+        out_features, in, block_dim, block_dim,
+        [&](u64 row, u64 col, u64 n, int r, u64 widx) {
+            for (u64 i = 0; i < n; ++i) {
+                const std::size_t ri = static_cast<std::size_t>(r) + i;
+                const double s = out_scale.empty() ? 1.0 : out_scale[ri];
+                m.add(row + i, col, s * weights[widx + i * per_feature]);
+            }
+        });
     m.set_fold_steps(linear_fold_steps(out_features, in));
     return m;
 }
@@ -289,7 +443,9 @@ build_linear_structure(int out_features, const TensorLayout& in,
     StructureSink sink(linear_rows(out_features, in, block_dim),
                        linear_cols(out_features, in, block_dim), block_dim);
     scatter_linear(out_features, in, block_dim, in.period,
-                   [&](u64 row, u64 col, int, u64) { sink.add(row, col); });
+                   [&](u64 row, u64 col, u64 n, int, u64) {
+                       sink.add_run(row, col, 1, 0, n);
+                   });
     BlockedStructure s = sink.finish();
     s.fold_steps = linear_fold_steps(out_features, in);
     return s;
@@ -339,13 +495,17 @@ conv2d_reference(const Conv2dSpec& spec, const std::vector<double>& weights,
     std::vector<double> out(
         static_cast<std::size_t>(spec.out_channels) * oh * ow, 0.0);
 
+    const std::vector<Span> ys = tap_spans(spec, spec.kernel_h, oh, in_h);
+    const std::vector<Span> xs = tap_spans(spec, spec.kernel_w, ow, in_w);
+
     // Blocked + parallel: the output is tiled into (channel, row-band)
     // blocks that fan out across the thread pool — rows of one band reuse
-    // the same input rows while they are cache-hot. Each output element's
-    // accumulation runs in the original serial tap order, so results are
-    // bitwise identical to the untiled single-threaded loop. This is the
-    // reference path behind fig8_yolo's full mode (three 448x448x3
-    // forwards), which was untenably slow untiled on small hosts.
+    // the same input rows while they are cache-hot. Each output row adds
+    // one (ci, ky, kx) tap at a time over the tap's valid ox range, so
+    // every output element still sums its taps from 0.0 in the serial
+    // ci -> ky -> kx order: results are bitwise identical to the
+    // per-pixel loop. This is the reference path behind range estimation,
+    // simulation and fig8_yolo's full mode (three 448x448x3 forwards).
     const int row_block = 16;
     const int bands = (oh + row_block - 1) / row_block;
     const i64 num_tiles = static_cast<i64>(spec.out_channels) * bands;
@@ -359,32 +519,34 @@ conv2d_reference(const Conv2dSpec& spec, const std::vector<double>& weights,
             static_cast<std::size_t>(o) * ci_per_group * spec.kernel_h *
                 spec.kernel_w;
         for (int oy = band * row_block; oy < oy_end; ++oy) {
-            for (int ox = 0; ox < ow; ++ox) {
-                double acc = 0.0;
-                for (int ci = 0; ci < ci_per_group; ++ci) {
-                    const int c = group * ci_per_group + ci;
-                    const double* w_ci =
-                        w_base + static_cast<std::size_t>(ci) *
-                                     spec.kernel_h * spec.kernel_w;
-                    const double* in_c =
-                        input.data() +
-                        static_cast<std::size_t>(c) * in_h * in_w;
-                    for (int ky = 0; ky < spec.kernel_h; ++ky) {
-                        const int iy =
-                            oy * spec.stride - spec.pad + ky * spec.dilation;
-                        if (iy < 0 || iy >= in_h) continue;
-                        const double* w_ky = w_ci + ky * spec.kernel_w;
-                        const double* in_row = in_c + static_cast<std::size_t>(
-                                                          iy) * in_w;
-                        for (int kx = 0; kx < spec.kernel_w; ++kx) {
-                            const int ix = ox * spec.stride - spec.pad +
-                                           kx * spec.dilation;
-                            if (ix < 0 || ix >= in_w) continue;
-                            acc += w_ky[kx] * in_row[ix];
+            double* out_row =
+                out.data() + (static_cast<std::size_t>(o) * oh + oy) * ow;
+            for (int ci = 0; ci < ci_per_group; ++ci) {
+                const int c = group * ci_per_group + ci;
+                const double* w_ci =
+                    w_base +
+                    static_cast<std::size_t>(ci) * spec.kernel_h *
+                        spec.kernel_w;
+                const double* in_c =
+                    input.data() + static_cast<std::size_t>(c) * in_h * in_w;
+                for (int ky = 0; ky < spec.kernel_h; ++ky) {
+                    const Span& y = ys[static_cast<std::size_t>(ky)];
+                    if (oy < y.lo || oy > y.hi) continue;
+                    const double* w_ky = w_ci + ky * spec.kernel_w;
+                    const double* in_row =
+                        in_c + static_cast<std::size_t>(
+                                   oy * spec.stride + ky * spec.dilation -
+                                   spec.pad) *
+                                   in_w;
+                    for (int kx = 0; kx < spec.kernel_w; ++kx) {
+                        const Span& x = xs[static_cast<std::size_t>(kx)];
+                        const double w = w_ky[kx];
+                        const int dx = kx * spec.dilation - spec.pad;
+                        for (int ox = x.lo; ox <= x.hi; ++ox) {
+                            out_row[ox] += w * in_row[ox * spec.stride + dx];
                         }
                     }
                 }
-                out[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = acc;
             }
         }
     });

@@ -125,13 +125,19 @@ TensorLayout avgpool_output_layout(int kernel, int stride,
 /*
  * Structure-only variants: record which generalized diagonals of which
  * blocks a layer's weights can touch, without materializing values. They
- * walk the same (row, col, tap) scatter as the value builders above. Zero
- * weights are skipped only when values exist: a value matrix drops them,
- * a structure keeps every position. So a plan that will be encoded must
- * be built from the value matrix (BlockedPlan::build(matrix)); these
- * serve geometry-only callers (packing figures, baselines, and compiles of
- * networks whose full Toeplitz matrices would not fit in memory, such as
- * ResNet-50 and YOLO-v1).
+ * share the value builders' walk, one (lane, output channel, input
+ * channel, tap) at a time over the tap's valid output rectangle, but do
+ * not visit its entries one by one. A rectangle whose row and column
+ * advance together and that stays in one block pair is one generalized
+ * diagonal and is marked once; otherwise each output row is one run
+ * (DESIGN.md "Closed-form convolution structure"). A fully connected
+ * layer's column is a range of diagonals. Zero weights are skipped only
+ * when values exist: a value matrix drops them, a structure keeps every
+ * position. So a plan that will be encoded must be built from the value
+ * matrix (BlockedPlan::build(matrix)); these serve geometry-only callers
+ * (packing figures, baselines, and compiles of networks whose full
+ * Toeplitz matrices would not fit in memory, such as ResNet-50 and
+ * YOLO-v1).
  */
 
 /** Diagonal structure of a convolution between the given layouts. */

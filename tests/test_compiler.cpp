@@ -688,5 +688,25 @@ TEST(Compiler, HybridCountsArePinned)
     }
 }
 
+TEST(Compiler, StructuralResnet20CountsArePinned)
+{
+    // The paper's flagship network compiled as the resnet20-compile
+    // benchmark does (2^15 slots, l_eff 10, no values). Any change to
+    // packing, the diagonal structure, BSGS planning or bootstrap
+    // placement that moves a count shows here.
+    CompileOptions opt;
+    opt.slots = u64(1) << 15;
+    opt.l_eff = 10;
+    opt.structural_only = true;
+    opt.calibration_samples = 2;
+    const CompiledNetwork cn =
+        core::compile(nn::make_model("resnet20-relu"), opt);
+    EXPECT_EQ(cn.total_rotations, 1154u);
+    EXPECT_EQ(cn.num_bootstraps, 38u);
+    EXPECT_EQ(cn.total_pmults, 16017u);
+    EXPECT_EQ(cn.total_mult_depth, 334);
+    EXPECT_EQ(cn.activation_depth, 304);
+}
+
 }  // namespace
 }  // namespace orion::test

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
+#include <set>
 #include <tuple>
 
 #include "src/linalg/linalg.h"
@@ -309,6 +311,324 @@ TEST(Toeplitz, ChannelScaleFoldsIntoMatrix)
                                       yp[slot],
                         1e-9);
         }
+    }
+}
+
+// ---- Closed-form walks == per-tap / per-weight brute force ----
+
+/** (block row, block col) -> sorted diagonals, as in BlockedStructure. */
+using DiagonalSets = std::map<std::pair<u64, u64>, std::vector<u64>>;
+
+/** Collects entry positions into per-block diagonal sets. */
+class DiagonalCollector {
+  public:
+    explicit DiagonalCollector(u64 block_dim) : d_(block_dim) {}
+    void
+    add(u64 r, u64 c)
+    {
+        sets_[{r / d_, c / d_}].insert((c % d_ + d_ - r % d_) % d_);
+    }
+    DiagonalSets
+    sets() const
+    {
+        DiagonalSets out;
+        for (const auto& [key, diags] : sets_) {
+            out[key] = std::vector<u64>(diags.begin(), diags.end());
+        }
+        return out;
+    }
+
+  private:
+    u64 d_;
+    std::map<std::pair<u64, u64>, std::set<u64>> sets_;
+};
+
+/**
+ * The walk the closed-form one replaces: every lane, output channel,
+ * output pixel, input channel and tap, each input pixel bounds-checked;
+ * f(row, col, o, widx).
+ */
+template <class F>
+void
+per_tap_walk(const Conv2dSpec& spec, const TensorLayout& in,
+             const TensorLayout& out, const F& f)
+{
+    const int cpg = spec.in_channels / spec.groups;
+    const int opg = spec.out_channels / spec.groups;
+    for (int b = 0; b < in.batch; ++b) {
+        for (int o = 0; o < spec.out_channels; ++o) {
+            for (int oy = 0; oy < out.height; ++oy) {
+                for (int ox = 0; ox < out.width; ++ox) {
+                    for (int ci = 0; ci < cpg; ++ci) {
+                        for (int ky = 0; ky < spec.kernel_h; ++ky) {
+                            const int iy = oy * spec.stride - spec.pad +
+                                           ky * spec.dilation;
+                            if (iy < 0 || iy >= in.height) continue;
+                            for (int kx = 0; kx < spec.kernel_w; ++kx) {
+                                const int ix = ox * spec.stride - spec.pad +
+                                               kx * spec.dilation;
+                                if (ix < 0 || ix >= in.width) continue;
+                                const u64 widx =
+                                    ((static_cast<u64>(o) * cpg + ci) *
+                                         spec.kernel_h +
+                                     ky) *
+                                        spec.kernel_w +
+                                    kx;
+                                f(out.slot_of(b, o, oy, ox),
+                                  in.slot_of(b, (o / opg) * cpg + ci, iy, ix),
+                                  o, widx);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Both matrices hold the same blocks, diagonals and values, bit for bit. */
+void
+expect_same_matrix(const BlockedMatrix& got, const BlockedMatrix& want)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (u64 br = 0; br < want.row_blocks(); ++br) {
+        for (u64 bc = 0; bc < want.col_blocks(); ++bc) {
+            const lin::DiagonalMatrix* g = got.block(br, bc);
+            const lin::DiagonalMatrix* w = want.block(br, bc);
+            ASSERT_EQ(g == nullptr, w == nullptr) << br << "," << bc;
+            if (w == nullptr) continue;
+            ASSERT_EQ(g->diagonal_indices(), w->diagonal_indices());
+            for (u64 k : w->diagonal_indices()) {
+                ASSERT_EQ(*g->diagonal(k), *w->diagonal(k)) << "diag " << k;
+            }
+        }
+    }
+}
+
+TEST(Toeplitz, ConvStructureMatchesPerTapWalk)
+{
+    // Seeded random geometries: stride 1-3, pad 0-3, dilation 1-2,
+    // groups, raster and multiplexed outputs, batch lanes, and block_dim
+    // from one block down to far below the span (multi-block). The
+    // closed-form structure and value matrix must equal the per-tap walk.
+    std::mt19937_64 rng(20231);
+    auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    int checked = 0, raster_strided = 0, batched = 0, multi_block = 0,
+        grouped = 0, dilated = 0;
+    while (checked < 1200) {
+        Conv2dSpec spec;
+        spec.groups = pick(1, 3);
+        spec.in_channels = spec.groups * pick(1, 3);
+        spec.out_channels = spec.groups * pick(1, 3);
+        spec.kernel_h = pick(1, 4);
+        spec.kernel_w = pick(1, 4);
+        spec.stride = pick(1, 3);
+        spec.pad = pick(0, 3);
+        spec.dilation = pick(1, 2);
+        const int h = pick(1, 9);
+        const int w = pick(1, 9);
+        if (h + 2 * spec.pad <= spec.dilation * (spec.kernel_h - 1) ||
+            w + 2 * spec.pad <= spec.dilation * (spec.kernel_w - 1)) {
+            continue;
+        }
+        TensorLayout in(spec.in_channels, h, w, pick(1, 2));
+        const bool raster = pick(0, 1) == 1;
+        TensorLayout out =
+            raster ? TensorLayout(spec.out_channels, spec.out_h(h),
+                                  spec.out_w(w), in.gap)
+                   : lin::conv_output_layout(spec, in);
+        const int batch = pick(1, 3);
+        if (batch > 1) {
+            const u64 lane = std::max(in.base_slots(), out.base_slots()) +
+                             static_cast<u64>(pick(0, 5));
+            in = in.with_batch(batch, lane);
+            out = out.with_batch(batch, lane);
+        }
+        const u64 span = std::max(in.total_slots(), out.total_slots());
+        const int mode = pick(0, 2);
+        const u64 block_dim =
+            mode == 0   ? next_power_of_two(span)
+            : mode == 1 ? std::max<u64>(1, next_power_of_two(span) >>
+                                               pick(1, 4))
+                        : static_cast<u64>(pick(1, static_cast<int>(span)));
+        SCOPED_TRACE(testing::Message()
+                     << "case " << checked << ": ci " << spec.in_channels
+                     << " co " << spec.out_channels << " g " << spec.groups
+                     << " k " << spec.kernel_h << "x" << spec.kernel_w
+                     << " s " << spec.stride << " p " << spec.pad << " d "
+                     << spec.dilation << " in " << h << "x" << w << " gap "
+                     << in.gap << " out gap " << out.gap << " batch "
+                     << batch << " block " << block_dim);
+
+        DiagonalCollector want(block_dim);
+        BlockedMatrix want_m(std::max<u64>(out.total_slots(), 1),
+                             std::max<u64>(in.total_slots(), 1), block_dim);
+        const std::vector<double> weights = random_weights(
+            spec.weight_count(), 500 + static_cast<u64>(checked));
+        per_tap_walk(spec, in, out, [&](u64 r, u64 c, int, u64 widx) {
+            want.add(r, c);
+            want_m.add(r, c, weights[widx]);
+        });
+        const lin::BlockedStructure s =
+            lin::build_conv_structure(spec, in, out, block_dim);
+        EXPECT_EQ(s.rows, out.total_slots());
+        EXPECT_EQ(s.cols, in.total_slots());
+        ASSERT_EQ(s.blocks, want.sets());
+        expect_same_matrix(
+            lin::build_conv_matrix(spec, weights, in, out, block_dim),
+            want_m);
+        if (HasFatalFailure()) return;
+
+        ++checked;
+        raster_strided += raster && spec.stride > 1;
+        batched += batch > 1;
+        multi_block += block_dim < span;
+        grouped += spec.groups > 1;
+        dilated += spec.dilation > 1;
+    }
+    // Every family the closed form special-cases is well represented.
+    EXPECT_GT(raster_strided, 200);
+    EXPECT_GT(batched, 200);
+    EXPECT_GT(multi_block, 200);
+    EXPECT_GT(grouped, 200);
+    EXPECT_GT(dilated, 200);
+}
+
+TEST(Toeplitz, LinearStructureMatchesPerWeightWalk)
+{
+    // Diagonal-form fully connected layers are column runs of diagonals;
+    // check them, with batch lanes and multi-block, against every weight.
+    std::mt19937_64 rng(20232);
+    auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    for (int i = 0; i < 300; ++i) {
+        TensorLayout in(pick(1, 4), pick(1, 4), pick(1, 4), pick(1, 2));
+        const int out_features = pick(1, 40);
+        const int batch = pick(1, 3);
+        if (batch > 1) {
+            in = in.with_batch(batch,
+                               std::max<u64>(in.base_slots(),
+                                             static_cast<u64>(out_features)) +
+                                   static_cast<u64>(pick(0, 5)));
+        }
+        const u64 block_dim = static_cast<u64>(pick(2, 80));
+        SCOPED_TRACE(testing::Message() << "case " << i << " out "
+                                        << out_features << " block "
+                                        << block_dim << " batch " << batch);
+        ASSERT_FALSE(lin::is_hybrid_linear(out_features, in));
+        DiagonalCollector want(block_dim);
+        for (int b = 0; b < batch; ++b) {
+            const u64 lane = static_cast<u64>(b) * in.batch_stride;
+            for (int r = 0; r < out_features; ++r) {
+                for (int c = 0; c < in.channels; ++c) {
+                    for (int y = 0; y < in.height; ++y) {
+                        for (int x = 0; x < in.width; ++x) {
+                            want.add(lane + static_cast<u64>(r),
+                                     lane + in.slot_of(c, y, x));
+                        }
+                    }
+                }
+            }
+        }
+        ASSERT_EQ(lin::build_linear_structure(out_features, in, block_dim)
+                      .blocks,
+                  want.sets());
+    }
+}
+
+/** The per-pixel reference loop: each output sums its taps in order. */
+std::vector<double>
+naive_conv(const Conv2dSpec& spec, const std::vector<double>& weights,
+           const std::vector<double>& input, int h, int w)
+{
+    const int oh = spec.out_h(h);
+    const int ow = spec.out_w(w);
+    const int cpg = spec.in_channels / spec.groups;
+    const int opg = spec.out_channels / spec.groups;
+    std::vector<double> out(
+        static_cast<std::size_t>(spec.out_channels) * oh * ow);
+    for (int o = 0; o < spec.out_channels; ++o) {
+        for (int oy = 0; oy < oh; ++oy) {
+            for (int ox = 0; ox < ow; ++ox) {
+                double acc = 0.0;
+                for (int ci = 0; ci < cpg; ++ci) {
+                    const int c = (o / opg) * cpg + ci;
+                    for (int ky = 0; ky < spec.kernel_h; ++ky) {
+                        const int iy = oy * spec.stride - spec.pad +
+                                       ky * spec.dilation;
+                        if (iy < 0 || iy >= h) continue;
+                        for (int kx = 0; kx < spec.kernel_w; ++kx) {
+                            const int ix = ox * spec.stride - spec.pad +
+                                           kx * spec.dilation;
+                            if (ix < 0 || ix >= w) continue;
+                            acc += weights[((static_cast<std::size_t>(o) *
+                                                 cpg +
+                                             ci) *
+                                                spec.kernel_h +
+                                            ky) *
+                                               spec.kernel_w +
+                                           kx] *
+                                   input[(static_cast<std::size_t>(c) * h +
+                                          iy) *
+                                             w +
+                                         ix];
+                        }
+                    }
+                }
+                out[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = acc;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Toeplitz, ConvReferenceBitIdentical)
+{
+    // conv2d_reference feeds range estimation (hence nu and the golden
+    // fingerprints), so its row-at-a-time accumulation must reproduce the
+    // per-pixel loop exactly, not just to a tolerance.
+    std::mt19937_64 rng(20233);
+    auto pick = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    int checked = 0;
+    while (checked < 400) {
+        Conv2dSpec spec;
+        spec.groups = pick(1, 2);
+        spec.in_channels = spec.groups * pick(1, 3);
+        spec.out_channels = spec.groups * pick(1, 3);
+        spec.kernel_h = pick(1, 5);
+        spec.kernel_w = pick(1, 5);
+        spec.stride = pick(1, 3);
+        spec.pad = pick(0, 3);
+        spec.dilation = pick(1, 2);
+        const int h = pick(1, 40);
+        const int w = pick(1, 40);
+        if (h + 2 * spec.pad <= spec.dilation * (spec.kernel_h - 1) ||
+            w + 2 * spec.pad <= spec.dilation * (spec.kernel_w - 1)) {
+            continue;
+        }
+        const u64 seed = 900 + 2 * static_cast<u64>(checked);
+        const std::vector<double> weights =
+            random_weights(spec.weight_count(), seed);
+        const std::vector<double> input = random_vector(
+            static_cast<u64>(spec.in_channels) * h * w, 3.0, seed + 1);
+        const std::vector<double> got =
+            lin::conv2d_reference(spec, weights, input, h, w);
+        const std::vector<double> want =
+            naive_conv(spec, weights, input, h, w);
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "case " << checked << ": k " << spec.kernel_h << "x"
+            << spec.kernel_w << " s " << spec.stride << " p " << spec.pad
+            << " d " << spec.dilation << " in " << h << "x" << w;
+        ++checked;
     }
 }
 
