@@ -63,9 +63,14 @@ run_row(const Row& row)
     double real_seconds = -1.0;
     double real_prec = 0.0;
     if (row.real_fhe) {
-        // Real end-to-end RNS-CKKS inference at functional parameters.
+        // Real end-to-end RNS-CKKS inference at functional parameters. A
+        // program deeper than l_eff 6 would need a bootstrap the 8-level
+        // chain cannot run, so it gets the 14-level chain at l_eff 10,
+        // where it fits without one.
+        const bool deep = cn.total_mult_depth > 6;
         Session fhe = Session::with_params(
-            ckks::CkksParams::network(u64(1) << 13, 8), /*l_eff=*/6);
+            ckks::CkksParams::network(u64(1) << 13, deep ? 14 : 8),
+            /*l_eff=*/deep ? 10 : 6);
         core::CompileOptions fopt;
         fopt.calibration_samples = opt.calibration_samples;
         fhe.compile(net, fopt);

@@ -6,7 +6,11 @@
  * `serve_mnist --connect host:port` straight at one.
  *
  *   ./orion_served --port 7000 [--model mlp] [--inflight 2] [--queue 8]
+ *                  [--key-cache-mb 0]
  *
+ * --key-cache-mb caps the evaluation-key bytes kept resident across
+ * sessions; least-recently-used sessions beyond it spill to disk
+ * (0 = every key stays resident).
  * --port 0 binds an ephemeral port. The bound port is announced on stdout
  * as "listening on port N" (flushed) so scripts can scrape it. SIGINT /
  * SIGTERM shut the endpoint down cleanly and print the /metrics-style
@@ -63,10 +67,12 @@ main(int argc, char** argv)
             sopts.max_inflight = std::atoi(next("--inflight"));
         } else if (arg == "--queue") {
             sopts.queue_capacity = std::atoi(next("--queue"));
+        } else if (arg == "--key-cache-mb") {
+            sopts.key_cache_mb = std::atoi(next("--key-cache-mb"));
         } else {
             std::fprintf(stderr,
                          "usage: orion_served [--port N] [--model NAME] "
-                         "[--inflight N] [--queue N]\n");
+                         "[--inflight N] [--queue N] [--key-cache-mb N]\n");
             return 2;
         }
     }

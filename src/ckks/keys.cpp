@@ -177,7 +177,7 @@ KeyGenerator::make_kswitch_key(const RnsPoly& s_old, int level)
     KswitchKey ksk;
     // The uniform digits come from a dedicated per-key seed (not the main
     // sampler stream), so the a-component is reproducible from 8 bytes:
-    // serial v3 ships {a_seed, b digits} and re-expands on decode. The
+    // serial ships {a_seed, b digits} and re-expands on decode. The
     // seed itself is published, so it comes from the domain-separated
     // splitmix64 chain — never a raw output of the generator that samples
     // the secret and errors, whose state those outputs would expose.

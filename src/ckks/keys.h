@@ -45,11 +45,11 @@ struct PublicKey {
  * chain.
  *
  * Seed compression: the a-components are uniform, so KeyGenerator derives
- * them from a per-key PRNG seed (expand_kswitch_a). A seeded key travels
- * as {seed, b-digits} on the wire and on disk (serial format v3) —
- * roughly half the bytes of the explicit form — and is re-expanded into
- * the full (b, a) pair on decode. `a` is always materialized in memory;
- * `seeded`/`a_seed` only record that it CAN be regenerated.
+ * them from a per-key PRNG seed (expand_kswitch_a). A key travels as
+ * {seed, b-digits} on the wire and on disk — roughly half the expanded
+ * bytes — and is re-expanded into the full (b, a) pair on decode; serial
+ * refuses to write a key that is not seeded. `a` is always materialized
+ * in memory; `seeded`/`a_seed` only record that it CAN be regenerated.
  */
 struct KswitchKey {
     std::vector<RnsPoly> b;  ///< per digit: -a_i*s_new + e_i + W_i*s_old
@@ -70,7 +70,7 @@ struct KswitchKey {
  * key over coefficient limbs q_0..q_level plus the special primes: one
  * extended NTT-form polynomial per digit, drawn from a Sampler seeded
  * with `seed`. A pure function of (ctx basis, seed, level) — KeyGenerator
- * and the serial v3 decoder both call it, which is what lets the wire
+ * and the serial decoder both call it, which is what lets the wire
  * format carry the seed instead of half the key's residues.
  */
 std::vector<RnsPoly> expand_kswitch_a(const Context& ctx, u64 seed,

@@ -104,7 +104,7 @@ class Sampler {
      * format ships the seed instead of the residues and both ends expand
      * limb by limb through this call.
      *
-     * Because that seed-to-residue mapping is part of the serial-v3 wire
+     * Because that seed-to-residue mapping is part of the serial wire
      * contract, it must be bit-identical across compilers and standard
      * libraries: mt19937_64 is fully specified by the C++ standard, but
      * std::uniform_int_distribution's algorithm is implementation-defined

@@ -2,14 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 namespace orion::ckks::serial {
-
-namespace {
-
-constexpr std::size_t kFrameBytes = 4 + 1 + 1 + 8;  // magic, ver, kind, len
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // ByteWriter / ByteReader
@@ -122,14 +117,12 @@ ByteReader::expect_done(const char* what) const
 // ---------------------------------------------------------------------
 
 Bytes
-finish_record(RecordKind kind, ByteWriter payload, u8 version)
+finish_record(RecordKind kind, ByteWriter payload)
 {
-    ORION_CHECK(version >= kMinWireVersion && version <= kWireVersion,
-                "cannot write wire version " << int(version));
     const Bytes body = payload.take();
     ByteWriter w;
     w.put_raw(kMagic, sizeof(kMagic));
-    w.put_u8(version);
+    w.put_u8(kWireVersion);
     w.put_u8(static_cast<u8>(kind));
     w.put_u64(body.size());
     w.put_raw(body.data(), body.size());
@@ -138,32 +131,39 @@ finish_record(RecordKind kind, ByteWriter payload, u8 version)
 
 namespace {
 
-/** Frame validation shared by open_record and peek_kind. */
+/**
+ * Reads and validates the record header from a reader at the record's
+ * first byte: magic, kWireVersion, kind (when `expected` is given) and a
+ * length prefix equal to the bytes behind the header. Leaves `r` at the
+ * payload. Every record decode, in memory or streamed, passes here.
+ */
 RecordKind
-check_frame(std::span<const u8> bytes, u8* version_out = nullptr)
+read_header(ByteReader& r, std::optional<RecordKind> expected)
 {
-    ORION_CHECK(bytes.size() >= kFrameBytes,
+    ORION_CHECK(r.remaining() >= kRecordHeaderBytes,
                 "wire record too short for its header ("
-                    << bytes.size() << " bytes)");
-    ByteReader r(bytes);
+                    << r.remaining() << " bytes)");
     u8 magic[sizeof(kMagic)];
     r.read_raw(magic, sizeof(magic));
     ORION_CHECK(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
                 "bad wire magic (not an Orion record)");
     const u8 version = r.read_u8();
-    ORION_CHECK(version >= kMinWireVersion && version <= kWireVersion,
-                "unsupported wire version "
-                    << int(version) << " (supported: "
-                    << int(kMinWireVersion) << ".." << int(kWireVersion)
-                    << ")");
-    if (version_out != nullptr) *version_out = version;
-    const u8 kind = r.read_u8();
+    ORION_CHECK(version == kWireVersion,
+                "unsupported wire version " << int(version)
+                                            << " (this build reads only "
+                                            << int(kWireVersion) << ")");
+    const RecordKind kind = static_cast<RecordKind>(r.read_u8());
+    ORION_CHECK(!expected || kind == *expected,
+                "wire record kind " << int(static_cast<u8>(kind))
+                                    << " where kind "
+                                    << int(static_cast<u8>(*expected))
+                                    << " was expected");
     const u64 payload_len = r.read_u64();
     ORION_CHECK(payload_len == r.remaining(),
                 "wire length prefix (" << payload_len
                                        << ") does not match payload size ("
                                        << r.remaining() << ")");
-    return static_cast<RecordKind>(kind);
+    return kind;
 }
 
 }  // namespace
@@ -171,55 +171,26 @@ check_frame(std::span<const u8> bytes, u8* version_out = nullptr)
 ByteReader
 open_record(std::span<const u8> bytes, RecordKind expected)
 {
-    u8 version = kWireVersion;
-    const RecordKind kind = check_frame(bytes, &version);
-    ORION_CHECK(kind == expected,
-                "wire record kind " << int(static_cast<u8>(kind))
-                                    << " where kind "
-                                    << int(static_cast<u8>(expected))
-                                    << " was expected");
-    return ByteReader(bytes.subspan(kFrameBytes), version);
+    ByteReader r(bytes);
+    read_header(r, expected);
+    return r;
 }
 
 ByteReader
 open_record(ByteSource& src, RecordKind expected)
 {
-    // Pull just the frame header; the payload stays on the source and is
-    // streamed by the returned reader.
-    u8 head[kFrameBytes];
-    ORION_CHECK(src.size() >= kFrameBytes,
-                "wire record too short for its header (" << src.size()
-                                                         << " bytes)");
-    src.read_at(0, head, sizeof(head));
-    ORION_CHECK(std::memcmp(head, kMagic, sizeof(kMagic)) == 0,
-                "bad wire magic (not an Orion record)");
-    const u8 version = head[4];
-    ORION_CHECK(version >= kMinWireVersion && version <= kWireVersion,
-                "unsupported wire version "
-                    << int(version) << " (supported: "
-                    << int(kMinWireVersion) << ".." << int(kWireVersion)
-                    << ")");
-    const RecordKind kind = static_cast<RecordKind>(head[5]);
-    ORION_CHECK(kind == expected,
-                "wire record kind " << int(static_cast<u8>(kind))
-                                    << " where kind "
-                                    << int(static_cast<u8>(expected))
-                                    << " was expected");
-    u64 payload_len = 0;
-    for (int i = 0; i < 8; ++i) {
-        payload_len |= static_cast<u64>(head[6 + i]) << (8 * i);
-    }
-    ORION_CHECK(payload_len == src.size() - kFrameBytes,
-                "wire length prefix (" << payload_len
-                                       << ") does not match payload size ("
-                                       << src.size() - kFrameBytes << ")");
-    return ByteReader(src, kFrameBytes, version);
+    // Only the header is pulled here; the payload stays on the source and
+    // is streamed by the returned reader.
+    ByteReader r(src);
+    read_header(r, expected);
+    return r;
 }
 
 RecordKind
 peek_kind(std::span<const u8> bytes)
 {
-    return check_frame(bytes);
+    ByteReader r(bytes);
+    return read_header(r, std::nullopt);
 }
 
 // ---------------------------------------------------------------------
@@ -424,26 +395,18 @@ read_public_key(ByteReader& r, const Context& ctx)
 }
 
 void
-write_kswitch_key(ByteWriter& w, const KswitchKey& k, u8 version)
+write_kswitch_key(ByteWriter& w, const KswitchKey& k)
 {
     ORION_CHECK(k.valid(), "cannot serialize an empty key-switching key");
+    ORION_CHECK(k.seeded, "cannot serialize a key-switching key without "
+                          "an a seed (only seed-compressed keys travel)");
     w.put_u64(static_cast<u64>(k.num_digits()));
-    const bool compact = version >= 3 && k.seeded;
-    if (version >= 3) w.put_u8(compact ? 1 : 0);
-    if (compact) {
-        // Seed-compressed form: the uniform a digits are a pure function
-        // of (a_seed, level), so only b travels — half the key bytes.
-        w.put_u64(k.a_seed);
-        w.put_u32(static_cast<u32>(k.level()));
-        for (int d = 0; d < k.num_digits(); ++d) {
-            write_poly(w, k.b[static_cast<std::size_t>(d)]);
-        }
-        return;
-    }
-    for (int d = 0; d < k.num_digits(); ++d) {
-        write_poly(w, k.b[static_cast<std::size_t>(d)]);
-        write_poly(w, k.a[static_cast<std::size_t>(d)]);
-    }
+    // The seed flag is always 1: the uniform a digits are a pure function
+    // of (a_seed, level), so only b travels — half the key bytes.
+    w.put_u8(1);
+    w.put_u64(k.a_seed);
+    w.put_u32(static_cast<u32>(k.level()));
+    for (const RnsPoly& b : k.b) write_poly(w, b);
 }
 
 KswitchKey
@@ -455,78 +418,58 @@ read_kswitch_key(ByteReader& r, const Context& ctx)
     ORION_CHECK(digits >= 1 && digits <= max_digits,
                 "wire key-switching key: digit count "
                     << digits << " outside [1, " << max_digits << "]");
+    const u8 seed_flag = r.read_u8();
+    ORION_CHECK(seed_flag == 1,
+                "wire key-switching key: seed flag "
+                    << int(seed_flag)
+                    << " (only seed-compressed keys travel)");
     KswitchKey k;
-    // v2 records predate the seed flag: always explicit (b, a) pairs.
-    const bool compact = r.version() >= 3 && r.read_u8() != 0;
-    if (compact) {
-        k.a_seed = r.read_u64();
-        k.seeded = true;
-        const u32 level = r.read_u32();
-        ORION_CHECK(level <= static_cast<u32>(ctx.max_level()),
-                    "wire key-switching key: level " << level
-                        << " above the context maximum " << ctx.max_level());
-        ORION_CHECK(static_cast<int>(digits) ==
-                        ctx.num_digits(static_cast<int>(level)),
-                    "wire key-switching key: " << digits
-                        << " digits do not cover level " << level
-                        << " (expected "
-                        << ctx.num_digits(static_cast<int>(level)) << ")");
-        k.b.reserve(digits);
-        for (u64 d = 0; d < digits; ++d) {
-            RnsPoly b = read_poly(r, ctx);
-            ORION_CHECK(b.extended() && b.is_ntt() &&
-                            b.level() == static_cast<int>(level),
-                        "wire key-switching key: digit " << d
-                            << " must be extended NTT form at the key's "
-                            << "level " << level);
-            k.b.push_back(std::move(b));
-        }
-        // Cold-path expansion: regenerate the uniform digits limb by limb
-        // from the 8-byte seed (the other half of the key's bytes).
-        k.a = expand_kswitch_a(ctx, k.a_seed, static_cast<int>(level));
-        return k;
-    }
+    k.a_seed = r.read_u64();
+    k.seeded = true;
+    // Keys may be level-pruned, but the digit count must cover exactly
+    // the key's level. The key switcher then range-checks that level
+    // against each use, so a hostile short key is never read out of
+    // bounds.
+    const u32 level = r.read_u32();
+    ORION_CHECK(level <= static_cast<u32>(ctx.max_level()),
+                "wire key-switching key: level " << level
+                    << " above the context maximum " << ctx.max_level());
+    ORION_CHECK(static_cast<int>(digits) ==
+                    ctx.num_digits(static_cast<int>(level)),
+                "wire key-switching key: " << digits
+                    << " digits do not cover level " << level
+                    << " (expected "
+                    << ctx.num_digits(static_cast<int>(level)) << ")");
     k.b.reserve(digits);
-    k.a.reserve(digits);
     for (u64 d = 0; d < digits; ++d) {
         RnsPoly b = read_poly(r, ctx);
-        RnsPoly a = read_poly(r, ctx);
-        ORION_CHECK(b.extended() && a.extended() && b.is_ntt() && a.is_ntt(),
+        ORION_CHECK(b.extended() && b.is_ntt() &&
+                        b.level() == static_cast<int>(level),
                     "wire key-switching key: digit " << d
-                        << " polynomials must be extended NTT form");
-        // Keys may be level-pruned, but a key must be internally
-        // consistent: every digit at one shared level, and the digit
-        // count must cover exactly that level. The key switcher then
-        // range-checks the key's level against each use, so a hostile
-        // short key can never be read out of bounds.
-        ORION_CHECK(b.level() == a.level() &&
-                        (d == 0 || b.level() == k.b.front().level()),
-                    "wire key-switching key: digit " << d << " level "
-                        << b.level() << " disagrees with the key's level");
+                        << " must be extended NTT form at the key's "
+                        << "level " << level);
         k.b.push_back(std::move(b));
-        k.a.push_back(std::move(a));
     }
-    ORION_CHECK(static_cast<int>(digits) == ctx.num_digits(k.level()),
-                "wire key-switching key: " << digits
-                    << " digits do not cover level " << k.level()
-                    << " (expected " << ctx.num_digits(k.level()) << ")");
+    // Cold-path expansion: regenerate the uniform digits limb by limb
+    // from the 8-byte seed (the other half of the key's bytes).
+    k.a = expand_kswitch_a(ctx, k.a_seed, static_cast<int>(level));
     return k;
 }
 
 void
-write_galois_keys(ByteWriter& w, const GaloisKeys& g, u8 version)
+write_galois_keys(ByteWriter& w, const GaloisKeys& g)
 {
     w.put_u64(g.keys.size());
     for (const auto& [elt, key] : g.keys) {
         w.put_u64(elt);
-        write_kswitch_key(w, key, version);
+        write_kswitch_key(w, key);
     }
 }
 
 GaloisKeys
 read_galois_keys(ByteReader& r, const Context& ctx)
 {
-    // Each entry is at least an element id plus one digit of two polys.
+    // Each entry is at least an element id plus a key header.
     const u64 count = r.read_count(8, "Galois key set");
     GaloisKeys g;
     for (u64 i = 0; i < count; ++i) {

@@ -12,7 +12,7 @@
  * (magic + explicit lengths, little-endian payloads):
  *
  *   [4]  magic   "ORN1"
- *   [1]  version (kWireVersion)
+ *   [1]  version (kWireVersion; no other version decodes)
  *   [1]  kind    (RecordKind)
  *   [8]  payload byte count (must equal the remaining bytes exactly)
  *   [..] payload
@@ -36,17 +36,13 @@ namespace orion::ckks::serial {
 
 using Bytes = std::vector<u8>;
 
-// v2: params carry secret_weight; key-switching keys may be level-pruned.
-// v3: key-switching keys may be seed-compressed — a seeded key travels as
-//     {a_seed, b digits} and the decoder re-expands the uniform a digits
-//     via expand_kswitch_a, roughly halving key bundle bytes. Decoders
-//     accept v2 records unchanged (explicit a digits, no seed flag).
-// v4: serve Requests carry a batch_count (slot-batched inference: one
-//     program execution covers batch_count samples packed across lanes).
-//     v2/v3 Requests decode with batch_count = 1.
+// The one wire layout every writer emits and every decoder accepts: params
+// carry secret_weight, key-switching keys travel seed-compressed (possibly
+// level-pruned), and serve Requests carry a batch_count.
 inline constexpr u8 kWireVersion = 4;
-inline constexpr u8 kMinWireVersion = 2;
 inline constexpr u8 kMagic[4] = {'O', 'R', 'N', '1'};
+/** Bytes of the record header: magic, version, kind, payload length. */
+inline constexpr std::size_t kRecordHeaderBytes = 4 + 1 + 1 + 8;
 
 /** Top-level record discriminator (also used by the serve wire layer). */
 enum class RecordKind : u8 {
@@ -100,24 +96,16 @@ class ByteSource {
  *  throws orion::Error on overrun. */
 class ByteReader {
   public:
-    /**
-     * `version` is the wire version the payload was written at (stamped
-     * by open_record from the record frame); nested decoders branch on it
-     * for backward-compatible layouts.
-     */
-    explicit ByteReader(std::span<const u8> data, u8 version = kWireVersion)
-        : data_(data), size_(data.size()), version_(version)
+    explicit ByteReader(std::span<const u8> data)
+        : data_(data), size_(data.size())
     {
     }
 
-    /** Streaming reader over src, starting at byte `start` of the record. */
-    ByteReader(ByteSource& src, std::size_t start, u8 version)
-        : src_(&src), pos_(start),
-          size_(static_cast<std::size_t>(src.size())), version_(version)
+    /** Streaming reader over src, starting at its first byte. */
+    explicit ByteReader(ByteSource& src)
+        : src_(&src), size_(static_cast<std::size_t>(src.size()))
     {
     }
-
-    u8 version() const { return version_; }
 
     u8 read_u8();
     u32 read_u32();
@@ -142,24 +130,15 @@ class ByteReader {
     ByteSource* src_ = nullptr;
     std::size_t pos_ = 0;
     std::size_t size_ = 0;
-    u8 version_ = kWireVersion;
 };
 
 // ---- record framing (shared with the serve layer) ----
 
+/** Wraps a finished payload in the magic/version/kind/length frame. */
+Bytes finish_record(RecordKind kind, ByteWriter payload);
 /**
- * Wraps a finished payload in the magic/version/kind/length frame.
- * `version` defaults to the current writer version; passing an older
- * supported version is how tests (and migration tooling) produce
- * backward-compatibility fixtures — the payload must of course have been
- * written in that version's layout.
- */
-Bytes finish_record(RecordKind kind, ByteWriter payload,
-                    u8 version = kWireVersion);
-/**
- * Validates the frame (magic, supported version, kind, exact payload
- * length) and returns a reader positioned at the payload, carrying the
- * record's version for nested decoders.
+ * Validates the frame (magic, kWireVersion, kind, exact payload length)
+ * and returns a reader positioned at the payload.
  */
 ByteReader open_record(std::span<const u8> bytes, RecordKind expected);
 /** Streaming open_record: validates the frame from the source's head and
@@ -186,19 +165,16 @@ void write_public_key(ByteWriter& w, const PublicKey& pk);
 PublicKey read_public_key(ByteReader& r, const Context& ctx);
 
 /**
- * v3 layout: digit count, a seed flag byte, then — seeded — the a seed,
- * the key level, and only the b digits; or — explicit — interleaved
- * (b, a) digit pairs as in v2. `version` = 2 forces the legacy explicit
- * layout (the record frame must then also be finished at version 2).
+ * Layout: digit count, a seed flag byte (always 1), the a seed, the key
+ * level, and only the b digits. The key must be seeded (every
+ * KeyGenerator key is); the uniform a digits never travel.
  */
-void write_kswitch_key(ByteWriter& w, const KswitchKey& k,
-                       u8 version = kWireVersion);
-/** Decodes either layout (branching on r.version()); seeded keys are
- *  re-expanded to the full (b, a) pair via expand_kswitch_a. */
+void write_kswitch_key(ByteWriter& w, const KswitchKey& k);
+/** Rejects any flag byte but 1 and re-expands the a digits from the seed
+ *  via expand_kswitch_a. */
 KswitchKey read_kswitch_key(ByteReader& r, const Context& ctx);
 
-void write_galois_keys(ByteWriter& w, const GaloisKeys& g,
-                       u8 version = kWireVersion);
+void write_galois_keys(ByteWriter& w, const GaloisKeys& g);
 GaloisKeys read_galois_keys(ByteReader& r, const Context& ctx);
 
 // ---- top-level records ----

@@ -20,18 +20,6 @@ config_from_env()
         const int n = std::atoi(env);
         if (n >= 0) cfg.num_threads = n;
     }
-    if (const char* env = std::getenv("ORION_MAX_INFLIGHT")) {
-        const int n = std::atoi(env);
-        if (n >= 0) cfg.max_inflight = n;
-    }
-    if (const char* env = std::getenv("ORION_QUEUE_CAPACITY")) {
-        const int n = std::atoi(env);
-        if (n >= 1) cfg.queue_capacity = n;
-    }
-    if (const char* env = std::getenv("ORION_KEY_CACHE_MB")) {
-        const int n = std::atoi(env);
-        if (n >= 0) cfg.key_cache_mb = n;
-    }
     return cfg;
 }
 
@@ -44,28 +32,18 @@ mutable_config()
 
 }  // namespace
 
-namespace {
-
 int
-resolve_or_hardware(int n)
+resolve_thread_count(int n)
 {
     if (n > 0) return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-}  // namespace
-
 int
 OrionConfig::resolved_num_threads() const
 {
-    return resolve_or_hardware(num_threads);
-}
-
-int
-OrionConfig::resolved_max_inflight() const
-{
-    return resolve_or_hardware(max_inflight);
+    return resolve_thread_count(num_threads);
 }
 
 OrionConfig

@@ -25,34 +25,12 @@ struct OrionConfig {
      */
     int num_threads = 1;
 
-    /**
-     * Serving defaults (src/serve): requests executing concurrently in an
-     * InferenceServer (0 = hardware concurrency). Initialized from
-     * $ORION_MAX_INFLIGHT when set; ServeOptions can override per server.
-     */
-    int max_inflight = 2;
-
-    /**
-     * Serving defaults: submitted-but-not-yet-executing requests an
-     * InferenceServer queues before applying backpressure. Initialized
-     * from $ORION_QUEUE_CAPACITY when set.
-     */
-    int queue_capacity = 16;
-
-    /**
-     * Serving defaults: cap (in MiB) on evaluation-key bytes an
-     * InferenceServer keeps resident across sessions; least-recently-used
-     * sessions beyond it are spilled to disk and reloaded on demand.
-     * 0 = unbounded (every registered key stays resident). Initialized
-     * from $ORION_KEY_CACHE_MB when set.
-     */
-    int key_cache_mb = 0;
-
     /** Resolves num_threads = 0 to the hardware concurrency. */
     int resolved_num_threads() const;
-    /** Resolves max_inflight = 0 to the hardware concurrency. */
-    int resolved_max_inflight() const;
 };
+
+/** `n` when positive, else the hardware concurrency (at least 1). */
+int resolve_thread_count(int n);
 
 /** A snapshot of the active global configuration (copied under lock). */
 OrionConfig config();

@@ -572,22 +572,6 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
     }
 }
 
-std::vector<ckks::GaloisKeyRequest>
-PreparedProgram::galois_requests() const
-{
-    // One derivation shared with clients: the server validates bundles
-    // against exactly what required_galois() tells a client to generate.
-    return required_galois(*cn_, *ctx_).requests;
-}
-
-int
-PreparedProgram::conjugation_level() const
-{
-    ORION_CHECK(bootstrap_supported(),
-                "conjugation is only needed by the bootstrap circuit");
-    return boot_plan_->conjugation_level(cn_->l_eff);
-}
-
 GaloisRequirements
 required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
 {

@@ -123,16 +123,6 @@ class PreparedProgram {
      */
     bool bootstrap_supported() const { return !boot_circuits_.empty(); }
 
-    /**
-     * Rotation-key requirements of the whole program: the linear layers'
-     * level-pruned steps plus (when bootstrapping) the circuit's steps.
-     * With needs_conjugation()/conjugation_level(), exactly the bundle a
-     * client must provide — nothing more is ever generated.
-     */
-    std::vector<ckks::GaloisKeyRequest> galois_requests() const;
-    bool needs_conjugation() const { return bootstrap_supported(); }
-    int conjugation_level() const;
-
     /** The prepared payload of one program instruction. */
     struct Step {
         std::optional<lin::HeBlockedMatrix> matrix;  ///< kLinear

@@ -59,8 +59,8 @@ class ServeClient {
         const std::vector<ckks::Ciphertext>& outputs, int batch_count) const;
 
     /**
-     * Encrypts and serializes one inference request (wire v4 carries the
-     * sample count; request ids are assigned sequentially).
+     * Encrypts and serializes one inference request (the record carries
+     * the sample count; request ids are assigned sequentially).
      */
     ckks::serial::Bytes make_request(
         const std::vector<std::vector<double>>& samples);

@@ -118,8 +118,8 @@ KeyStore::put(u64 id, ckks::KswitchKey relin, ckks::GaloisKeys galois)
     const std::size_t bytes = relin.byte_size() + galois.byte_size();
     std::size_t disk_bytes = 0;
     if (spill_enabled_) {
-        // Write-once spill: eviction later just drops the memory. The v3
-        // records carry {seed, b digits} for seeded keys, so the file is
+        // Write-once spill: eviction later just drops the memory. The
+        // records carry {seed, b digits} per key, so the file is
         // roughly half the expanded size.
         const ckks::serial::Bytes rb = ckks::serial::serialize(relin);
         const ckks::serial::Bytes gb = ckks::serial::serialize(galois);

@@ -10,7 +10,7 @@
  * grow linearly with registered sessions, which is what limits
  * registration count in practice. The KeyStore fixes that: every bundle
  * is spilled once to a per-session DiskStore file (seed-compressed serial
- * v3 records, so disk holds roughly half the expanded bytes), and only a
+ * records, so disk holds roughly half the expanded bytes), and only a
  * least-recently-used working set bounded by `cache_bytes` stays in
  * memory. Requests acquire keys through pin-counted leases: a pinned
  * entry is never evicted, and a missing entry is reloaded from its spill

@@ -16,12 +16,12 @@ seconds_between(std::chrono::steady_clock::time_point a,
 namespace {
 
 std::size_t
-resolved_key_cache_bytes(const ServeOptions& opts,
-                         const core::OrionConfig& defaults)
+key_cache_bytes(const ServeOptions& opts)
 {
-    const int mb =
-        opts.key_cache_mb >= 0 ? opts.key_cache_mb : defaults.key_cache_mb;
-    return static_cast<std::size_t>(mb) * (std::size_t{1} << 20);
+    ORION_CHECK(opts.key_cache_mb >= 0,
+                "key_cache_mb " << opts.key_cache_mb << " is negative");
+    return static_cast<std::size_t>(opts.key_cache_mb) *
+           (std::size_t{1} << 20);
 }
 
 }  // namespace
@@ -44,18 +44,13 @@ InferenceServer::InferenceServer(
     ServeOptions opts, std::shared_ptr<const core::PreparedProgram> prepared)
     : cn_(&cn),
       ctx_(&ctx),
-      sessions_(ctx, resolved_key_cache_bytes(opts, core::config()),
-                opts.key_spill_dir),
+      sessions_(ctx, key_cache_bytes(opts), opts.key_spill_dir),
       paused_(opts.start_paused)
 {
-    const core::OrionConfig defaults = core::config();
-    core::OrionConfig resolved = defaults;
-    if (opts.max_inflight > 0) resolved.max_inflight = opts.max_inflight;
-    max_inflight_ = resolved.resolved_max_inflight();
-    queue_capacity_ = opts.queue_capacity > 0 ? opts.queue_capacity
-                                              : defaults.queue_capacity;
-    ORION_CHECK(max_inflight_ >= 1 && queue_capacity_ >= 1,
+    ORION_CHECK(opts.max_inflight >= 0 && opts.queue_capacity >= 1,
                 "server needs at least one worker and one queue slot");
+    max_inflight_ = core::resolve_thread_count(opts.max_inflight);
+    queue_capacity_ = opts.queue_capacity;
 
     // Bootstrap-bearing programs are served through the public-key
     // CoeffToSlot -> EvalMod -> SlotToCoeff circuit prepared here; the
@@ -69,9 +64,7 @@ InferenceServer::InferenceServer(
     // inheritance when 0.
     std::optional<core::OrionConfig> exec_cfg;
     if (opts.threads_per_request > 0) {
-        core::OrionConfig cfg = defaults;
-        cfg.num_threads = opts.threads_per_request;
-        exec_cfg = cfg;
+        exec_cfg = core::OrionConfig{.num_threads = opts.threads_per_request};
     }
     executors_.reserve(static_cast<std::size_t>(max_inflight_));
     for (int i = 0; i < max_inflight_; ++i) {
@@ -144,8 +137,9 @@ InferenceServer::register_session(std::span<const u8> key_bundle)
                         bundle.relin.level() == ctx_->max_level(),
                     "key bundle: relinearization key missing or pruned "
                     "below the full chain");
-        for (const ckks::GaloisKeyRequest& req :
-             prepared_->galois_requests()) {
+        const core::GaloisRequirements need =
+            core::required_galois(*cn_, *ctx_);
+        for (const ckks::GaloisKeyRequest& req : need.requests) {
             const u64 elt = ctx_->galois_elt(req.step);
             ORION_CHECK(bundle.galois.has(elt),
                         "key bundle: missing Galois key for rotation step "
@@ -157,17 +151,17 @@ InferenceServer::register_session(std::span<const u8> key_bundle)
                             << " but the program rotates at level "
                             << req.level);
         }
-        if (prepared_->needs_conjugation()) {
+        if (need.conjugation) {
             const u64 conj = ctx_->galois_elt_conj();
             ORION_CHECK(bundle.galois.has(conj),
                         "key bundle: missing conjugation key (element "
                             << conj << "), required by the bootstrap "
                             << "circuit's real/imaginary split");
             ORION_CHECK(bundle.galois.at(conj).level() >=
-                            prepared_->conjugation_level(),
+                            need.conjugation_level,
                         "key bundle: conjugation key pruned below the "
                         "bootstrap circuit's CoeffToSlot level "
-                            << prepared_->conjugation_level());
+                            << need.conjugation_level);
         }
     };
     return sessions_.register_session(key_bundle, validate);

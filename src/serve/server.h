@@ -46,12 +46,15 @@
 
 namespace orion::serve {
 
-/** Server construction knobs (0 = take the core config's default). */
+/** Server construction knobs: the one place serving limits are set. */
 struct ServeOptions {
-    /** Requests executing concurrently (workers in the executor pool). */
-    int max_inflight = 0;
+    /**
+     * Requests executing concurrently (workers in the executor pool);
+     * 0 = the hardware concurrency.
+     */
+    int max_inflight = 2;
     /** Submitted-but-not-executing requests held before backpressure. */
-    int queue_capacity = 0;
+    int queue_capacity = 16;
     /**
      * Kernel threads per executing request: 1 serializes each request's
      * kernels (default; throughput comes from request parallelism), > 1
@@ -68,10 +71,9 @@ struct ServeOptions {
     /**
      * Cap (MiB) on evaluation-key bytes kept resident across sessions;
      * least-recently-used sessions beyond it spill to disk and reload on
-     * demand (see key_store.h). 0 = unbounded (all keys stay resident);
-     * -1 = take the core config's default ($ORION_KEY_CACHE_MB).
+     * demand (see key_store.h). 0 = unbounded (all keys stay resident).
      */
-    int key_cache_mb = -1;
+    int key_cache_mb = 0;
     /** Spill directory for evicted keys (empty = private temp dir). */
     std::string key_spill_dir;
 };

@@ -58,9 +58,7 @@ decode_request(std::span<const u8> bytes, const ckks::Context& ctx)
     Request req;
     req.session_id = r.read_u64();
     req.request_id = r.read_u64();
-    // batch_count joined the record in wire v4; older requests are
-    // single-sample.
-    req.batch_count = r.version() >= 4 ? r.read_u64() : 1;
+    req.batch_count = r.read_u64();
     ORION_CHECK(req.batch_count >= 1, "request batch_count must be >= 1");
     // A ciphertext is at least two one-limb polynomials plus a scale.
     const u64 count = r.read_count(2 * ctx.degree() * sizeof(u64),
@@ -85,11 +83,10 @@ rewrite_request_session(std::span<u8> bytes, u64 session_id)
 {
     // Validates magic/version/kind/length and that a session id exists.
     (void)peek_request_session(bytes);
-    // The payload begins right after the frame (magic 4 + version 1 +
-    // kind 1 + length 8) with the session id as its first u64.
-    constexpr std::size_t kFrameBytes = 4 + 1 + 1 + 8;
+    // The session id is the payload's first u64, right behind the header.
     for (std::size_t i = 0; i < sizeof(u64); ++i) {
-        bytes[kFrameBytes + i] = static_cast<u8>(session_id >> (8 * i));
+        bytes[ckks::serial::kRecordHeaderBytes + i] =
+            static_cast<u8>(session_id >> (8 * i));
     }
 }
 

@@ -33,9 +33,8 @@ struct Request {
     u64 session_id = 0;
     u64 request_id = 0;
     /**
-     * Samples packed into the input's batch lanes (wire v4; earlier
-     * records decode as 1). Must not exceed the served program's
-     * compiled batch.
+     * Samples packed into the input's batch lanes. Must not exceed the
+     * served program's compiled batch.
      */
     u64 batch_count = 1;
     std::vector<ckks::Ciphertext> inputs;

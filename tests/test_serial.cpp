@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <random>
 
 #include "src/ckks/serial.h"
-#include "tests/test_util.h"
+#include "tests/serve_env.h"
 
 namespace orion::test {
 namespace {
@@ -207,38 +208,79 @@ TEST(Serial, GaloisKeysRoundTripIsBitExactInUse)
 }
 
 // ---------------------------------------------------------------------
-// Seed-compressed keys (wire v3) and legacy v2 compatibility
+// Pinned wire bytes
 // ---------------------------------------------------------------------
 
-/** A key record in the legacy v2 layout (explicit interleaved digits). */
-Bytes
-encode_kswitch_v2(const ckks::KswitchKey& k)
+/** FNV-1a (64-bit) over one serialized record. */
+u64
+fnv1a(const Bytes& bytes)
+{
+    u64 h = 1469598103934665603ull;
+    for (const u8 b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(Serial, WireBytesArePinned)
+{
+    // Records built at fixed seeds hash to constants recorded once: a
+    // decoder or encoder change that moves a single wire byte fails here,
+    // the same way test_golden pins output ciphertexts across commits.
+    ServeEnv& senv = ServeEnv::shared();
+    CkksEnv& env = CkksEnv::shared();
+    serve::ServeClient client(senv.cn, env.ctx, /*seed=*/7);
+    client.set_session_id(42);
+    const Bytes request = client.make_request(random_vector(64, 1.0, 1201));
+
+    EXPECT_EQ(fnv1a(serial::serialize(env.relin)), 0x9db380d62244361full);
+    EXPECT_EQ(fnv1a(serial::serialize(env.galois)), 0x4d7eec08faafaaaeull);
+    EXPECT_EQ(fnv1a(client.key_bundle()), 0xbe207f3cf1c82727ull);
+    EXPECT_EQ(fnv1a(request), 0x181abc32cfd4f781ull);
+}
+
+// ---------------------------------------------------------------------
+// Seed-compressed keys
+// ---------------------------------------------------------------------
+
+/**
+ * Size reference only: a key encoded with explicit interleaved (b, a)
+ * digits, the layout the wire would need without seed compression. No
+ * decoder accepts it.
+ */
+std::size_t
+explicit_kswitch_bytes(const ckks::KswitchKey& k)
 {
     serial::ByteWriter w;
-    serial::write_kswitch_key(w, k, /*version=*/2);
-    return serial::finish_record(serial::RecordKind::kKswitchKey,
-                                 std::move(w), /*version=*/2);
+    w.put_u64(static_cast<u64>(k.num_digits()));
+    for (int d = 0; d < k.num_digits(); ++d) {
+        serial::write_poly(w, k.b[static_cast<std::size_t>(d)]);
+        serial::write_poly(w, k.a[static_cast<std::size_t>(d)]);
+    }
+    return w.size();
 }
 
 TEST(Serial, SeededKeysHalveTheWireSize)
 {
-    // Generator keys are seeded, so the v3 record carries {seed, b
-    // digits} only — the acceptance bound is <= 60% of the explicit v2
-    // encoding (the true ratio is just over half; the slack covers
-    // headers).
+    // Generator keys are seeded, so the record carries {seed, b digits}
+    // only. The bound is <= 60% of the explicit-digit encoding (the true
+    // ratio is just over half; the slack covers headers).
     CkksEnv& env = CkksEnv::shared();
     ASSERT_TRUE(env.relin.seeded);
-    const Bytes v3 = serial::serialize(env.relin);
-    const Bytes v2 = encode_kswitch_v2(env.relin);
-    EXPECT_LE(v3.size() * 10, v2.size() * 6)
-        << "v3 " << v3.size() << " bytes vs v2 " << v2.size();
+    const Bytes seeded = serial::serialize(env.relin);
+    const std::size_t explicit_size =
+        serial::kRecordHeaderBytes + explicit_kswitch_bytes(env.relin);
+    EXPECT_LE(seeded.size() * 10, explicit_size * 6)
+        << "seeded " << seeded.size() << " bytes vs explicit "
+        << explicit_size;
 
-    serial::ByteWriter gw;
-    serial::write_galois_keys(gw, env.galois, /*version=*/2);
-    const Bytes galois_v2 = serial::finish_record(
-        serial::RecordKind::kGaloisKeys, std::move(gw), /*version=*/2);
-    const Bytes galois_v3 = serial::serialize(env.galois);
-    EXPECT_LE(galois_v3.size() * 10, galois_v2.size() * 6);
+    std::size_t galois_explicit = serial::kRecordHeaderBytes + 8;
+    for (const auto& [elt, key] : env.galois.keys) {
+        galois_explicit += 8 + explicit_kswitch_bytes(key);
+    }
+    const Bytes galois_seeded = serial::serialize(env.galois);
+    EXPECT_LE(galois_seeded.size() * 10, galois_explicit * 6);
 }
 
 TEST(Serial, SeededKeyRoundTripPreservesSeedAndExpansion)
@@ -250,9 +292,17 @@ TEST(Serial, SeededKeyRoundTripPreservesSeedAndExpansion)
     EXPECT_TRUE(back.seeded);
     EXPECT_EQ(back.a_seed, env.relin.a_seed);
     // The decoder re-expanded a from the seed: the expansion must match
-    // the generator's, digit for digit, which the v2 encodings (explicit
-    // residues for both components) compare bit-exactly.
-    EXPECT_EQ(encode_kswitch_v2(back), encode_kswitch_v2(env.relin));
+    // the generator's digit for digit, compared bit-exactly through the
+    // serialized residues of each polynomial.
+    ASSERT_EQ(back.a.size(), env.relin.a.size());
+    for (std::size_t d = 0; d < back.a.size(); ++d) {
+        EXPECT_EQ(serial::serialize(back.a[d]),
+                  serial::serialize(env.relin.a[d]))
+            << "digit " << d;
+        EXPECT_EQ(serial::serialize(back.b[d]),
+                  serial::serialize(env.relin.b[d]))
+            << "digit " << d;
+    }
 }
 
 TEST(Serial, SeedExpansionIsFullySpecified)
@@ -294,18 +344,26 @@ TEST(Serial, SeedExpansionIsFullySpecified)
     }
 }
 
-TEST(Serial, LegacyV2KeyRecordsStillDecode)
+TEST(Serial, RejectsUnseededKeyRecords)
 {
+    // Only the seed-compressed layout exists: a flag byte other than 1
+    // (frame 14 + digit count 8) names no layout and fails.
     CkksEnv& env = CkksEnv::shared();
-    const Bytes v2 = encode_kswitch_v2(env.relin);
-    const ckks::KswitchKey back =
-        serial::deserialize_kswitch_key(v2, env.ctx);
-    // v2 records carry no seed: the key decodes as explicit but is
-    // otherwise identical, and re-encodes at v2 byte-identically.
-    EXPECT_FALSE(back.seeded);
-    EXPECT_EQ(back.num_digits(), env.relin.num_digits());
-    EXPECT_EQ(back.level(), env.relin.level());
-    EXPECT_EQ(encode_kswitch_v2(back), v2);
+    const Bytes good = serial::serialize(env.relin);
+    for (const u8 flag : {u8(0), u8(2), u8(0xFF)}) {
+        Bytes bytes = good;
+        bytes[serial::kRecordHeaderBytes + 8] = flag;
+        expect_throw_contains<Error>(
+            [&] { (void)serial::deserialize_kswitch_key(bytes, env.ctx); },
+            "seed flag");
+    }
+
+    // Nor does the writer emit one: a key whose a digits have no seed
+    // cannot travel.
+    ckks::KswitchKey unseeded = env.relin;
+    unseeded.seeded = false;
+    expect_throw_contains<Error>(
+        [&] { (void)serial::serialize(unseeded); }, "without an a seed");
 }
 
 TEST(Serial, RejectsTruncatedSeededKeyRecord)
@@ -464,19 +522,26 @@ TEST(Serial, LevelPrunedKswitchKeyRoundTripsAndIsLevelChecked)
 
 TEST(Serial, RejectsKswitchKeyWithInconsistentDigits)
 {
-    // A key's digit count must cover exactly its level: a single level-2
-    // digit (toy alpha = 3 needs one digit per 3 limbs, so level 5 needs
-    // 2) must be rejected, as must digits at disagreeing levels.
+    // A key's digit count must cover exactly its level: the toy chain's
+    // top level has 7 limbs, so alpha = 3 needs 3 digits. A record that
+    // claims 2 (still within the context's maximum) must be rejected, as
+    // must a digit at a level other than the key's.
     CkksEnv& env = CkksEnv::shared();
-    ckks::KswitchKey bad;
-    bad.b.emplace_back(env.ctx, /*level=*/5, /*extended=*/true,
-                       /*ntt_form=*/true);
-    bad.a.emplace_back(env.ctx, /*level=*/5, /*extended=*/true,
-                       /*ntt_form=*/true);
-    const Bytes bytes = serial::serialize(bad);
+    ASSERT_EQ(env.relin.num_digits(), 3);
+    const Bytes good = serial::serialize(env.relin);
+    Bytes bytes = good;
+    bytes[serial::kRecordHeaderBytes] = 2;  // low byte of the digit count
     expect_throw_contains<Error>(
         [&] { (void)serial::deserialize_kswitch_key(bytes, env.ctx); },
         "digits do not cover");
+
+    // The first b digit's level field: digit count (8) + flag (1) + seed
+    // (8) + key level (4) + the poly's form flags (2).
+    bytes = good;
+    bytes[serial::kRecordHeaderBytes + 8 + 1 + 8 + 4 + 2] = 5;
+    expect_throw_contains<Error>(
+        [&] { (void)serial::deserialize_kswitch_key(bytes, env.ctx); },
+        "at the key's level");
 }
 
 TEST(Serial, RejectsForeignContext)
@@ -497,6 +562,94 @@ TEST(Serial, RejectsEmptyAndTinyBuffers)
     const Bytes tiny = {'O', 'R', 'N', '1'};
     EXPECT_THROW(serial::deserialize_ciphertext(tiny, CkksEnv::shared().ctx),
                  Error);
+}
+
+// ---------------------------------------------------------------------
+// The streaming header path: KeyStore reloads spilled keys through
+// open_record(ByteSource&), so hostile frames must fail there exactly as
+// they do on the in-memory path.
+// ---------------------------------------------------------------------
+
+/** A ByteSource over an in-memory record that refuses any read past it. */
+class VectorSource final : public serial::ByteSource {
+  public:
+    explicit VectorSource(Bytes bytes) : bytes_(std::move(bytes)) {}
+
+    void
+    read_at(u64 offset, void* dst, std::size_t bytes) override
+    {
+        ORION_CHECK(offset <= bytes_.size() &&
+                        bytes <= bytes_.size() - offset,
+                    "VectorSource read past the record");
+        std::memcpy(dst, bytes_.data() + offset, bytes);
+    }
+
+    u64 size() const override { return bytes_.size(); }
+
+  private:
+    Bytes bytes_;
+};
+
+/** Opens `bytes` as `kind` through both open_record overloads and expects
+ *  each to fail with a message containing `needle`. */
+void
+expect_both_paths_reject(const Bytes& bytes, serial::RecordKind kind,
+                         const std::string& needle)
+{
+    expect_throw_contains<Error>(
+        [&] { (void)serial::open_record(bytes, kind); }, needle);
+    VectorSource src(bytes);
+    expect_throw_contains<Error>(
+        [&] { (void)serial::open_record(src, kind); }, needle);
+}
+
+TEST(Serial, BothHeaderPathsRejectHostileFrames)
+{
+    CkksEnv& env = CkksEnv::shared();
+    const serial::RecordKind kind = serial::RecordKind::kKswitchKey;
+    const Bytes good = serial::serialize(env.relin);
+    const auto with = [&](std::size_t at, u8 value) {
+        Bytes bytes = good;
+        bytes[at] = value;
+        return bytes;
+    };
+    const auto with_length = [&](u64 length) {
+        Bytes bytes = good;
+        for (std::size_t i = 0; i < 8; ++i) {
+            bytes[6 + i] = static_cast<u8>(length >> (8 * i));
+        }
+        return bytes;
+    };
+    const u64 payload = good.size() - serial::kRecordHeaderBytes;
+
+    expect_both_paths_reject(with(0, 'X'), kind, "bad wire magic");
+    // One wire layout: every version byte but kWireVersion fails,
+    // including the retired 2 and 3.
+    for (int v = 0; v < 256; ++v) {
+        if (v == serial::kWireVersion) continue;
+        expect_both_paths_reject(with(4, static_cast<u8>(v)), kind,
+                                 "unsupported wire version");
+    }
+    expect_both_paths_reject(good, serial::RecordKind::kGaloisKeys,
+                             "wire record kind");
+    for (const std::size_t keep :
+         {std::size_t(0), std::size_t(4), serial::kRecordHeaderBytes - 1}) {
+        const Bytes cut(good.begin(),
+                        good.begin() + static_cast<std::ptrdiff_t>(keep));
+        expect_both_paths_reject(cut, kind, "too short for its header");
+    }
+    for (const u64 length :
+         {payload + 1, payload - 1, u64(0), ~u64(0)}) {
+        expect_both_paths_reject(with_length(length), kind,
+                                 "does not match payload size");
+    }
+    // A header alone (zero-length payload, prefix 0) is a valid frame.
+    const Bytes header_only = with_length(0);
+    const Bytes bare(header_only.begin(),
+                     header_only.begin() + serial::kRecordHeaderBytes);
+    EXPECT_TRUE(serial::open_record(bare, kind).done());
+    VectorSource bare_src(bare);
+    EXPECT_TRUE(serial::open_record(bare_src, kind).done());
 }
 
 }  // namespace

@@ -266,35 +266,35 @@ TEST(Serve, MismatchedParameterBundleRejected)
     EXPECT_FALSE(server.unregister_session(42));
 }
 
-TEST(Serve, LegacyV2KeyBundleStillRegistersAndServes)
+TEST(Serve, OtherWireVersionsAreRejectedAtTheServer)
 {
+    // One wire layout: a key bundle or request stamped with any version
+    // but kWireVersion (including the retired 2 and 3) fails before any
+    // payload byte is read, and the server keeps serving current clients.
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
-    DirectRun direct(senv.cn, env.ctx, senv.prepared);
     InferenceServer server(senv.cn, env.ctx, opts(1, 4), senv.prepared);
-
-    // Re-encode a current client's bundle in the v2 layout (explicit key
-    // digits, version-2 frame) — what a pre-seed-compression client sent.
     ServeClient client(senv.cn, env.ctx, /*seed=*/402);
-    const ckks::serial::Bytes v3 = client.key_bundle();
-    const serve::KeyBundle bundle = serve::decode_key_bundle(v3, env.ctx);
-    ckks::serial::ByteWriter w;
-    ckks::serial::write_params(w, bundle.params);
-    ckks::serial::write_kswitch_key(w, bundle.relin, /*version=*/2);
-    ckks::serial::write_galois_keys(w, bundle.galois, /*version=*/2);
-    const ckks::serial::Bytes v2 = ckks::serial::finish_record(
-        ckks::serial::RecordKind::kKeyBundle, std::move(w), /*version=*/2);
-    // The seed-compressed bundle is the acceptance win: <= 60% of v2.
-    EXPECT_LE(v3.size() * 10, v2.size() * 6)
-        << "v3 " << v3.size() << " bytes vs v2 " << v2.size();
+    const ckks::serial::Bytes bundle = client.key_bundle();
+    client.set_session_id(server.register_session(bundle));
+    const ckks::serial::Bytes request =
+        client.make_request(random_vector(64, 1.0, 83));
 
-    client.set_session_id(server.register_session(v2));
-    const std::vector<double> x = random_vector(64, 1.0, 83);
-    const std::vector<double> want = direct.run(x);
-    auto fut = server.submit(client.make_request(x));
-    EXPECT_LT(max_abs_diff(client.decrypt_response(fut.get().response),
-                           want),
-              1e-3);
+    for (const u8 version : {u8(2), u8(3), u8(5)}) {
+        ckks::serial::Bytes old_bundle = bundle;
+        old_bundle[4] = version;
+        expect_throw_contains<Error>(
+            [&] { (void)server.register_session(old_bundle); },
+            "unsupported wire version");
+        ckks::serial::Bytes old_request = request;
+        old_request[4] = version;
+        expect_throw_contains<Error>(
+            [&] { (void)serve::decode_request(old_request, env.ctx); },
+            "unsupported wire version");
+        EXPECT_THROW(server.submit(std::move(old_request)).get(), Error);
+    }
+    EXPECT_EQ(server.session_count(), 1u);
+    EXPECT_NO_THROW((void)server.submit(request).get());
 }
 
 TEST(Serve, UnregisterIsIdempotent)
@@ -1029,42 +1029,27 @@ TEST(ServeBatch, OverCapacityBatchRejectedNamingTheLimit)
     EXPECT_EQ(s.images, 0u);
 }
 
-TEST(ServeBatch, LegacyV3RequestDecodesAsSingleSample)
+TEST(ServeBatch, PeekAndRewriteIndexTheSessionId)
 {
     ServeEnv& senv = ServeEnv::shared();
     CkksEnv& env = CkksEnv::shared();
     ServeClient client(senv.cn, env.ctx, /*seed=*/602);
     client.set_session_id(77);
-
-    // Re-encode a current request in the v3 layout (no batch_count) —
-    // what a pre-batching client sends.
     const serve::Request req = serve::decode_request(
         client.make_request(random_vector(64, 1.0, 720)), env.ctx);
-    ckks::serial::ByteWriter w;
-    w.put_u64(req.session_id);
-    w.put_u64(req.request_id);
-    w.put_u64(req.inputs.size());
-    for (const ckks::Ciphertext& ct : req.inputs) {
-        ckks::serial::write_ciphertext(w, ct);
-    }
-    const ckks::serial::Bytes v3 = ckks::serial::finish_record(
-        ckks::serial::RecordKind::kRequest, std::move(w), /*version=*/3);
+    EXPECT_EQ(req.batch_count, 1u);
 
-    const serve::Request decoded = serve::decode_request(v3, env.ctx);
-    EXPECT_EQ(decoded.batch_count, 1u);
-    EXPECT_EQ(decoded.session_id, req.session_id);
-    EXPECT_EQ(decoded.request_id, req.request_id);
-    EXPECT_EQ(decoded.inputs.size(), req.inputs.size());
-
-    // peek/rewrite still index the session id on both versions: the
-    // batch_count landed AFTER the leading u64.
-    ckks::serial::Bytes v4 = serve::encode_request(req);
-    EXPECT_EQ(serve::peek_request_session(v3), req.session_id);
-    EXPECT_EQ(serve::peek_request_session(v4), req.session_id);
-    serve::rewrite_request_session(v4, 4242);
-    EXPECT_EQ(serve::peek_request_session(v4), 4242u);
-    EXPECT_EQ(serve::decode_request(v4, env.ctx).batch_count,
-              req.batch_count);
+    // The session id is the payload's leading u64 (batch_count follows
+    // the request id), so peek/rewrite index it without a decode.
+    ckks::serial::Bytes bytes = serve::encode_request(req);
+    EXPECT_EQ(serve::peek_request_session(bytes), req.session_id);
+    serve::rewrite_request_session(bytes, 4242);
+    EXPECT_EQ(serve::peek_request_session(bytes), 4242u);
+    const serve::Request rewritten = serve::decode_request(bytes, env.ctx);
+    EXPECT_EQ(rewritten.session_id, 4242u);
+    EXPECT_EQ(rewritten.request_id, req.request_id);
+    EXPECT_EQ(rewritten.batch_count, req.batch_count);
+    EXPECT_EQ(rewritten.inputs.size(), req.inputs.size());
 }
 
 TEST(ServeBatch, SingleSampleProgramBitIdenticalAcrossBatchKnob)
