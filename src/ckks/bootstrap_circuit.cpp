@@ -7,6 +7,7 @@
 #include <set>
 
 #include "src/core/telemetry.h"
+#include "src/core/thread_pool.h"
 
 namespace orion::ckks {
 
@@ -343,12 +344,17 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct) const
     }
     h_cts.observe(seconds_since(t0));
 
-    // EvalMod on both halves, then recombine re + i * im.
+    // EvalMod on both halves side by side (each writes only its own
+    // ciphertext; their per-limb regions borrow whatever workers are
+    // idle), then recombine re + i * im.
     t0 = std::chrono::steady_clock::now();
     {
         TELEM_SPAN("boot.eval_mod");
-        re = eval_mod(eval, re);
-        im = eval_mod(eval, im);
+        Ciphertext* halves[] = {&re, &im};
+        core::parallel_for(0, 2, [&](i64 h) {
+            Ciphertext& half = *halves[h];
+            half = eval_mod(eval, half);
+        });
         ORION_ASSERT(scales_match(re.scale, post_eval_scale_));
         eval.mul_by_i_inplace(im);
         re.scale = post_eval_scale_;

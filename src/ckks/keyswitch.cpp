@@ -32,7 +32,7 @@ KeySwitcher::decompose(const RnsPoly& c) const
         const int hi = std::min((d + 1) * alpha - 1, level);
         const int digit_len = hi - lo + 1;
 
-        RnsPoly ext(ctx, level, /*extended=*/true, /*ntt_form=*/false);
+        RnsPoly ext(ctx, level, /*extended=*/true, /*ntt_form=*/true);
 
         // lambda_j = c_j * (D/q_j)^{-1} mod q_j for each digit limb j,
         // where D is the product of the digit's primes. The (D/q_j)^{-1}
@@ -60,11 +60,13 @@ KeySwitcher::decompose(const RnsPoly& c) const
                 c_coeff.limb(j), n, hat_inv, hat_inv_shoup, qj);
         });
 
-        // Fill every target limb: digit limbs copy c directly; other limbs
-        // get the fast base conversion sum_j lambda_j * (D/q_j mod m_t).
-        // Target limbs are independent, so this hoistable decomposition
-        // parallelizes cleanly across the RNS base. Lambda row j is a
-        // residue mod q_j, below the largest digit prime.
+        // Fill every target limb in NTT form: digit limbs copy c (already
+        // in NTT form when the input is, so they need no transform); other
+        // limbs get the fast base conversion sum_j lambda_j * (D/q_j mod
+        // m_t), then their forward NTT. Target limbs are independent, so
+        // this hoistable decomposition parallelizes cleanly across the RNS
+        // base. Lambda row j is a residue mod q_j, below the largest digit
+        // prime.
         u64 row_bound = 0;
         for (int j = lo; j <= hi; ++j) {
             row_bound = std::max(row_bound, ctx.q(j).value());
@@ -74,17 +76,24 @@ KeySwitcher::decompose(const RnsPoly& c) const
             const int tg = ext.limb_global_index(t);
             u64* dst = ext.limb(t);
             if (tg >= lo && tg <= hi) {
+                if (c.is_ntt()) {
+                    std::copy(c.limb(tg), c.limb(tg) + n, dst);
+                    return;
+                }
                 std::copy(c_coeff.limb(tg), c_coeff.limb(tg) + n, dst);
-                return;
+            } else {
+                const Modulus& mt = ext.limb_modulus(t);
+                const std::vector<u64>& hat_mod_t =
+                    dc.hat_mod[static_cast<std::size_t>(tg)];
+                kernels::active().base_conv_acc(dst, lam_ptrs.data(),
+                                                hat_mod_t.data(), digit_len, n,
+                                                mt, row_bound);
             }
-            const Modulus& mt = ext.limb_modulus(t);
-            const std::vector<u64>& hat_mod_t =
-                dc.hat_mod[static_cast<std::size_t>(tg)];
-            kernels::active().base_conv_acc(dst, lam_ptrs.data(),
-                                            hat_mod_t.data(), digit_len, n,
-                                            mt, row_bound);
+            ext.limb_tables(t).forward(dst);
         });
-        ext.to_ntt();
+        const int transformed =
+            c.is_ntt() ? ext.num_limbs() - digit_len : ext.num_limbs();
+        ctx.counters().ntt += static_cast<u64>(transformed);
         out.push_back(std::move(ext));
     }
     return out;

@@ -9,21 +9,25 @@ namespace orion::core {
 namespace {
 
 /**
- * Set for the life of a worker loop, and while a caller runs iterations of
- * a parallel region it launched (the nesting guard).
+ * The pool whose region the calling thread is working for: set for the
+ * life of a worker loop, and while a caller runs iterations of a region it
+ * launched. Null outside every region. Nested launches go to this pool.
  */
-thread_local bool tls_in_region = false;
+thread_local ThreadPool* tls_pool = nullptr;
 
-/** Marks the calling thread as inside a region for its lifetime. */
+/** Marks the calling thread as working for `pool` for its lifetime. */
 class RegionGuard {
   public:
-    RegionGuard() : previous_(tls_in_region) { tls_in_region = true; }
-    ~RegionGuard() { tls_in_region = previous_; }
+    explicit RegionGuard(ThreadPool* pool) : previous_(tls_pool)
+    {
+        tls_pool = pool;
+    }
+    ~RegionGuard() { tls_pool = previous_; }
     RegionGuard(const RegionGuard&) = delete;
     RegionGuard& operator=(const RegionGuard&) = delete;
 
   private:
-    bool previous_;
+    ThreadPool* previous_;
 };
 
 /** Per-thread pool override installed by ScopedPoolOverride. */
@@ -59,7 +63,7 @@ ThreadPool::~ThreadPool()
 bool
 ThreadPool::in_region()
 {
-    return tls_in_region;
+    return tls_pool != nullptr;
 }
 
 void
@@ -75,12 +79,14 @@ ThreadPool::enqueue(std::function<void()> task)
 void
 ThreadPool::worker_loop()
 {
-    tls_in_region = true;
+    tls_pool = this;
     for (;;) {
         std::function<void()> task;
         {
             std::unique_lock<std::mutex> lk(mu_);
+            idle_.fetch_add(1, std::memory_order_relaxed);
             cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+            idle_.fetch_sub(1, std::memory_order_relaxed);
             if (stop_ && queue_.empty()) return;
             task = std::move(queue_.front());
             queue_.pop_front();
@@ -95,7 +101,12 @@ ThreadPool::parallel_for(i64 begin, i64 end,
 {
     const i64 count = end - begin;
     if (count <= 0) return;
-    if (count == 1 || workers_.empty() || in_region()) {
+    const bool nested = in_region();
+    // A nested region borrows only workers that are idle now; with none
+    // (the common case while a region keeps every worker busy) it runs
+    // inline without taking the lock.
+    if (count == 1 || workers_.empty() ||
+        (nested && idle_.load(std::memory_order_relaxed) == 0)) {
         for (i64 i = begin; i < end; ++i) fn(i);
         return;
     }
@@ -143,14 +154,30 @@ ThreadPool::parallel_for(i64 begin, i64 end,
         }
     };
 
-    const int helpers = static_cast<int>(std::min<i64>(
-        static_cast<i64>(workers_.size()), count - 1));
-    for (int h = 0; h < helpers; ++h) {
-        enqueue([st, drain] { drain(*st); });
-    }
+    i64 helpers = 0;
     {
-        // The caller's own nested regions run inline, as a worker's do.
-        const RegionGuard guard;
+        // A top-level region asks for every worker; a nested one for the
+        // idle workers that no queued task has claimed yet.
+        std::lock_guard<std::mutex> lk(mu_);
+        i64 available = static_cast<i64>(workers_.size());
+        if (nested) {
+            available = idle_.load(std::memory_order_relaxed) -
+                        static_cast<i64>(queue_.size());
+        }
+        helpers = std::clamp<i64>(available, 0, count - 1);
+        for (i64 h = 0; h < helpers; ++h) {
+            queue_.push_back([st, drain] { drain(*st); });
+        }
+    }
+    if (helpers == 0) {
+        for (i64 i = begin; i < end; ++i) fn(i);
+        return;
+    }
+    for (i64 h = 0; h < helpers; ++h) cv_.notify_one();
+    {
+        // The caller's own nested regions go to this pool, as a worker's
+        // do.
+        const RegionGuard guard(this);
         drain(*st);
     }
     {
@@ -198,11 +225,17 @@ ThreadPool::global_threads()
 void
 parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn)
 {
-    // Lock-free fast paths first: trivial ranges, nested launches from
-    // inside a region, and a serial global pool all run inline without
-    // touching g_pool_mu (this is the common case inside hot kernels).
-    if (end - begin <= 1 || ThreadPool::in_region()) {
+    // Lock-free fast paths first: trivial ranges run inline, and a nested
+    // launch goes to the pool the thread is working for (never to the
+    // override or global pool), which runs it inline unless it has idle
+    // workers. A serial global pool runs inline without touching
+    // g_pool_mu.
+    if (end - begin <= 1) {
         for (i64 i = begin; i < end; ++i) fn(i);
+        return;
+    }
+    if (tls_pool != nullptr) {
+        tls_pool->parallel_for(begin, end, fn);
         return;
     }
     if (tls_pool_override) {

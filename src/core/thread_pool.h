@@ -11,12 +11,22 @@
  *    whose writes are disjoint and whose arithmetic is exact modular
  *    integer math, so results are bit-identical for ANY thread count.
  *    Reductions are always finalized serially in a fixed order.
- *  - Kernels nest (a parallel BSGS baby step performs a parallel NTT).
- *    Nested regions run inline on the thread that reaches them, worker or
- *    the region's own caller - this is also the deadlock guard: no thread
- *    inside a region ever waits on queued work. A region completes when
- *    its iterations have finished, not when its helper tasks have run, so
- *    a helper still queued behind a sibling's work cannot hold it up.
+ *  - Kernels nest (a parallel BSGS baby step performs a parallel NTT; the
+ *    bootstrap's two EvalMod halves each run per-limb regions). A thread
+ *    working for a pool - one of its workers, or a caller running
+ *    iterations of a region it launched on it - sends nested launches to
+ *    that pool, never to the global or an override pool. A nested region
+ *    runs inline unless the pool has idle workers; then it enqueues at
+ *    most (idle - already queued) helpers and the launching thread drains
+ *    beside them. A top-level region asks for every worker.
+ *  - Deadlock freedom: a region completes when its iterations have
+ *    finished, not when its helper tasks have run (a helper still queued
+ *    behind other work finds nothing left to claim), and the launching
+ *    thread claims every index nobody else has. So a region waits only
+ *    for indices that running threads have already claimed. A thread that
+ *    holds index i of region X and waits on region Y launched Y inside its
+ *    work on X, so launch times strictly increase along any wait chain,
+ *    and no cycle can form.
  *  - num_threads = 1 must not spawn threads at all, so single-threaded
  *    runs exercise exactly the same code path as the seed implementation.
  *
@@ -56,8 +66,8 @@ class ThreadPool {
 
     /**
      * True on a worker of any ThreadPool, and on a caller while it runs
-     * iterations of its own region: parallel work launched there runs
-     * inline.
+     * iterations of its own region: parallel work launched there is
+     * nested (it borrows only idle workers, and submit() runs inline).
      */
     static bool in_region();
 
@@ -65,7 +75,7 @@ class ThreadPool {
      * Runs fn(i) for every i in [begin, end), distributing iterations
      * across the pool. Blocks until all iterations complete. Runs inline
      * when the pool is serial, the range is trivial, or the caller is
-     * already inside a region (nesting / deadlock guard).
+     * already inside a region and no worker of this pool is idle.
      */
     void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn);
 
@@ -113,22 +123,27 @@ class ThreadPool {
     std::mutex mu_;
     std::condition_variable cv_;
     bool stop_ = false;
+    /** Workers waiting for a task. Written under mu_; read lock-free by
+     *  the nested fast path, which only needs a hint. */
+    std::atomic<int> idle_{0};
 };
 
 /**
- * The kernels' entry point. Dispatch order: trivial ranges and calls from
- * inside a region run inline (no locks); otherwise the calling thread's
+ * The kernels' entry point. Dispatch order: trivial ranges run inline (no
+ * locks); calls from inside a region go to the pool the thread works for
+ * (inline unless it has idle workers); otherwise the calling thread's
  * ScopedPoolOverride pool, if any; otherwise the global pool.
  */
 void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn);
 
 /**
- * Number of threads a parallel_for launched from the current thread would
- * use: 1 inside a region (nested regions run inline), the override pool's
- * size under a ScopedPoolOverride, otherwise the global pool's size. Used
- * by kernels that pick a chunk count for per-thread partial results; the
- * chunking only affects scheduling, never values, so any return value
- * preserves bit-identical outputs.
+ * Number of threads a parallel_for launched from the current thread may
+ * count on: 1 inside a region (a nested region gets only the workers that
+ * happen to be idle, so per-chunk partials would not pay), the override
+ * pool's size under a ScopedPoolOverride, otherwise the global pool's
+ * size. Used by kernels that pick a chunk count for per-thread partial
+ * results; the chunking only affects scheduling, never values, so any
+ * return value preserves bit-identical outputs.
  */
 int current_parallelism();
 

@@ -78,12 +78,7 @@ ServeClient::key_bundle() const
 {
     // Serialize straight from the members: a KeyBundle temporary would
     // deep-copy the (potentially hundreds of MB of) Galois keys.
-    ckks::serial::ByteWriter w;
-    ckks::serial::write_params(w, ctx_->params());
-    ckks::serial::write_kswitch_key(w, relin_);
-    ckks::serial::write_galois_keys(w, galois_);
-    return finish_record(ckks::serial::RecordKind::kKeyBundle,
-                         std::move(w));
+    return encode_key_bundle(ctx_->params(), relin_, galois_);
 }
 
 std::vector<ckks::Ciphertext>

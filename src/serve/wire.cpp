@@ -8,13 +8,21 @@ using ckks::serial::ByteWriter;
 using ckks::serial::RecordKind;
 
 Bytes
-encode_key_bundle(const KeyBundle& b)
+encode_key_bundle(const ckks::CkksParams& params,
+                  const ckks::KswitchKey& relin,
+                  const ckks::GaloisKeys& galois)
 {
     ByteWriter w;
-    ckks::serial::write_params(w, b.params);
-    ckks::serial::write_kswitch_key(w, b.relin);
-    ckks::serial::write_galois_keys(w, b.galois);
+    ckks::serial::write_params(w, params);
+    ckks::serial::write_kswitch_key(w, relin);
+    ckks::serial::write_galois_keys(w, galois);
     return finish_record(RecordKind::kKeyBundle, std::move(w));
+}
+
+Bytes
+encode_key_bundle(const KeyBundle& b)
+{
+    return encode_key_bundle(b.params, b.relin, b.galois);
 }
 
 KeyBundle

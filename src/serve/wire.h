@@ -51,6 +51,13 @@ struct Response {
     double execute_s = 0.0;
 };
 
+/**
+ * The one KeyBundle writer. Takes the parts by reference so a client can
+ * serialize its own keys without deep-copying them into a KeyBundle.
+ */
+ckks::serial::Bytes encode_key_bundle(const ckks::CkksParams& params,
+                                      const ckks::KswitchKey& relin,
+                                      const ckks::GaloisKeys& galois);
 ckks::serial::Bytes encode_key_bundle(const KeyBundle& b);
 /** Validates the bundle's parameters against `ctx` (ring compatibility). */
 KeyBundle decode_key_bundle(std::span<const u8> bytes,

@@ -2,14 +2,18 @@
  * @file
  * The core/thread_pool contract: task completion, exception propagation
  * through both submit() and parallel_for(), the nested-submit deadlock
- * guard, and the determinism guarantee the whole runtime rests on -
- * multithreaded NTT and BSGS results are bit-identical to num_threads = 1.
+ * guard, nested regions that borrow idle workers of their own pool, and
+ * the determinism guarantee the whole runtime rests on - multithreaded NTT
+ * and BSGS results are bit-identical to num_threads = 1.
  */
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -95,15 +99,187 @@ TEST(ThreadPool, AbandonsRemainingWorkAfterFailure)
     EXPECT_LT(executed.load(), 100000);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock)
+TEST(ThreadPool, NestedParallelForCompletesWithoutDeadlock)
 {
     ThreadPool pool(4);
     std::atomic<int> inner_total{0};
     pool.parallel_for(0, 8, [&](i64) {
-        // Workers must not re-enqueue and block on their own queue.
+        // Workers may enqueue nested helpers, but must never block on
+        // their own queue.
         pool.parallel_for(0, 4, [&](i64) { inner_total.fetch_add(1); });
     });
     EXPECT_EQ(inner_total.load(), 8 * 4);
+}
+
+/** Mixes (seed, i) into a child seed for the nesting stress test. */
+u64
+child_seed(u64 seed, i64 i)
+{
+    u64 x = seed ^ (static_cast<u64>(i) + 0x9e3779b97f4a7c15ULL);
+    x ^= x >> 31;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    return x ^ (x >> 29);
+}
+
+/** Leaves of the region tree random_nest(seed, depth) walks. */
+i64
+expected_leaves(u64 seed, int depth)
+{
+    const i64 count = static_cast<i64>(seed % 6);
+    if (depth == 3) return count;
+    i64 total = 0;
+    for (i64 i = 0; i < count; ++i) {
+        total += expected_leaves(child_seed(seed, i), depth + 1);
+    }
+    return total;
+}
+
+/**
+ * Three levels of seeded random fan-out (0 to 5 per region). Even depths
+ * launch on the pool directly, odd depths through core::parallel_for,
+ * which must route a worker's launch back to the pool it works for.
+ * Every region checks that each of its indices ran exactly once.
+ */
+void
+random_nest(ThreadPool& pool, u64 seed, int depth, std::atomic<i64>& leaves,
+            std::atomic<int>& errors)
+{
+    const i64 count = static_cast<i64>(seed % 6);
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(count));
+    const auto body = [&](i64 i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+        if (depth == 3) {
+            leaves.fetch_add(1);
+            if (seed & 1) std::this_thread::yield();
+            return;
+        }
+        random_nest(pool, child_seed(seed, i), depth + 1, leaves, errors);
+    };
+    if (depth % 2 == 0) {
+        pool.parallel_for(0, count, body);
+    } else {
+        core::parallel_for(0, count, body);
+    }
+    for (const std::atomic<int>& h : hits) {
+        if (h.load() != 1) errors.fetch_add(1);
+    }
+}
+
+TEST(ThreadPool, RandomNestedRegionsRunEveryIndexOnce)
+{
+    // Two external callers share each pool, so nested launches race for
+    // idle workers with each other and with top-level regions. A hang
+    // aborts after a bounded wall instead of stalling the suite.
+    constexpr int kRounds = 1000;
+    for (int threads : {2, 3, 4}) {
+        ThreadPool pool(threads);
+        std::atomic<i64> leaves{0};
+        std::atomic<int> errors{0};
+        const u64 base = 1234 + static_cast<u64>(threads);
+        i64 want = 0;
+        for (int caller = 0; caller < 2; ++caller) {
+            for (int r = 0; r < kRounds; ++r) {
+                want += expected_leaves(child_seed(base, 2 * r + caller), 0);
+            }
+        }
+        auto run = std::async(std::launch::async, [&] {
+            std::vector<std::thread> callers;
+            for (int caller = 0; caller < 2; ++caller) {
+                callers.emplace_back([&, caller] {
+                    for (int r = 0; r < kRounds; ++r) {
+                        random_nest(pool, child_seed(base, 2 * r + caller), 0,
+                                    leaves, errors);
+                    }
+                });
+            }
+            for (std::thread& t : callers) t.join();
+        });
+        if (run.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready) {
+            std::fprintf(stderr, "nested regions hung on a %d-thread pool\n",
+                         threads);
+            std::abort();
+        }
+        run.get();
+        EXPECT_EQ(errors.load(), 0) << threads << " threads";
+        EXPECT_EQ(leaves.load(), want) << threads << " threads";
+    }
+}
+
+/** Ids of the `threads` threads that core::parallel_for reaches from this
+ *  thread, gathered by a region in which each index waits until every
+ *  thread holds one. */
+std::set<std::thread::id>
+pool_thread_ids(int threads)
+{
+    std::mutex mu;
+    std::condition_variable cv;
+    std::set<std::thread::id> ids;
+    core::parallel_for(0, threads, [&](i64) {
+        std::unique_lock<std::mutex> lk(mu);
+        ids.insert(std::this_thread::get_id());
+        cv.notify_all();
+        cv.wait_for(lk, std::chrono::seconds(5), [&] {
+            return static_cast<int>(ids.size()) == threads;
+        });
+    });
+    return ids;
+}
+
+TEST(ThreadPool, NestedLaunchUnderOverrideStaysOnThatPool)
+{
+    using core::ScopedPoolOverride;
+    // The global pool has workers of its own, so a nested launch that
+    // escaped to it would run on a thread outside the override pool.
+    const ScopedNumThreads global(4);
+    const ScopedPoolOverride scoped(4);
+    const std::set<std::thread::id> override_ids = pool_thread_ids(4);
+    ASSERT_EQ(override_ids.size(), 4u);
+
+    // Two outer items leave two workers idle for the nested regions to
+    // borrow; whoever runs a nested index must belong to the override
+    // pool (its workers or this thread).
+    std::mutex mu;
+    std::set<std::thread::id> nested_ids;
+    std::atomic<int> total{0};
+    core::parallel_for(0, 2, [&](i64) {
+        for (int rep = 0; rep < 8; ++rep) {
+            core::parallel_for(0, 16, [&](i64) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                total.fetch_add(1);
+                std::lock_guard<std::mutex> lk(mu);
+                nested_ids.insert(std::this_thread::get_id());
+            });
+        }
+    });
+    EXPECT_EQ(total.load(), 2 * 8 * 16);
+    for (const std::thread::id& id : nested_ids) {
+        EXPECT_EQ(override_ids.count(id), 1u)
+            << "a nested region left the override pool";
+    }
+}
+
+TEST(ThreadPool, NestedRegionBorrowsIdleWorkers)
+{
+    // A two-item region on a 4-thread pool leaves two workers idle, so
+    // the nested regions should reach more than the two threads running
+    // outer items. Scheduling decides who wins the race for idle workers,
+    // so retry a bounded number of times.
+    ThreadPool pool(4);
+    std::size_t best = 0;
+    for (int attempt = 0; attempt < 20 && best <= 2; ++attempt) {
+        std::mutex mu;
+        std::set<std::thread::id> ids;
+        pool.parallel_for(0, 2, [&](i64) {
+            pool.parallel_for(0, 32, [&](i64) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                std::lock_guard<std::mutex> lk(mu);
+                ids.insert(std::this_thread::get_id());
+            });
+        });
+        best = std::max(best, ids.size());
+    }
+    EXPECT_GT(best, 2u);
 }
 
 TEST(ThreadPool, CallerNestedRegionDoesNotWaitForSiblings)
