@@ -31,8 +31,8 @@ struct BenchOptions {
      * `--smoke` or a nonempty $ORION_BENCH_SMOKE.
      */
     bool smoke = false;
-    /** `--threads N`: sets core num_threads for the whole run (0 = all). */
-    int num_threads = -1;  // -1 = leave the global config untouched
+    /** `--threads N`: the global kernel pool's size (0 = all cores). */
+    int num_threads = -1;  // -1 = leave the global pool as it is
     /**
      * `--json <path>`: write a machine-readable report of every metric
      * recorded via json_metric() on exit. This is the repo's perf
@@ -174,8 +174,9 @@ json_metric(const std::string& name, double value)
 
 /**
  * Parses --smoke / --threads N / --json PATH (and $ORION_BENCH_SMOKE),
- * applies the thread knob to the global config, and registers the exit-time
- * JSON report writer. Call first thing in every main().
+ * resizes the global kernel pool to N (core::set_num_threads; a count
+ * that is not a non-negative integer exits with status 2), and registers
+ * the exit-time JSON report writer. Call first thing in every main().
  */
 inline void
 init(int argc, char** argv)
@@ -188,7 +189,13 @@ init(int argc, char** argv)
         if (std::strcmp(argv[i], "--smoke") == 0) {
             opts.smoke = true;
         } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            opts.num_threads = std::atoi(argv[++i]);
+            try {
+                opts.num_threads =
+                    core::parse_thread_count(argv[++i], "--threads");
+            } catch (const Error& e) {
+                std::fprintf(stderr, "%s\n", e.what());
+                std::exit(2);
+            }
         } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
             opts.json_path = argv[++i];
         }

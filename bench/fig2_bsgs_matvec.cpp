@@ -25,7 +25,7 @@ namespace {
 bool
 inner_sum_table()
 {
-    const core::ScopedNumThreads serial(1);
+    const core::ScopedPoolOverride serial(1);
     const ckks::Context ctx(ckks::CkksParams::network());
     const ckks::Encoder enc(ctx);
     ckks::KeyGenerator keygen(ctx, 7);
@@ -183,7 +183,7 @@ main(int argc, char** argv)
     std::vector<double> out1;
     bool diverged = false;
     for (int threads : {1, 2, 4, 8}) {
-        const core::ScopedNumThreads scoped(threads);
+        const core::ScopedPoolOverride scoped(threads);
         const double t = bench::time_median(
             bench::reps(3), [&] { (void)he_bsgs.apply(eval, {&ct, 1}); });
         const std::vector<double> out = enc.decode(

@@ -600,9 +600,8 @@ required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
 
 CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
                            const ckks::Context& ctx,
-                           std::shared_ptr<const PreparedProgram> prepared,
-                           std::optional<OrionConfig> cfg)
-    : cn_(&cn), ctx_(&ctx), cfg_(std::move(cfg)), encoder_(ctx),
+                           std::shared_ptr<const PreparedProgram> prepared)
+    : cn_(&cn), ctx_(&ctx), encoder_(ctx),
       prep_(std::move(prepared)), eval_(ctx, encoder_)
 {
     ORION_CHECK(prep_ != nullptr, "executor requires a prepared program");
@@ -642,12 +641,6 @@ CkksExecutor::run_encrypted(const std::vector<ckks::Ciphertext>& input)
     ORION_CHECK(relin_ != nullptr || galois_ != nullptr,
                 "run_encrypted requires bound evaluation keys "
                 "(bind_session_keys)");
-    // A pinned config governs every kernel underneath this call via a
-    // thread-local override (concurrent executors with different budgets
-    // cannot interfere). Without one, kernels follow the ambient setting
-    // (global pool or the caller's own override).
-    std::optional<ScopedPoolOverride> scoped_threads;
-    if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
     const CkksBackend backend{*ctx_, eval_, prep_->steps_, input};
     EncryptedResult result;
     result.outputs = walk(*cn_, backend, result);

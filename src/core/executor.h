@@ -25,6 +25,10 @@
  * resolved scales, the bootstrap circuit) lives in a shared
  * PreparedProgram so a pool of serving executors amortizes it across
  * sessions.
+ *
+ * Neither backend has a thread knob: kernels run on whatever pool the
+ * calling thread reaches (see thread_pool.h), so the caller - a serving
+ * worker, a test sweep, a bench - owns the thread budget.
  */
 
 #include <memory>
@@ -32,7 +36,6 @@
 
 #include "src/ckks/ckks.h"
 #include "src/core/compiler.h"
-#include "src/core/config.h"
 
 namespace orion::core {
 
@@ -166,13 +169,11 @@ GaloisRequirements required_galois(const CompiledNetwork& cn,
 /**
  * Real-FHE backend over the from-scratch CKKS substrate.
  *
- * CkksExecutor honors OrionConfig::num_threads: run_encrypted() installs
- * a thread-local pool override for its duration, so the executor knob
- * controls every parallel kernel underneath it without touching global
- * state (concurrent executors with different budgets are safe).
- * num_threads = 1 is bit-identical to any other setting; it simply runs
- * the kernels serially. SimExecutor's reference convolutions follow the
- * ambient thread setting.
+ * run_encrypted() runs its kernels on the calling thread's pool: its
+ * ScopedPoolOverride if it has one, else the global pool. Outputs are
+ * bit-identical at every thread count, so the budget only moves wall
+ * time. An InferenceServer worker pins ServeOptions::threads_per_request
+ * once for its whole life, not per request.
  */
 class CkksExecutor {
   public:
@@ -182,16 +183,9 @@ class CkksExecutor {
      * under the bound Galois/relinearization keys; the context must
      * therefore have l_eff + l_boot levels (construction fails otherwise,
      * naming the offending instruction).
-     *
-     * When `cfg` is given, run_encrypted() pins its kernels to
-     * cfg.num_threads via a thread-local pool override. Without it, the
-     * executor follows the ambient setting at call time
-     * (core::set_num_threads or a caller's ScopedPoolOverride), so late
-     * thread-count changes take effect.
      */
     CkksExecutor(const CompiledNetwork& cn, const ckks::Context& ctx,
-                 std::shared_ptr<const PreparedProgram> prepared,
-                 std::optional<OrionConfig> cfg = std::nullopt);
+                 std::shared_ptr<const PreparedProgram> prepared);
 
     /**
      * Binds a session's evaluation keys. The pointed-to keys must outlive
@@ -219,7 +213,6 @@ class CkksExecutor {
   private:
     const CompiledNetwork* cn_;
     const ckks::Context* ctx_;
-    std::optional<OrionConfig> cfg_;
     ckks::Encoder encoder_;
     std::shared_ptr<const PreparedProgram> prep_;
     // Bound evaluation keys (a session's, owned by its client).

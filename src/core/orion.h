@@ -21,7 +21,6 @@
 #include "src/ckks/ckks.h"
 #include "src/ckks/serial.h"
 #include "src/core/compiler.h"
-#include "src/core/config.h"
 #include "src/core/cost_model.h"
 #include "src/core/executor.h"
 #include "src/core/placement.h"

@@ -4,8 +4,6 @@
 #include <random>
 #include <utility>
 
-#include "src/core/thread_pool.h"
-
 namespace orion {
 
 Session::Session(SessionOptions opts) : opts_(std::move(opts))
@@ -203,7 +201,7 @@ Session::executor()
         // Constructed before any keygen: a program the context cannot
         // execute is rejected without paying for keys.
         auto fhe = std::make_unique<core::CkksExecutor>(
-            *compiled_, *ctx_, prepared(), opts_.exec_config);
+            *compiled_, *ctx_, prepared());
         const serve::ServeClient& keys = client("executor");
         fhe->bind_session_keys(&keys.relin_key(), &keys.galois_keys());
         fhe_ = std::move(fhe);
@@ -219,11 +217,6 @@ Session::infer(const std::vector<std::vector<double>>& samples,
     require_compiled("run");
     require_context("run");
     core::CkksExecutor& exec = executor();
-    // Client crypto runs under the same kernel budget as the program.
-    std::optional<core::ScopedPoolOverride> scoped_threads;
-    if (opts_.exec_config) {
-        scoped_threads.emplace(opts_.exec_config->resolved_num_threads());
-    }
     core::EncryptedResult er = exec.run_encrypted(encrypt(samples));
     outputs = decrypt(er.outputs, static_cast<int>(samples.size()));
 

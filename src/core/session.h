@@ -36,7 +36,6 @@
 
 #include "src/ckks/ckks.h"
 #include "src/core/compiler.h"
-#include "src/core/config.h"
 #include "src/core/executor.h"
 #include "src/nn/module.h"
 #include "src/serve/serve.h"
@@ -53,8 +52,6 @@ struct SessionOptions {
     int l_eff = 10;
     /** Keygen seed of the session's own client (and of module init). */
     u64 seed = 7;
-    /** Kernel-thread config pinned on the executor (nullopt = ambient). */
-    std::optional<core::OrionConfig> exec_config;
 };
 
 /** One FHE pipeline: context + client keys + compiled program + executors. */
@@ -107,8 +104,9 @@ class Session {
     /**
      * Full encrypted inference of one sample: the session client
      * encrypts, the executor runs the program on ciphertexts, the client
-     * decrypts, with SessionOptions::exec_config pinned for the whole
-     * call. The B = 1 case of run(samples).
+     * decrypts. Kernels run on the calling thread's pool (its
+     * core::ScopedPoolOverride, else the global pool). The B = 1 case of
+     * run(samples).
      */
     core::ExecutionResult run(const std::vector<double>& input);
 

@@ -1,8 +1,9 @@
 #include "src/core/thread_pool.h"
 
 #include <algorithm>
-
-#include "src/core/config.h"
+#include <charconv>
+#include <cstdlib>
+#include <string>
 
 namespace orion::core {
 
@@ -38,7 +39,77 @@ std::shared_ptr<ThreadPool> g_pool;
 /** Size of g_pool, readable without g_pool_mu (0 = not yet created). */
 std::atomic<int> g_pool_size{0};
 
+/** The global pool's size before any set_num_threads: $ORION_NUM_THREADS
+ *  (read once), else 1. */
+int
+env_num_threads()
+{
+    static const int n = [] {
+        const char* env = std::getenv("ORION_NUM_THREADS");
+        return env == nullptr ? 1
+                              : resolve_thread_count(parse_thread_count(
+                                    env, "ORION_NUM_THREADS"));
+    }();
+    return n;
+}
+
+/**
+ * The process-wide pool. Shared ownership: a kernel holds the returned
+ * pointer for the duration of its region, so a concurrent resize (which
+ * installs a fresh pool) cannot destroy a pool that still has work in
+ * flight - the old pool is torn down when its last in-flight region
+ * finishes.
+ */
+std::shared_ptr<ThreadPool>
+global_pool()
+{
+    std::lock_guard<std::mutex> lk(g_pool_mu);
+    if (!g_pool) {
+        const int n = env_num_threads();
+        g_pool = std::make_shared<ThreadPool>(n);
+        g_pool_size.store(n, std::memory_order_relaxed);
+    }
+    return g_pool;
+}
+
 }  // namespace
+
+int
+parse_thread_count(std::string_view text, std::string_view source)
+{
+    int n = -1;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    ORION_CHECK(!text.empty() && ec == std::errc() && ptr == end && n >= 0,
+                source << "=\"" << std::string(text)
+                       << "\" is not a thread count (a non-negative "
+                          "integer; 0 = every core)");
+    return n;
+}
+
+int
+resolve_thread_count(int n)
+{
+    if (n > 0) return n;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+void
+set_num_threads(int n)
+{
+    ORION_CHECK(n >= 0, "num_threads " << n << " is negative");
+    n = resolve_thread_count(n);
+    std::shared_ptr<ThreadPool> retired;
+    {
+        std::lock_guard<std::mutex> lk(g_pool_mu);
+        if (g_pool && g_pool->num_threads() == n) return;
+        retired = std::move(g_pool);  // destroyed outside the lock, or kept
+                                      // alive by in-flight kernels
+        g_pool = std::make_shared<ThreadPool>(n);
+        g_pool_size.store(n, std::memory_order_relaxed);
+    }
+}
 
 ThreadPool::ThreadPool(int num_threads)
 {
@@ -64,16 +135,6 @@ bool
 ThreadPool::in_region()
 {
     return tls_pool != nullptr;
-}
-
-void
-ThreadPool::enqueue(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        queue_.push_back(std::move(task));
-    }
-    cv_.notify_one();
 }
 
 void
@@ -189,37 +250,11 @@ ThreadPool::parallel_for(i64 begin, i64 end,
     if (st->error) std::rethrow_exception(st->error);
 }
 
-std::shared_ptr<ThreadPool>
-ThreadPool::global()
-{
-    std::lock_guard<std::mutex> lk(g_pool_mu);
-    if (!g_pool) {
-        g_pool = std::make_shared<ThreadPool>(config().resolved_num_threads());
-        g_pool_size.store(g_pool->num_threads(), std::memory_order_relaxed);
-    }
-    return g_pool;
-}
-
-void
-ThreadPool::set_global_threads(int n)
-{
-    ORION_CHECK(n >= 1, "num_threads must be >= 1");
-    std::shared_ptr<ThreadPool> retired;
-    {
-        std::lock_guard<std::mutex> lk(g_pool_mu);
-        if (g_pool && g_pool->num_threads() == n) return;
-        retired = std::move(g_pool);  // destroyed outside the lock, or kept
-                                      // alive by in-flight kernels
-        g_pool = std::make_shared<ThreadPool>(n);
-        g_pool_size.store(n, std::memory_order_relaxed);
-    }
-}
-
 int
 ThreadPool::global_threads()
 {
-    std::lock_guard<std::mutex> lk(g_pool_mu);
-    return g_pool ? g_pool->num_threads() : config().resolved_num_threads();
+    const int size = g_pool_size.load(std::memory_order_relaxed);
+    return size > 0 ? size : env_num_threads();
 }
 
 void
@@ -248,7 +283,7 @@ parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn)
     }
     // Holding the shared_ptr for the whole region keeps the pool alive
     // even if another thread swaps in a different global pool meanwhile.
-    ThreadPool::global()->parallel_for(begin, end, fn);
+    global_pool()->parallel_for(begin, end, fn);
 }
 
 int
@@ -256,20 +291,7 @@ current_parallelism()
 {
     if (ThreadPool::in_region()) return 1;
     if (tls_pool_override) return tls_pool_override->num_threads();
-    const int global = g_pool_size.load(std::memory_order_relaxed);
-    return global > 0 ? global : config().resolved_num_threads();
-}
-
-ScopedNumThreads::ScopedNumThreads(int n)
-    : previous_(config().num_threads)  // raw value, preserving the 0 =
-                                       // "follow hardware" sentinel
-{
-    set_num_threads(n);
-}
-
-ScopedNumThreads::~ScopedNumThreads()
-{
-    set_num_threads(previous_);
+    return ThreadPool::global_threads();
 }
 
 ScopedPoolOverride::ScopedPoolOverride(int n)

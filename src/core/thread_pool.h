@@ -33,6 +33,13 @@
  * Exceptions thrown by loop bodies are captured and the first one is
  * rethrown on the calling thread after the region completes; remaining
  * iterations are abandoned (best effort) once a failure is recorded.
+ *
+ * The kernel thread count is set in exactly four ways. The global pool is
+ * sized from $ORION_NUM_THREADS (default 1) and resized by
+ * set_num_threads (which bench's `--threads` calls); a ScopedPoolOverride
+ * gives one thread's call tree a private pool; and a serving worker
+ * installs one such override for its whole life when
+ * serve::ServeOptions::threads_per_request > 0.
  */
 
 #include <algorithm>
@@ -40,11 +47,10 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "src/common.h"
@@ -67,7 +73,7 @@ class ThreadPool {
     /**
      * True on a worker of any ThreadPool, and on a caller while it runs
      * iterations of its own region: parallel work launched there is
-     * nested (it borrows only idle workers, and submit() runs inline).
+     * nested (it borrows only idle workers).
      */
     static bool in_region();
 
@@ -79,43 +85,11 @@ class ThreadPool {
      */
     void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn);
 
-    /**
-     * Schedules a single task and returns its future. Runs inline (and
-     * returns a ready future) when the pool is serial or the caller is
-     * inside a region, so waiting on the future can never deadlock.
-     */
-    template <typename F>
-    auto
-    submit(F&& f) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-        std::future<R> fut = task->get_future();
-        if (workers_.empty() || in_region()) {
-            (*task)();
-        } else {
-            enqueue([task] { (*task)(); });
-        }
-        return fut;
-    }
-
-    /**
-     * The process-wide pool used by all FHE kernels. Sized from
-     * core::config().num_threads on first use. Shared ownership: a kernel
-     * holds the returned pointer for the duration of its region, so a
-     * concurrent resize (which installs a fresh pool) cannot destroy a
-     * pool that still has work in flight - the old pool is torn down when
-     * its last in-flight region finishes.
-     */
-    static std::shared_ptr<ThreadPool> global();
-    /** Replaces the global pool with one of the given size. */
-    static void set_global_threads(int n);
-    /** Current size of the global pool (without forcing its creation). */
+    /** Size of the global pool (without forcing its creation): the last
+     *  set_num_threads, else $ORION_NUM_THREADS, else 1. */
     static int global_threads();
 
   private:
-    void enqueue(std::function<void()> task);
     void worker_loop();
 
     std::vector<std::thread> workers_;
@@ -146,6 +120,20 @@ void parallel_for(i64 begin, i64 end, const std::function<void(i64)>& fn);
  * return value preserves bit-identical outputs.
  */
 int current_parallelism();
+
+/**
+ * Parses a kernel thread count: a non-negative decimal integer, where 0
+ * means every core. Anything else (empty text, a sign, trailing
+ * characters, overflow) throws an Error naming `source` - the env var or
+ * flag the text came from - and the text itself.
+ */
+int parse_thread_count(std::string_view text, std::string_view source);
+
+/** `n` when positive, else the hardware concurrency (at least 1). */
+int resolve_thread_count(int n);
+
+/** Replaces the global pool with one of n threads (0 = every core). */
+void set_num_threads(int n);
 
 /** Chunk-count policy for per-chunk fan-outs: one contiguous chunk per
  *  available thread, never more chunks than iterations. */
@@ -193,26 +181,12 @@ parallel_for_chunked(i64 count, F&& fn)
     });
 }
 
-/** RAII guard: sets the global pool size, restores the old size on exit.
- *  Process-wide - intended for single-threaded drivers (tests, benches).
- *  Concurrent guards on different threads trample each other's sizes; use
- *  ScopedPoolOverride for per-call-tree parallelism instead. */
-class ScopedNumThreads {
-  public:
-    explicit ScopedNumThreads(int n);
-    ~ScopedNumThreads();
-    ScopedNumThreads(const ScopedNumThreads&) = delete;
-    ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
-
-  private:
-    int previous_;
-};
-
 /**
  * RAII guard: gives the *current thread's* kernel launches a private pool
- * of n threads, restoring the previous override (if any) on exit. Unlike
- * ScopedNumThreads this touches no global state, so concurrent executors
- * with different thread budgets cannot interfere with each other.
+ * of n threads, restoring the previous override (if any) on exit. It
+ * touches no global state, so concurrent callers with different thread
+ * budgets (serving workers, thread-count sweeps in tests and benches)
+ * cannot interfere with each other.
  */
 class ScopedPoolOverride {
   public:

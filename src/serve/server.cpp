@@ -1,5 +1,7 @@
 #include "src/serve/server.h"
 
+#include "src/core/thread_pool.h"
+
 namespace orion::serve {
 
 namespace {
@@ -60,16 +62,10 @@ InferenceServer::InferenceServer(
                          : std::make_shared<const core::PreparedProgram>(
                                cn, ctx);
 
-    // Per-request kernel threading: a pinned config when > 0, ambient
-    // inheritance when 0.
-    std::optional<core::OrionConfig> exec_cfg;
-    if (opts.threads_per_request > 0) {
-        exec_cfg = core::OrionConfig{.num_threads = opts.threads_per_request};
-    }
     executors_.reserve(static_cast<std::size_t>(max_inflight_));
     for (int i = 0; i < max_inflight_; ++i) {
-        executors_.push_back(std::make_unique<core::CkksExecutor>(
-            cn, ctx, prepared_, exec_cfg));
+        executors_.push_back(
+            std::make_unique<core::CkksExecutor>(cn, ctx, prepared_));
     }
     // Scrape-time gauges: queue/inflight snapshots and the key cache,
     // read through the same stats() view callers get. Lock order is
@@ -103,8 +99,9 @@ InferenceServer::InferenceServer(
 
     workers_.reserve(static_cast<std::size_t>(max_inflight_));
     for (int i = 0; i < max_inflight_; ++i) {
-        workers_.emplace_back(
-            [this, i] { worker_loop(static_cast<std::size_t>(i)); });
+        workers_.emplace_back([this, i, threads = opts.threads_per_request] {
+            worker_loop(static_cast<std::size_t>(i), threads);
+        });
     }
 }
 
@@ -321,8 +318,14 @@ InferenceServer::execute(Pending& p,
 }
 
 void
-InferenceServer::worker_loop(std::size_t worker_index)
+InferenceServer::worker_loop(std::size_t worker_index,
+                             int threads_per_request)
 {
+    // The worker's kernel pool, built once: every request it runs (its
+    // decode and encode too) fans out over the same threads_per_request
+    // threads. 0 leaves the worker on the global pool.
+    std::optional<core::ScopedPoolOverride> pool;
+    if (threads_per_request > 0) pool.emplace(threads_per_request);
     while (true) {
         Pending p;
         {

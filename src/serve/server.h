@@ -29,7 +29,8 @@
  * Threading: submit()/try_submit()/stats()/register_session() are safe to
  * call from any thread. Worker kernels default to one thread per request
  * (throughput via request-level parallelism); ServeOptions::
- * threads_per_request widens individual requests instead.
+ * threads_per_request widens individual requests instead, through one
+ * kernel pool per worker that lives as long as the worker.
  */
 
 #include <condition_variable>
@@ -58,8 +59,10 @@ struct ServeOptions {
     /**
      * Kernel threads per executing request: 1 serializes each request's
      * kernels (default; throughput comes from request parallelism), > 1
-     * pins a per-request pool of that size, 0 inherits the ambient
-     * setting at run time.
+     * gives each worker its own pool of that size, built once when the
+     * worker starts and reused by every request it runs; 0 leaves the
+     * workers on the global pool (core::set_num_threads /
+     * $ORION_NUM_THREADS).
      */
     int threads_per_request = 1;
     /**
@@ -247,7 +250,7 @@ class InferenceServer {
 
     std::future<ServeReply> enqueue(ckks::serial::Bytes request,
                                     bool blocking, bool& accepted);
-    void worker_loop(std::size_t worker_index);
+    void worker_loop(std::size_t worker_index, int threads_per_request);
     ServeReply execute(Pending& p,
                        std::chrono::steady_clock::time_point picked_up,
                        std::size_t worker_index);

@@ -11,7 +11,6 @@
 
 #include <complex>
 
-#include "src/core/config.h"
 #include "src/core/telemetry.h"
 #include "src/core/thread_pool.h"
 #include "tests/test_util.h"
@@ -294,7 +293,7 @@ TEST(Bootstrap, BitIdenticalAcrossThreadCounts)
 
     std::vector<Ciphertext> outs;
     for (int threads : {1, 2, 4}) {
-        core::ScopedNumThreads scoped(threads);
+        core::ScopedPoolOverride scoped(threads);
         outs.push_back(env.boot.bootstrap(env.eval, ct));
     }
     for (std::size_t i = 1; i < outs.size(); ++i) {
@@ -325,7 +324,7 @@ TEST(Bootstrap, ComplexStageMatrixMatchesCleartextMatvec)
 
     std::vector<Ciphertext> outs;
     for (int threads : {1, 4}) {
-        core::ScopedNumThreads scoped(threads);
+        core::ScopedPoolOverride scoped(threads);
         const lin::HeBlockedMatrix stage(env.ctx, env.encoder, m,
                                          plan.cts_bsgs.front(), level,
                                          scale, pre_factor);

@@ -529,13 +529,13 @@ TEST(MulPlainSum, ByteIdenticalToEagerLoopAcrossIsasAndThreads)
                 make_sum_operands(*ctx, terms, level, terms);
             k::set_isa(k::Isa::kScalar);
             const Ciphertext want = [&] {
-                const core::ScopedNumThreads serial(1);
+                const core::ScopedPoolOverride serial(1);
                 return eager_sum(eval, ops);
             }();
             for (const k::Isa isa : k::supported_isas()) {
                 k::set_isa(isa);
                 for (const int threads : {1, 2, 4}) {
-                    const core::ScopedNumThreads scoped(threads);
+                    const core::ScopedPoolOverride scoped(threads);
                     const Ciphertext got =
                         eval.mul_plain_sum(ops.ct_ptrs, ops.pt_ptrs);
                     EXPECT_TRUE(same_residues(got.c0, want.c0) &&

@@ -55,7 +55,7 @@ expect_fingerprint(const core::CompiledNetwork& cn, const ckks::Context& ctx,
     for (const k::Isa isa : k::supported_isas()) {
         k::set_isa(isa);
         for (const int t : threads) {
-            const core::ScopedNumThreads scoped(t);
+            const core::ScopedPoolOverride scoped(t);
             const u64 got =
                 fingerprint(direct.exec.run_encrypted(in).outputs);
             EXPECT_EQ(got, want) << std::hex << "0x" << got << " at "

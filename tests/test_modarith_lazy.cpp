@@ -278,7 +278,7 @@ TEST(ModArithLazy, KernelsBitIdenticalAcrossThreadCounts)
 
     std::vector<u64> reference;
     for (int threads : {1, 2, 4}) {
-        const core::ScopedNumThreads scoped(threads);
+        const core::ScopedPoolOverride scoped(threads);
         const std::vector<u64> words = raw_words(run_pipeline());
         if (threads == 1) {
             reference = words;

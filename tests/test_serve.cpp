@@ -1096,11 +1096,51 @@ TEST(ServeBatch, SingleSampleProgramBitIdenticalAcrossBatchKnob)
     const ckks::serial::Bytes want = output_bytes(legacy);
     ASSERT_FALSE(want.empty());
     for (const int threads : {1, 2, 4}) {
-        core::ScopedNumThreads scoped(threads);
+        core::ScopedPoolOverride scoped(threads);
         EXPECT_EQ(output_bytes(legacy), want)
             << "legacy path diverged at " << threads << " threads";
         EXPECT_EQ(output_bytes(batched), want)
             << "batch=1 path diverged at " << threads << " threads";
+    }
+}
+
+TEST(Serve, ThreadsPerRequestIsByteIdentical)
+{
+    // threads_per_request only schedules kernels: one request's output
+    // ciphertexts are byte-identical whether each worker owns a pool of
+    // 1, 2 or 4 threads or (at 0) runs on a 2-thread global pool.
+    ServeEnv& senv = ServeEnv::shared();
+    CkksEnv& env = CkksEnv::shared();
+    const GlobalThreadsGuard restore;
+    core::set_num_threads(2);
+
+    ServeClient client(senv.cn, env.ctx, /*seed=*/7);
+    const ckks::serial::Bytes bundle = client.key_bundle();
+    // Each server assigns its own id; the request is rewritten to it.
+    client.set_session_id(1);
+    const ckks::serial::Bytes request =
+        client.make_request(random_vector(64, 1.0, 81));
+
+    std::vector<ckks::serial::Bytes> outputs;
+    for (const int threads : {0, 1, 2, 4}) {
+        ServeOptions o = opts(2, 4);
+        o.threads_per_request = threads;
+        InferenceServer server(senv.cn, env.ctx, o, senv.prepared);
+        ckks::serial::Bytes r = request;
+        serve::rewrite_request_session(r, server.register_session(bundle));
+        const serve::Response resp =
+            client.parse_response(server.submit(std::move(r)).get().response);
+        ckks::serial::Bytes all;
+        for (const ckks::Ciphertext& ct : resp.outputs) {
+            const ckks::serial::Bytes b = ckks::serial::serialize(ct);
+            all.insert(all.end(), b.begin(), b.end());
+        }
+        outputs.push_back(std::move(all));
+    }
+    ASSERT_FALSE(outputs[0].empty());
+    for (std::size_t i = 1; i < outputs.size(); ++i) {
+        EXPECT_EQ(outputs[i], outputs[0])
+            << "output diverged at thread variant " << i;
     }
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * The core/thread_pool contract: task completion, exception propagation
- * through both submit() and parallel_for(), the nested-submit deadlock
- * guard, nested regions that borrow idle workers of their own pool, and
- * the determinism guarantee the whole runtime rests on - multithreaded NTT
+ * The core/thread_pool contract: every iteration runs once, exceptions
+ * propagate out of parallel_for(), nested regions borrow idle workers of
+ * their own pool without deadlock, thread counts parse strictly, and the
+ * determinism guarantee the whole runtime rests on - multithreaded NTT
  * and BSGS results are bit-identical to num_threads = 1.
  */
 
@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/config.h"
 #include "src/core/thread_pool.h"
 #include "src/linalg/bsgs.h"
 #include "tests/test_util.h"
@@ -29,7 +28,7 @@
 namespace orion {
 namespace {
 
-using core::ScopedNumThreads;
+using core::ScopedPoolOverride;
 using core::ThreadPool;
 
 TEST(ThreadPool, RunsEveryIteration)
@@ -43,16 +42,6 @@ TEST(ThreadPool, RunsEveryIteration)
     for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SubmitDeliversResults)
-{
-    ThreadPool pool(3);
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 32; ++i) {
-        futs.push_back(pool.submit([i] { return i * i; }));
-    }
-    for (int i = 0; i < 32; ++i) EXPECT_EQ(futs[i].get(), i * i);
-}
-
 TEST(ThreadPool, SerialPoolSpawnsNoThreads)
 {
     ThreadPool pool(1);
@@ -61,7 +50,6 @@ TEST(ThreadPool, SerialPoolSpawnsNoThreads)
     pool.parallel_for(0, 4, [&](i64) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
     });
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptions)
@@ -73,13 +61,6 @@ TEST(ThreadPool, ParallelForPropagatesExceptions)
                               if (i == 37) throw Error("boom 37");
                           }),
         Error);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit([]() -> int { throw Error("task failed"); });
-    EXPECT_THROW(fut.get(), Error);
 }
 
 TEST(ThreadPool, AbandonsRemainingWorkAfterFailure)
@@ -228,10 +209,10 @@ pool_thread_ids(int threads)
 
 TEST(ThreadPool, NestedLaunchUnderOverrideStaysOnThatPool)
 {
-    using core::ScopedPoolOverride;
     // The global pool has workers of its own, so a nested launch that
     // escaped to it would run on a thread outside the override pool.
-    const ScopedNumThreads global(4);
+    const test::GlobalThreadsGuard restore;
+    core::set_num_threads(4);
     const ScopedPoolOverride scoped(4);
     const std::set<std::thread::id> override_ids = pool_thread_ids(4);
     ASSERT_EQ(override_ids.size(), 4u);
@@ -318,7 +299,7 @@ TEST(ThreadPool, CallerNestedRegionDoesNotWaitForSiblings)
 
 TEST(ThreadPool, CallerRegionReportsSerialParallelism)
 {
-    const ScopedNumThreads scoped(2);
+    const ScopedPoolOverride scoped(2);
     std::atomic<int> max_seen{0};
     core::parallel_for(0, 2, [&](i64) {
         const int p = core::current_parallelism();
@@ -329,20 +310,10 @@ TEST(ThreadPool, CallerRegionReportsSerialParallelism)
     EXPECT_EQ(max_seen.load(), 1);
 }
 
-TEST(ThreadPool, NestedSubmitRunsInlineWithoutDeadlock)
-{
-    ThreadPool pool(2);
-    auto outer = pool.submit([&] {
-        // Waiting on a nested future would deadlock a queue-only design;
-        // the guard runs nested submissions inline instead.
-        return pool.submit([] { return 41; }).get() + 1;
-    });
-    EXPECT_EQ(outer.get(), 42);
-}
-
 TEST(ThreadPool, NestedGlobalParallelForFromWorker)
 {
-    const ScopedNumThreads scoped(4);
+    const test::GlobalThreadsGuard restore;
+    core::set_num_threads(4);
     std::atomic<int> total{0};
     core::parallel_for(0, 6, [&](i64) {
         core::parallel_for(0, 5, [&](i64) { total.fetch_add(1); });
@@ -352,7 +323,6 @@ TEST(ThreadPool, NestedGlobalParallelForFromWorker)
 
 TEST(ThreadPool, ScopedPoolOverrideLeavesGlobalPoolAlone)
 {
-    using core::ScopedPoolOverride;
     const int global_before = ThreadPool::global_threads();
     std::atomic<int> total{0};
     std::set<std::thread::id> seen;
@@ -376,26 +346,40 @@ TEST(ThreadPool, ScopedPoolOverrideLeavesGlobalPoolAlone)
     EXPECT_EQ(ThreadPool::global_threads(), global_before);
 }
 
-TEST(ThreadPool, ScopedNumThreadsRestoresPreviousSize)
+TEST(ThreadPool, SetNumThreadsResizesGlobalPool)
 {
-    const int before = ThreadPool::global_threads();
-    {
-        const ScopedNumThreads scoped(3);
-        EXPECT_EQ(ThreadPool::global_threads(), 3);
-    }
-    EXPECT_EQ(ThreadPool::global_threads(), before);
+    const test::GlobalThreadsGuard restore;
+    core::set_num_threads(3);
+    EXPECT_EQ(ThreadPool::global_threads(), 3);
+    core::set_num_threads(0);
+    EXPECT_EQ(ThreadPool::global_threads(), core::resolve_thread_count(0));
+    EXPECT_THROW(core::set_num_threads(-1), Error);
 }
 
-TEST(Config, DefaultIsSerial)
+TEST(ThreadCount, DefaultIsSerial)
 {
     // Unless ORION_NUM_THREADS overrides it, kernels default to the serial
     // seed behavior.
     if (std::getenv("ORION_NUM_THREADS") == nullptr) {
-        EXPECT_EQ(core::OrionConfig{}.num_threads, 1);
+        EXPECT_EQ(ThreadPool::global_threads(), 1);
     }
-    core::OrionConfig hw;
-    hw.num_threads = 0;
-    EXPECT_GE(hw.resolved_num_threads(), 1);
+    EXPECT_GE(core::resolve_thread_count(0), 1);
+    EXPECT_EQ(core::resolve_thread_count(3), 3);
+}
+
+TEST(ThreadCount, ParsesOnlyNonNegativeIntegers)
+{
+    // The parser alone: nothing here builds a pool or starts a thread.
+    EXPECT_EQ(core::parse_thread_count("0", "ORION_NUM_THREADS"), 0);
+    EXPECT_EQ(core::parse_thread_count("8", "--threads"), 8);
+    for (const char* bad : {"abc", "4x", "-1", ""}) {
+        for (const char* source : {"ORION_NUM_THREADS", "--threads"}) {
+            const std::string named =
+                std::string(source) + "=\"" + bad + "\"";
+            test::expect_throw_contains<Error>(
+                [&] { (void)core::parse_thread_count(bad, source); }, named);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -423,7 +407,7 @@ TEST(ThreadPoolDeterminism, NttRoundTripBitIdenticalAcrossThreadCounts)
         test::random_vector(env.ctx.slot_count(), 1.0, 11);
 
     auto roundtrip = [&](int threads) {
-        const ScopedNumThreads scoped(threads);
+        const ScopedPoolOverride scoped(threads);
         ckks::Plaintext pt =
             env.encoder.encode(v, env.ctx.max_level(), env.ctx.scale());
         pt.poly.to_coeff();
@@ -463,7 +447,7 @@ TEST(ThreadPoolDeterminism, BsgsMatvecBitIdenticalAcrossThreadCounts)
         test::random_vector(dim, 1.0, 29), level, env.ctx.scale()));
 
     auto matvec = [&](int threads) {
-        const ScopedNumThreads scoped(threads);
+        const ScopedPoolOverride scoped(threads);
         const lin::HeBlockedMatrix he(env.ctx, env.encoder, m, plan, level,
                                       w_scale);
         return he.apply(eval, {&ct, 1}).front();
@@ -488,7 +472,7 @@ TEST(ThreadPoolDeterminism, HoistedRotationBitIdenticalAcrossThreadCounts)
         env.encoder.encode(v, env.ctx.max_level(), env.ctx.scale()));
 
     auto rotate = [&](int threads) {
-        const ScopedNumThreads scoped(threads);
+        const ScopedPoolOverride scoped(threads);
         const ckks::Evaluator::Hoisted h = env.eval.hoist(ct);
         return env.eval.rotate_hoisted(h, 5);
     };

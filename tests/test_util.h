@@ -20,6 +20,7 @@
 
 #include "src/ckks/ckks.h"
 #include "src/core/compiler.h"
+#include "src/core/thread_pool.h"
 
 namespace orion::test {
 
@@ -65,6 +66,13 @@ struct CkksEnv {
 struct IsaGuard {
     ckks::kernels::Isa saved = ckks::kernels::active_isa();
     ~IsaGuard() { ckks::kernels::set_isa(saved); }
+};
+
+/** Restores the global pool's size on scope exit (set_num_threads is
+ *  global). */
+struct GlobalThreadsGuard {
+    int saved = core::ThreadPool::global_threads();
+    ~GlobalThreadsGuard() { core::set_num_threads(saved); }
 };
 
 /** Asserts fn() throws an E whose message contains `needle`. */
