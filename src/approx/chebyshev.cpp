@@ -1,5 +1,6 @@
 #include "src/approx/chebyshev.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -18,6 +19,36 @@ ChebyshevPoly::eval(double x) const
         b1 = t;
     }
     return u * b1 - b2 + coeffs_[0];
+}
+
+void
+ChebyshevPoly::eval(std::span<const double> xs, std::span<double> out) const
+{
+    ORION_CHECK(out.size() == xs.size(), "output size mismatch");
+    // The recurrence runs across a block of elements per coefficient, so
+    // the inner loops vectorize; lanes never mix, so each element sees the
+    // scalar eval's exact operation sequence.
+    constexpr std::size_t kBlock = 64;
+    double u[kBlock], b1[kBlock], b2[kBlock];
+    for (std::size_t i0 = 0; i0 < xs.size(); i0 += kBlock) {
+        const std::size_t n = std::min(kBlock, xs.size() - i0);
+        for (std::size_t i = 0; i < n; ++i) {
+            u[i] = (2.0 * xs[i0 + i] - (a_ + b_)) / (b_ - a_);
+            b1[i] = 0.0;
+            b2[i] = 0.0;
+        }
+        for (int k = degree(); k >= 1; --k) {
+            const double c = coeffs_[static_cast<std::size_t>(k)];
+            for (std::size_t i = 0; i < n; ++i) {
+                const double t = 2.0 * u[i] * b1[i] - b2[i] + c;
+                b2[i] = b1[i];
+                b1[i] = t;
+            }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i0 + i] = u[i] * b1[i] - b2[i] + coeffs_[0];
+        }
+    }
 }
 
 double

@@ -10,6 +10,7 @@
  */
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common.h"
@@ -40,6 +41,12 @@ class ChebyshevPoly {
 
     /** Evaluates at x via the Clenshaw recurrence. */
     double eval(double x) const;
+    /**
+     * out[i] = eval(xs[i]) for every i, bit for bit: each element runs the
+     * scalar version's operations in its order, a block of elements at a
+     * time. out must be as long as xs and may be xs itself.
+     */
+    void eval(std::span<const double> xs, std::span<double> out) const;
 
     /** Maximum |p(x) - f(x)| over a dense grid (for tests and reports). */
     double max_error(const std::function<double(double)>& f,

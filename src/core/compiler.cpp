@@ -596,7 +596,6 @@ build_activation_payload(CompilerState& st, const Layer& l)
         data.nu_out = nu_out;
         data.depth = 1;
         data.stage_degrees = {2};
-        data.approx_f = [](double u) { return u * u; };
         st.out.activations.push_back(std::move(data));
         return static_cast<int>(st.out.activations.size()) - 1;
     }
@@ -622,8 +621,6 @@ build_activation_payload(CompilerState& st, const Layer& l)
             data.stages = {stages[i]};
             data.depth = approx::HePolyEvaluator::poly_depth(stages[i]);
             data.stage_degrees = {stages[i].degree()};
-            const approx::ChebyshevPoly s = stages[i];
-            data.approx_f = [s](double u) { return s.eval(u); };
             st.out.activations.push_back(std::move(data));
             payloads.push_back(
                 static_cast<int>(st.out.activations.size()) - 1);
@@ -643,8 +640,6 @@ build_activation_payload(CompilerState& st, const Layer& l)
         data.stages = {g};
         data.depth = approx::HePolyEvaluator::poly_depth(g);
         data.stage_degrees = {l.act.degree};
-        const approx::ChebyshevPoly g_copy = g;
-        data.approx_f = [g_copy](double u) { return g_copy.eval(u); };
         st.out.activations.push_back(std::move(data));
         return static_cast<int>(st.out.activations.size()) - 1;
     }

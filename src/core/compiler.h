@@ -109,7 +109,6 @@ struct ActivationData {
     int depth = 1;
     std::vector<int> stage_degrees;
     double nu_in = 1.0, nu_out = 1.0;
-    std::function<double(double)> approx_f;  ///< cleartext u -> approx out
 };
 
 /** The compiled FHE program plus all compile-time statistics. */

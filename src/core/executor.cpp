@@ -86,6 +86,16 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
         int level = 0;
     };
     const auto t0 = Clock::now();
+    // The instruction that reads each value last, where a backend that
+    // asks for it has the value freed.
+    std::map<int, std::size_t> last_read;
+    if constexpr (Backend::kFreeDeadValues) {
+        for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
+            for (const int id : {cn.program[idx].a, cn.program[idx].b}) {
+                if (id >= 0) last_read[id] = idx;
+            }
+        }
+    }
     std::map<int, Slot> values;
     Value output;
     for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
@@ -149,6 +159,11 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
             output = std::move(values.at(ins.a).value);
             break;
         }
+        if constexpr (Backend::kFreeDeadValues) {
+            for (const int id : {ins.a, ins.b}) {
+                if (id >= 0 && last_read.at(id) == idx) values.erase(id);
+            }
+        }
         stats.bootstraps += price.bootstraps;
         stats.rotations += price.rotations;
         stats.pmults += price.pmults;
@@ -165,6 +180,13 @@ walk(const CompiledNetwork& cn, const Backend& backend, RunStats& stats)
  */
 struct SimBackend {
     using Value = std::vector<double>;
+
+    /**
+     * The walk frees each tensor after its last reader, so a run holds
+     * its live tensors only and its end does not trim the heap that the
+     * next run must fault back in (DESIGN.md "One program walk").
+     */
+    static constexpr bool kFreeDeadValues = true;
 
     const std::vector<double>& x;  ///< the normalized input
     double noise_std;
@@ -221,7 +243,12 @@ struct SimBackend {
     activation(std::size_t, const Instruction&, const ActivationData& data,
                const Value& a) const
     {
-        return map(a, [&](double e) { return data.approx_f(e); });
+        if (data.kind == nn::ActivationSpec::Kind::kSquare) {
+            return map(a, [](double e) { return e * e; });
+        }
+        Value y(a.size());
+        data.stages[0].eval(a, y);
+        return y;
     }
 
     Value
@@ -251,6 +278,13 @@ struct SimBackend {
  */
 struct CkksBackend {
     using Value = std::vector<ckks::Ciphertext>;
+
+    /**
+     * Ciphertexts live until the run ends: freeing them mid-run made
+     * lola-n13's throughput vary far more from run to run, for no gain
+     * in time or peak RSS (DESIGN.md "One program walk").
+     */
+    static constexpr bool kFreeDeadValues = false;
 
     const ckks::Context& ctx;
     const ckks::Evaluator& eval;

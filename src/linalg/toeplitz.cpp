@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "src/core/thread_pool.h"
+#include "src/linalg/conv_kernel.h"
 
 namespace orion::lin {
 
@@ -27,20 +27,8 @@ conv_output_layout(const Conv2dSpec& spec, const TensorLayout& in)
     return out;
 }
 
-namespace {
+namespace detail {
 
-/** Output positions lo..hi (inclusive; empty when lo > hi). */
-struct Span {
-    int lo = 0;
-    int hi = -1;
-};
-
-/**
- * For each of `taps` kernel offsets k along one axis, the output
- * positions o < n_out whose tap reads inside the input:
- * 0 <= o * stride + k * dilation - pad < n_in. The bounds are
- * closed-form, so no output pixel is tested on its own.
- */
 std::vector<Span>
 tap_spans(const Conv2dSpec& spec, int taps, int n_out, int n_in)
 {
@@ -55,6 +43,13 @@ tap_spans(const Conv2dSpec& spec, int taps, int n_out, int n_in)
     }
     return spans;
 }
+
+}  // namespace detail
+
+namespace {
+
+using detail::Span;
+using detail::tap_spans;
 
 /**
  * One (lane, output channel, input channel, tap) of a convolution and
@@ -478,79 +473,6 @@ build_avgpool_matrix(int kernel, int stride, const TensorLayout& in,
     const std::vector<double> weights(
         spec.weight_count(), 1.0 / (static_cast<double>(kernel) * kernel));
     return build_conv_matrix(spec, weights, in, out, block_dim);
-}
-
-std::vector<double>
-conv2d_reference(const Conv2dSpec& spec, const std::vector<double>& weights,
-                 const std::vector<double>& input, int in_h, int in_w)
-{
-    spec.validate();
-    ORION_CHECK(input.size() == static_cast<std::size_t>(spec.in_channels) *
-                                    in_h * in_w,
-                "input size mismatch");
-    const int oh = spec.out_h(in_h);
-    const int ow = spec.out_w(in_w);
-    const int ci_per_group = spec.in_channels / spec.groups;
-    const int co_per_group = spec.out_channels / spec.groups;
-    std::vector<double> out(
-        static_cast<std::size_t>(spec.out_channels) * oh * ow, 0.0);
-
-    const std::vector<Span> ys = tap_spans(spec, spec.kernel_h, oh, in_h);
-    const std::vector<Span> xs = tap_spans(spec, spec.kernel_w, ow, in_w);
-
-    // Blocked + parallel: the output is tiled into (channel, row-band)
-    // blocks that fan out across the thread pool — rows of one band reuse
-    // the same input rows while they are cache-hot. Each output row adds
-    // one (ci, ky, kx) tap at a time over the tap's valid ox range, so
-    // every output element still sums its taps from 0.0 in the serial
-    // ci -> ky -> kx order: results are bitwise identical to the
-    // per-pixel loop. This is the reference path behind range estimation,
-    // simulation and fig8_yolo's full mode (three 448x448x3 forwards).
-    const int row_block = 16;
-    const int bands = (oh + row_block - 1) / row_block;
-    const i64 num_tiles = static_cast<i64>(spec.out_channels) * bands;
-    core::parallel_for(0, num_tiles, [&](i64 tile) {
-        const int o = static_cast<int>(tile / bands);
-        const int band = static_cast<int>(tile % bands);
-        const int oy_end = std::min((band + 1) * row_block, oh);
-        const int group = o / co_per_group;
-        const double* w_base =
-            weights.data() +
-            static_cast<std::size_t>(o) * ci_per_group * spec.kernel_h *
-                spec.kernel_w;
-        for (int oy = band * row_block; oy < oy_end; ++oy) {
-            double* out_row =
-                out.data() + (static_cast<std::size_t>(o) * oh + oy) * ow;
-            for (int ci = 0; ci < ci_per_group; ++ci) {
-                const int c = group * ci_per_group + ci;
-                const double* w_ci =
-                    w_base +
-                    static_cast<std::size_t>(ci) * spec.kernel_h *
-                        spec.kernel_w;
-                const double* in_c =
-                    input.data() + static_cast<std::size_t>(c) * in_h * in_w;
-                for (int ky = 0; ky < spec.kernel_h; ++ky) {
-                    const Span& y = ys[static_cast<std::size_t>(ky)];
-                    if (oy < y.lo || oy > y.hi) continue;
-                    const double* w_ky = w_ci + ky * spec.kernel_w;
-                    const double* in_row =
-                        in_c + static_cast<std::size_t>(
-                                   oy * spec.stride + ky * spec.dilation -
-                                   spec.pad) *
-                                   in_w;
-                    for (int kx = 0; kx < spec.kernel_w; ++kx) {
-                        const Span& x = xs[static_cast<std::size_t>(kx)];
-                        const double w = w_ky[kx];
-                        const int dx = kx * spec.dilation - spec.pad;
-                        for (int ox = x.lo; ox <= x.hi; ++ox) {
-                            out_row[ox] += w * in_row[ox * spec.stride + dx];
-                        }
-                    }
-                }
-            }
-        }
-    });
-    return out;
 }
 
 }  // namespace orion::lin

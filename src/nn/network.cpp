@@ -518,6 +518,14 @@ Network::forward(const std::vector<double>& input,
     if (record_max_abs != nullptr) {
         record_max_abs->assign(static_cast<std::size_t>(num_layers()), 0.0);
     }
+    // The last layer that reads each output: the loop frees a value there,
+    // so a forward holds its live values only, not every layer's output.
+    std::vector<int> last_read(static_cast<std::size_t>(num_layers()), -1);
+    for (const Layer& l : layers_) {
+        for (const int in : l.inputs) {
+            last_read[static_cast<std::size_t>(in)] = l.id;
+        }
+    }
     for (const Layer& l : layers_) {
         const std::vector<double> empty;
         const std::vector<double>& a =
@@ -536,8 +544,14 @@ Network::forward(const std::vector<double>& input,
             }
             (*record_max_abs)[static_cast<std::size_t>(l.id)] = m;
         }
+        for (const int in : l.inputs) {
+            const auto i = static_cast<std::size_t>(in);
+            if (in != output_ && last_read[i] == l.id) {
+                std::vector<double>().swap(values[i]);
+            }
+        }
     }
-    return values[static_cast<std::size_t>(output_)];
+    return std::move(values[static_cast<std::size_t>(output_)]);
 }
 
 }  // namespace orion::nn

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <utility>
 
 #include "src/approx/approx.h"
 #include "tests/test_util.h"
@@ -45,6 +48,40 @@ TEST(Chebyshev, NonCanonicalDomain)
     auto f = [](double x) { return std::exp(0.3 * x); };
     const ChebyshevPoly p = ChebyshevPoly::fit(f, -4.0, 4.0, 15);
     EXPECT_LT(p.max_error(f), 1e-8);
+}
+
+TEST(Chebyshev, SpanEvalIsBitIdenticalToScalar)
+{
+    // The simulator evaluates whole tensors through the span overload; it
+    // must return exactly the scalar Clenshaw bits, on the canonical
+    // domain and on a non-canonical [a, b], at every length's block tail.
+    std::mt19937_64 rng(2027);
+    std::uniform_real_distribution<double> coeff(-1.0, 1.0);
+    for (const auto& [a, b] : {std::pair{-1.0, 1.0}, std::pair{-3.5, 0.75}}) {
+        for (int d = 2; d <= 27; ++d) {
+            std::vector<double> c(static_cast<std::size_t>(d) + 1);
+            for (double& v : c) v = coeff(rng);
+            const ChebyshevPoly p(c, a, b);
+            const std::size_t n = 100 + 37 * static_cast<std::size_t>(d);
+            std::uniform_real_distribution<double> in(a - 0.25, b + 0.25);
+            std::vector<double> xs(n);
+            for (double& x : xs) x = in(rng);
+            xs[0] = a;
+            xs[1] = b;
+            xs[2] = -0.0;
+            std::vector<double> want(n);
+            for (std::size_t i = 0; i < n; ++i) want[i] = p.eval(xs[i]);
+            std::vector<double> got(n);
+            p.eval(xs, got);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)),
+                      0)
+                << "degree " << d << " on [" << a << ", " << b << "]";
+            p.eval(xs, xs);  // in place
+            ASSERT_EQ(std::memcmp(xs.data(), want.data(), n * sizeof(double)),
+                      0)
+                << "in place, degree " << d;
+        }
+    }
 }
 
 TEST(Chebyshev, ErrorDecreasesWithDegree)

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
+#include <set>
 
 #include "src/linalg/linalg.h"
 #include "tests/test_util.h"
@@ -140,6 +143,93 @@ TEST(BsgsPlan, RequiredStepsCoverBabiesAndGiants)
     const std::vector<int> steps = plan.required_steps();
     // diag 5 -> baby 5 group 0; diag 49 -> baby 1 group 48.
     EXPECT_EQ(steps, (std::vector<int>{1, 5, 48}));
+}
+
+/**
+ * The group-size search as it was before candidates were scored by
+ * counting: build every candidate's full plan and keep the first one
+ * with the fewest rotations.
+ */
+BsgsPlan
+build_every_candidate(u64 dim, const std::vector<u64>& indices)
+{
+    std::set<u64> candidates = {1};
+    for (u64 p = 2; p <= dim; p <<= 1) candidates.insert(p);
+    const u64 root = static_cast<u64>(
+        std::llround(std::sqrt(static_cast<double>(dim))));
+    for (u64 c : {root / 2, root, root * 2}) {
+        if (c >= 1 && c <= dim) candidates.insert(c);
+    }
+    const u64 d_root = static_cast<u64>(std::llround(std::sqrt(
+        static_cast<double>(std::max<std::size_t>(indices.size(), 1)))));
+    for (u64 c : {d_root, d_root * 2}) {
+        if (c >= 1 && c <= dim) candidates.insert(c);
+    }
+    BsgsPlan best;
+    u64 best_cost = ~u64(0);
+    for (u64 c : candidates) {
+        const BsgsPlan plan = BsgsPlan::build_from_indices(dim, indices, c);
+        if (plan.rotation_count() < best_cost) {
+            best_cost = plan.rotation_count();
+            best = plan;
+        }
+    }
+    return best;
+}
+
+TEST(BsgsPlan, CountedSearchMatchesBuildingEveryCandidate)
+{
+    std::mt19937_64 rng(4242);
+    for (int trial = 0; trial < 300; ++trial) {
+        const u64 dim = trial % 3 == 0
+                            ? 1 + rng() % 3000
+                            : u64(1) << (1 + rng() % 13);
+        std::vector<u64> indices;
+        switch (trial % 4) {
+        case 0:  // sparse random
+            for (u64 k = 0; k < dim; ++k) {
+                if (rng() % 16 == 0) indices.push_back(k);
+            }
+            break;
+        case 1:  // a few runs of consecutive diagonals (convolution-like)
+            for (int r = 0; r < 1 + static_cast<int>(rng() % 5); ++r) {
+                const u64 start = rng() % dim;
+                const u64 len = 1 + rng() % 9;
+                for (u64 k = start; k < std::min(dim, start + len); ++k) {
+                    indices.push_back(k);
+                }
+            }
+            std::sort(indices.begin(), indices.end());
+            indices.erase(std::unique(indices.begin(), indices.end()),
+                          indices.end());
+            break;
+        case 2:  // dense
+            for (u64 k = 0; k < dim; ++k) indices.push_back(k);
+            break;
+        default:  // unsorted, with a repeat
+            for (int i = 0; i < 1 + static_cast<int>(rng() % 40); ++i) {
+                indices.push_back(rng() % dim);
+            }
+            indices.push_back(indices.front());
+            break;
+        }
+        const BsgsPlan want = build_every_candidate(dim, indices);
+        const BsgsPlan got = BsgsPlan::build_from_indices(dim, indices);
+        ASSERT_EQ(got.n1, want.n1) << "trial " << trial << ", dim " << dim;
+        ASSERT_EQ(got.baby_steps, want.baby_steps) << "trial " << trial;
+        ASSERT_EQ(got.groups.size(), want.groups.size()) << "trial " << trial;
+        for (const auto& [g, terms] : want.groups) {
+            const auto it = got.groups.find(g);
+            ASSERT_NE(it, got.groups.end()) << "trial " << trial;
+            ASSERT_EQ(it->second.size(), terms.size()) << "trial " << trial;
+            for (std::size_t t = 0; t < terms.size(); ++t) {
+                EXPECT_EQ(it->second[t].baby, terms[t].baby);
+                EXPECT_EQ(it->second[t].diag, terms[t].diag);
+            }
+        }
+    }
+    // No diagonals: every candidate ties at zero and the first one wins.
+    EXPECT_EQ(BsgsPlan::build_from_indices(64, {}).n1, 1u);
 }
 
 TEST(HeMatvec, DenseMatrixMatchesCleartext)

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 
+#include "src/ckks/kernels.h"
 #include "src/linalg/linalg.h"
 #include "tests/test_util.h"
 
@@ -586,11 +589,66 @@ naive_conv(const Conv2dSpec& spec, const std::vector<double>& weights,
     return out;
 }
 
+/**
+ * conv2d_reference at every kernel ISA the CPU supports must reproduce
+ * naive_conv byte for byte.
+ */
+void
+expect_conv_bit_identical(const Conv2dSpec& spec,
+                          const std::vector<double>& weights,
+                          const std::vector<double>& input, int h, int w,
+                          const std::string& label)
+{
+    const std::vector<double> want = naive_conv(spec, weights, input, h, w);
+    const IsaGuard guard;
+    for (const ckks::kernels::Isa isa : ckks::kernels::supported_isas()) {
+        ckks::kernels::set_isa(isa);
+        const std::vector<double> got =
+            lin::conv2d_reference(spec, weights, input, h, w);
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << label << " at " << ckks::kernels::isa_name(isa) << ": k "
+            << spec.kernel_h << "x" << spec.kernel_w << " s " << spec.stride
+            << " p " << spec.pad << " d " << spec.dilation << " g "
+            << spec.groups << " " << spec.in_channels << "->"
+            << spec.out_channels << " in " << h << "x" << w;
+    }
+}
+
+Conv2dSpec
+conv_spec(int ci, int co, int k, int stride, int pad, int dilation,
+          int groups)
+{
+    Conv2dSpec spec;
+    spec.in_channels = ci;
+    spec.out_channels = co;
+    spec.kernel_h = spec.kernel_w = k;
+    spec.stride = stride;
+    spec.pad = pad;
+    spec.dilation = dilation;
+    spec.groups = groups;
+    return spec;
+}
+
+/** Random weights and a random (c, h, w) input for `spec`. */
+void
+expect_random_conv_bit_identical(const Conv2dSpec& spec, int h, int w,
+                                 u64 seed, const std::string& label)
+{
+    expect_conv_bit_identical(
+        spec, random_weights(spec.weight_count(), seed),
+        random_vector(static_cast<u64>(spec.in_channels) * h * w, 3.0,
+                      seed + 1),
+        h, w, label);
+}
+
 TEST(Toeplitz, ConvReferenceBitIdentical)
 {
     // conv2d_reference feeds range estimation (hence nu and the golden
-    // fingerprints), so its row-at-a-time accumulation must reproduce the
-    // per-pixel loop exactly, not just to a tolerance.
+    // fingerprints), so its register-blocked accumulation must reproduce
+    // the per-pixel loop exactly, not just to a tolerance, at every ISA.
     std::mt19937_64 rng(20233);
     auto pick = [&](int lo, int hi) {
         return std::uniform_int_distribution<int>(lo, hi)(rng);
@@ -598,9 +656,9 @@ TEST(Toeplitz, ConvReferenceBitIdentical)
     int checked = 0;
     while (checked < 400) {
         Conv2dSpec spec;
-        spec.groups = pick(1, 2);
+        spec.groups = pick(1, 3);
         spec.in_channels = spec.groups * pick(1, 3);
-        spec.out_channels = spec.groups * pick(1, 3);
+        spec.out_channels = spec.groups * pick(1, 13);
         spec.kernel_h = pick(1, 5);
         spec.kernel_w = pick(1, 5);
         spec.stride = pick(1, 3);
@@ -612,24 +670,74 @@ TEST(Toeplitz, ConvReferenceBitIdentical)
             w + 2 * spec.pad <= spec.dilation * (spec.kernel_w - 1)) {
             continue;
         }
-        const u64 seed = 900 + 2 * static_cast<u64>(checked);
-        const std::vector<double> weights =
-            random_weights(spec.weight_count(), seed);
-        const std::vector<double> input = random_vector(
-            static_cast<u64>(spec.in_channels) * h * w, 3.0, seed + 1);
-        const std::vector<double> got =
-            lin::conv2d_reference(spec, weights, input, h, w);
-        const std::vector<double> want =
-            naive_conv(spec, weights, input, h, w);
-        ASSERT_EQ(got.size(), want.size());
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              got.size() * sizeof(double)),
-                  0)
-            << "case " << checked << ": k " << spec.kernel_h << "x"
-            << spec.kernel_w << " s " << spec.stride << " p " << spec.pad
-            << " d " << spec.dilation << " in " << h << "x" << w;
+        expect_random_conv_bit_identical(
+            spec, h, w, 900 + 2 * static_cast<u64>(checked),
+            "case " + std::to_string(checked));
+        if (HasFatalFailure()) return;
         ++checked;
     }
+}
+
+TEST(Toeplitz, ConvReferenceBitIdenticalEdgeShapes)
+{
+    // 11 output channels: a block of 8, then 2, then 1.
+    expect_random_conv_bit_identical(conv_spec(3, 11, 3, 1, 1, 1, 1), 9, 13,
+                                     31, "channel remainder");
+    // Depthwise, as avg-pool lowers: 2x2 windows and a global pool with a
+    // 1x1 output.
+    for (const auto& [k, stride, hw] : {std::tuple{2, 2, 10},
+                                        std::tuple{3, 1, 7},
+                                        std::tuple{8, 1, 8}}) {
+        const Conv2dSpec spec = conv_spec(12, 12, k, stride, 0, 1, 12);
+        expect_conv_bit_identical(
+            spec,
+            std::vector<double>(spec.weight_count(),
+                                1.0 / (static_cast<double>(k) * k)),
+            random_vector(12u * hw * hw, 3.0, 32), hw, hw, "depthwise");
+    }
+    // 1x1 images: a fully connected layer, a padded 3x3 kernel (only its
+    // center tap is valid) and a grouped one.
+    expect_random_conv_bit_identical(conv_spec(50, 37, 1, 1, 0, 1, 1), 1, 1,
+                                     33, "fully connected");
+    expect_random_conv_bit_identical(conv_spec(6, 21, 3, 1, 1, 1, 1), 1, 1,
+                                     35, "padded 1x1 image");
+    expect_random_conv_bit_identical(conv_spec(6, 9, 1, 1, 0, 1, 3), 1, 1,
+                                     37, "grouped 1x1 image");
+    // Output widths that are not a multiple of 4 or 8 lanes.
+    for (const int w : {1, 3, 5, 7, 9, 13, 17, 31}) {
+        expect_random_conv_bit_identical(conv_spec(2, 8, 3, 1, 1, 1, 1), 6, w,
+                                         40 + static_cast<u64>(w),
+                                         "odd width");
+    }
+    // Stride 3 with dilation 2 (a gathered input, sparse valid taps).
+    expect_random_conv_bit_identical(conv_spec(4, 10, 3, 3, 2, 2, 2), 23, 19,
+                                     71, "stride 3, dilation 2");
+}
+
+TEST(Toeplitz, ConvReferenceKeepsSignedZeros)
+{
+    // -0.0 inputs against zero weights make -0.0 products, which the
+    // +0.0 start absorbs: every output must be +0.0, as in the per-pixel
+    // loop, including at masked border lanes.
+    const Conv2dSpec spec = conv_spec(3, 9, 3, 1, 1, 1, 1);
+    const int h = 7;
+    const int w = 11;
+    std::vector<double> input(3u * h * w, -0.0);
+    std::vector<double> weights(spec.weight_count(), 0.0);
+    for (std::size_t i = 0; i < weights.size(); i += 2) weights[i] = -0.0;
+    expect_conv_bit_identical(spec, weights, input, h, w, "signed zeros");
+    const std::vector<double> zeros =
+        lin::conv2d_reference(spec, weights, input, h, w);
+    for (const double y : zeros) ASSERT_FALSE(std::signbit(y));
+
+    // Mixed: -0.0 entries among random inputs and zero weights.
+    const std::vector<double> r = random_vector(input.size(), 2.0, 77);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        input[i] = i % 3 == 0 ? -0.0 : r[i];
+    }
+    weights = random_weights(spec.weight_count(), 78);
+    for (std::size_t i = 0; i < weights.size(); i += 4) weights[i] = 0.0;
+    expect_conv_bit_identical(spec, weights, input, h, w, "mixed zeros");
 }
 
 TEST(Toeplitz, HomomorphicConvolutionEndToEnd)
