@@ -71,10 +71,6 @@ main(int argc, char** argv)
 
     // Calibrate the paper-scale model from the measured rotation, then
     // report the modeled bootstrap latency (Figure 1c).
-    core::CostModel small =
-        core::CostModel::for_params(params.poly_degree, params.digit_size,
-                                    params.digit_size, 3);
-    small.calibrate(top_rot, ctx.max_level());
     core::CostModel paper = core::CostModel::paper_scale();
     paper.calibrate(top_rot * 8.0 * 16.0 / 13.0, ctx.max_level());
 

@@ -179,12 +179,4 @@ Context::galois_permutation(u64 elt) const
     return it->second;
 }
 
-int
-Context::log_q(int level) const
-{
-    int bits = 0;
-    for (int i = 0; i <= level; ++i) bits += q(i).bit_count();
-    return bits;
-}
-
 }  // namespace orion::ckks

@@ -308,9 +308,6 @@ class Context {
      */
     const std::vector<u32>& galois_permutation(u64 elt) const;
 
-    /** Sum of bit sizes of q_0..q_level (the log Q_l of Table 1). */
-    int log_q(int level) const;
-
   private:
     CkksParams params_;
     u64 n_ = 0;

@@ -227,33 +227,40 @@ base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
 
 }  // namespace scalar
 
+
 #if ORION_SIMD_X86
 
-#define ORION_TARGET_AVX2 __attribute__((target("avx2")))
-#define ORION_TARGET_AVX512 \
-    __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
-#define ORION_TARGET_AVX512IFMA \
-    __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,avx512ifma")))
-
 // =====================================================================
-// AVX2 kernels (4 x u64 lanes)
+// Vector kernels
 //
-// Per-lane range proofs: identical to the scalar kernels — the vector
-// code executes the same mod-2^64 u64 operations per element, so the
-// scalar bounds ([0, 2q) Shoup products, [0, 4q) butterfly values, sums
-// below 8q < 2^64, 128-bit chunk accumulators below 2^127) carry over
-// lane by lane. The only vector-specific construction is the 64x64->128
+// src/ckks/kernels_simd.inc holds every vector kernel once. It is
+// included below into one namespace per vector table, and each namespace
+// supplies only the lane primitives that file names (struct L) and a
+// target attribute:
+//   avx2                 4 x u64 lanes
+//   avx512               8 x u64 lanes with native 64-bit low multiplies
+//                        (VPMULLQ) and mask-register compares
+//   avx512ifma::narrow   avx512's lanes with IFMA52 multiplies, for
+//                        moduli below 2^50
+//
+// Per-lane range proofs are the scalar kernels': each lane performs the
+// scalar u64 operations word for word ([0, 2q) Shoup products, [0, 4q)
+// butterfly values, 128-bit chunk accumulators below 2^127). The only
+// vector-specific construction in avx2 and avx512 is the 64x64->128
 // multiply, decomposed into 32-bit partial products:
 //   mid  = p_lh + (p_ll >> 32)          <= (2^32-1)^2 + (2^32-1) < 2^64
 //   mid2 = p_hl + (mid & 0xffffffff)    <= (2^32-1)^2 + (2^32-1) < 2^64
 //   hi   = p_hh + (mid >> 32) + (mid2 >> 32)
 // — every intermediate fits a u64 lane with no carries lost, so the
-// (hi, lo) pair equals the scalar u128 product exactly.
+// (hi, lo) pair equals the scalar u128 product exactly. The narrow
+// lanes' own proofs are stated at their namespace.
 // =====================================================================
 
 namespace avx2 {
 
-ORION_TARGET_AVX2 static inline __m256i
+#define ORION_KERNEL_TARGET __attribute__((target("avx2")))
+
+ORION_KERNEL_TARGET static inline __m256i
 mullo64(__m256i a, __m256i b)
 {
     const __m256i b_hi = _mm256_srli_epi64(b, 32);
@@ -264,7 +271,7 @@ mullo64(__m256i a, __m256i b)
                             _mm256_slli_epi64(cross, 32));
 }
 
-ORION_TARGET_AVX2 static inline __m256i
+ORION_KERNEL_TARGET static inline __m256i
 mulhi64(__m256i a, __m256i b)
 {
     const __m256i lo_mask = _mm256_set1_epi64x(0xffffffffLL);
@@ -285,7 +292,7 @@ mulhi64(__m256i a, __m256i b)
 /** Unsigned a > b per lane (all-ones where true). AVX2 only has signed
  *  64-bit compares; flipping the sign bit of both operands maps unsigned
  *  order onto signed order. */
-ORION_TARGET_AVX2 static inline __m256i
+ORION_KERNEL_TARGET static inline __m256i
 cmpgt64u(__m256i a, __m256i b)
 {
     const __m256i sign = _mm256_set1_epi64x(
@@ -294,514 +301,159 @@ cmpgt64u(__m256i a, __m256i b)
                               _mm256_xor_si256(b, sign));
 }
 
-/** a >= bound ? a - bound : a (the conditional subtraction). */
-ORION_TARGET_AVX2 static inline __m256i
-csub(__m256i a, __m256i bound)
-{
-    const __m256i keep = cmpgt64u(bound, a);  // bound > a -> keep
-    return _mm256_sub_epi64(a, _mm256_andnot_si256(keep, bound));
-}
+struct L {
+    using V = __m256i;
+    static constexpr u64 W = 4;
+    /** 16 products below 2^122 plus a carried-in residue stay below
+     *  2^127. */
+    static constexpr u64 kChunk = 16;
+    /** The 128-bit lane value lo + hi * 2^64. */
+    struct Acc {
+        V lo, hi;
+    };
 
-/** Lane-wise mul_mod_shoup_lazy: a * w - ((a * ws) >> 64) * q, in [0, 2q). */
-ORION_TARGET_AVX2 static inline __m256i
-shoup_lazy(__m256i a, __m256i w, __m256i ws, __m256i qv)
-{
-    const __m256i hi = mulhi64(a, ws);
-    return _mm256_sub_epi64(mullo64(a, w), mullo64(hi, qv));
-}
-
-/**
- * Lane-wise Modulus::reduce_128 of the 128-bit lane values (x0, x1):
- * mirrors the scalar word schedule exactly — t = ((x0*r0) >> 64) + x0*r1
- * + x1*r0 tracked as a (lo, hi) pair with explicit carries, q_hat =
- * hi(t) + x1*r1 wrapping, r = x0 - q_hat*q wrapping, one csub.
- */
-ORION_TARGET_AVX2 static inline __m256i
-reduce128(__m256i x0, __m256i x1, __m256i r0, __m256i r1, __m256i qv)
-{
-    __m256i lo = mulhi64(x0, r0);
-    __m256i hi = _mm256_setzero_si256();
+    ORION_KERNEL_TARGET static V
+    load(const u64* p)
     {
-        const __m256i p_lo = mullo64(x0, r1);
-        const __m256i p_hi = mulhi64(x0, r1);
-        const __m256i sum = _mm256_add_epi64(lo, p_lo);
-        const __m256i carry = cmpgt64u(lo, sum);  // sum < lo -> carried
-        hi = _mm256_sub_epi64(_mm256_add_epi64(hi, p_hi), carry);
-        lo = sum;
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
     }
+    ORION_KERNEL_TARGET static void
+    store(u64* p, V v)
     {
-        const __m256i p_lo = mullo64(x1, r0);
-        const __m256i p_hi = mulhi64(x1, r0);
-        const __m256i sum = _mm256_add_epi64(lo, p_lo);
-        const __m256i carry = cmpgt64u(lo, sum);
-        hi = _mm256_sub_epi64(_mm256_add_epi64(hi, p_hi), carry);
-        lo = sum;
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
-    const __m256i q_hat = _mm256_add_epi64(hi, mullo64(x1, r1));
-    const __m256i r = _mm256_sub_epi64(x0, mullo64(q_hat, qv));
-    return csub(r, qv);
-}
+    ORION_KERNEL_TARGET static V
+    set1(u64 x)
+    {
+        return _mm256_set1_epi64x(static_cast<i64>(x));
+    }
+    ORION_KERNEL_TARGET static V zero() { return _mm256_setzero_si256(); }
+    ORION_KERNEL_TARGET static V
+    add(V a, V b)
+    {
+        return _mm256_add_epi64(a, b);
+    }
+    ORION_KERNEL_TARGET static V
+    sub(V a, V b)
+    {
+        return _mm256_sub_epi64(a, b);
+    }
 
-ORION_TARGET_AVX2 void
-add_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-        const __m256i bv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-        const __m256i s = csub(_mm256_add_epi64(av, bv), qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), s);
+    ORION_KERNEL_TARGET static V
+    csub(V a, V bound)
+    {
+        const V keep = cmpgt64u(bound, a);  // bound > a -> keep
+        return _mm256_sub_epi64(a, _mm256_andnot_si256(keep, bound));
     }
-    for (; j < n; ++j) a[j] = add_mod(a[j], b[j], q);
-}
+    /** a - b, plus q where b > a (wraps exactly like the scalar branch). */
+    ORION_KERNEL_TARGET static V
+    sub_mod(V a, V b, V qv)
+    {
+        const V borrow = cmpgt64u(b, a);
+        return _mm256_add_epi64(_mm256_sub_epi64(a, b),
+                                _mm256_and_si256(borrow, qv));
+    }
+    /** a * w - ((a * ws) >> 64) * q, in [0, 2q). */
+    ORION_KERNEL_TARGET static V
+    shoup_lazy(V a, V w, V ws, V qv)
+    {
+        return _mm256_sub_epi64(mullo64(a, w), mullo64(mulhi64(a, ws), qv));
+    }
 
-ORION_TARGET_AVX2 void
-sub_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-        const __m256i bv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-        // a - b, plus q where b > a (wraps exactly like the scalar branch).
-        const __m256i borrow = cmpgt64u(bv, av);
-        const __m256i d = _mm256_add_epi64(_mm256_sub_epi64(av, bv),
-                                           _mm256_and_si256(borrow, qv));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), d);
+    ORION_KERNEL_TARGET static Acc acc(V lo) { return {lo, zero()}; }
+    ORION_KERNEL_TARGET static Acc
+    mul_wide(V x, V y)
+    {
+        return {mullo64(x, y), mulhi64(x, y)};
     }
-    for (; j < n; ++j) a[j] = sub_mod(a[j], b[j], q);
-}
+    ORION_KERNEL_TARGET static Acc
+    mac(Acc s, V x, V y)
+    {
+        const V p_lo = mullo64(x, y);
+        const V p_hi = mulhi64(x, y);
+        const V sum = _mm256_add_epi64(s.lo, p_lo);
+        const V carry = cmpgt64u(s.lo, sum);  // sum < lo -> carried
+        return {sum, _mm256_sub_epi64(_mm256_add_epi64(s.hi, p_hi), carry)};
+    }
+    /** The Acc holding a + x * y, the carry taken against the product:
+     *  mac(acc(a), x, y) compares against a and ran add_product_n up to
+     *  1.9x slower. */
+    ORION_KERNEL_TARGET static Acc
+    mad(V a, V x, V y)
+    {
+        const V p_lo = mullo64(x, y);
+        const V p_hi = mulhi64(x, y);
+        const V lo = _mm256_add_epi64(p_lo, a);
+        return {lo, _mm256_sub_epi64(p_hi, cmpgt64u(p_lo, lo))};
+    }
+    /**
+     * Modulus::reduce_128 of (x0, x1) = (s.lo, s.hi), the scalar word
+     * schedule: t = ((x0*r0) >> 64) + x0*r1 + x1*r0 as an exact pair,
+     * q_hat = hi(t) + x1*r1 wrapping, r = x0 - q_hat*q wrapping, one csub.
+     */
+    ORION_KERNEL_TARGET static V
+    reduce(Acc s, V r0, V r1, V qv)
+    {
+        const Acc t = mac(mac(acc(mulhi64(s.lo, r0)), s.lo, r1), s.hi, r0);
+        const V q_hat = _mm256_add_epi64(t.hi, mullo64(s.hi, r1));
+        return csub(_mm256_sub_epi64(s.lo, mullo64(q_hat, qv)), qv);
+    }
 
-ORION_TARGET_AVX2 void
-mul_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    const __m256i r0 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_lo()));
-    const __m256i r1 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_hi()));
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-        const __m256i bv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-        const __m256i res =
-            reduce128(mullo64(av, bv), mulhi64(av, bv), r0, r1, qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), res);
-    }
-    for (; j < n; ++j) a[j] = mul_mod(a[j], b[j], q);
-}
-
-ORION_TARGET_AVX2 void
-add_product_n(u64* a, const u64* x, const u64* y, u64 n, const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    const __m256i r0 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_lo()));
-    const __m256i r1 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_hi()));
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-        const __m256i xv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j));
-        const __m256i yv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-        // 128-bit lane value a + x*y: x*y < 2^122, a < 2^61 — the carry
-        // into the high word is the only interaction, tracked exactly.
-        const __m256i p_lo = mullo64(xv, yv);
-        const __m256i p_hi = mulhi64(xv, yv);
-        const __m256i lo = _mm256_add_epi64(p_lo, av);
-        const __m256i carry = cmpgt64u(p_lo, lo);
-        const __m256i hi = _mm256_sub_epi64(p_hi, carry);
-        const __m256i res = reduce128(lo, hi, r0, r1, qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), res);
-    }
-    for (; j < n; ++j) {
-        a[j] = q.reduce_128(u128(a[j]) + u128(x[j]) * y[j]);
-    }
-}
-
-ORION_TARGET_AVX2 void
-mul_scalar_shoup_n(u64* a, const u64* src, u64 n, u64 w, u64 w_shoup,
-                   const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    const __m256i wv = _mm256_set1_epi64x(static_cast<i64>(w));
-    const __m256i wsv = _mm256_set1_epi64x(static_cast<i64>(w_shoup));
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const __m256i sv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + j));
-        const __m256i res = csub(shoup_lazy(sv, wv, wsv, qv), qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), res);
-    }
-    for (; j < n; ++j) a[j] = mul_mod_shoup(src[j], w, w_shoup, q);
-}
-
-ORION_TARGET_AVX2 void
-normalize_lazy_n(u64* a, u64 n, const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    const __m256i two_qv = _mm256_set1_epi64x(static_cast<i64>(2 * q.value()));
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-        av = csub(csub(av, two_qv), qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), av);
-    }
-    for (; j < n; ++j) a[j] = normalize_lazy(a[j], q);
-}
-
-/**
- * Fused stages (span S in {2, 1}) work on a PAIR of vectors at a time:
- * the 8 elements are deinterleaved into the 4 block-top elements x and
- * the 4 block-bottom elements y, the butterfly runs once per pair on
- * full 4-wide lanes (one Shoup product per butterfly, same as the
- * wide-span stages), and the results are interleaved back. Every
- * per-element u64 operation matches the scalar stage exactly.
- */
-
-/** Twiddles of the 4 butterflies in one pair, one lane per butterfly in
- *  deinterleaved order (butterfly k of the pair gets tab[m + blk + k/S]). */
-template <int S>
-ORION_TARGET_AVX2 static inline __m256i
-load_twiddles(const u64* tab, u64 m, u64 blk)
-{
-    if constexpr (S == 2) {
-        // Two blocks per pair: replicate each twiddle twice (w0 w0 w1 w1).
-        const __m128i w2 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(tab + m + blk));
-        return _mm256_permute4x64_epi64(_mm256_castsi128_si256(w2), 0x50);
-    } else {
-        // Four blocks per pair: one twiddle per lane, contiguous.
-        return _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(tab + m + blk));
-    }
-}
-
-/** Splits the pair (va, vb) into block-top lanes x and block-bottom y. */
-template <int S>
-ORION_TARGET_AVX2 static inline void
-deinterleave(__m256i va, __m256i vb, __m256i* x, __m256i* y)
-{
-    if constexpr (S == 2) {
-        *x = _mm256_permute2x128_si256(va, vb, 0x20);  // e0 e1 | e4 e5
-        *y = _mm256_permute2x128_si256(va, vb, 0x31);  // e2 e3 | e6 e7
-    } else {
-        const __m256i ta = _mm256_permute4x64_epi64(va, 0xD8);  // a0 a2 a1 a3
-        const __m256i tb = _mm256_permute4x64_epi64(vb, 0xD8);
-        *x = _mm256_permute2x128_si256(ta, tb, 0x20);  // e0 e2 e4 e6
-        *y = _mm256_permute2x128_si256(ta, tb, 0x31);  // e1 e3 e5 e7
-    }
-}
-
-/** Inverse of deinterleave: merges x / y lanes back into (va, vb). */
-template <int S>
-ORION_TARGET_AVX2 static inline void
-interleave(__m256i x, __m256i y, __m256i* va, __m256i* vb)
-{
-    if constexpr (S == 2) {
-        *va = _mm256_permute2x128_si256(x, y, 0x20);  // x0 x1 y0 y1
-        *vb = _mm256_permute2x128_si256(x, y, 0x31);  // x2 x3 y2 y3
-    } else {
-        const __m256i u0 = _mm256_unpacklo_epi64(x, y);  // x0 y0 x2 y2
-        const __m256i u1 = _mm256_unpackhi_epi64(x, y);  // x1 y1 x3 y3
-        *va = _mm256_permute2x128_si256(u0, u1, 0x20);   // x0 y0 x1 y1
-        *vb = _mm256_permute2x128_si256(u0, u1, 0x31);   // x2 y2 x3 y3
-    }
-}
-
-template <int S>
-ORION_TARGET_AVX2 static inline void
-fwd_fused(const NttView& v, u64* a, u64 m, __m256i qv, __m256i two_qv)
-{
-    static_assert(S == 1 || S == 2);
-    for (u64 off = 0; off < v.n; off += 8) {
-        const u64 blk = off / (2 * S);
-        const __m256i wv = load_twiddles<S>(v.roots, m, blk);
-        const __m256i wsv = load_twiddles<S>(v.roots_shoup, m, blk);
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + off));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + off + 4));
-        __m256i x, y;
-        deinterleave<S>(va, vb, &x, &y);
-        const __m256i u = csub(x, two_qv);
-        const __m256i vv = shoup_lazy(y, wv, wsv, qv);
-        const __m256i sum = _mm256_add_epi64(u, vv);
-        const __m256i diff =
-            _mm256_sub_epi64(_mm256_add_epi64(u, two_qv), vv);
-        __m256i ra, rb;
-        interleave<S>(sum, diff, &ra, &rb);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + off), ra);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + off + 4), rb);
-    }
-}
-
-/** Fused inverse stage for span S in {1, 2} (same lane maps as forward). */
-template <int S>
-ORION_TARGET_AVX2 static inline void
-inv_fused(const NttView& v, u64* a, u64 m, __m256i qv, __m256i two_qv)
-{
-    static_assert(S == 1 || S == 2);
-    for (u64 off = 0; off < v.n; off += 8) {
-        const u64 blk = off / (2 * S);
-        const __m256i wv = load_twiddles<S>(v.inv_roots, m, blk);
-        const __m256i wsv = load_twiddles<S>(v.inv_roots_shoup, m, blk);
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + off));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + off + 4));
-        __m256i u, vv;
-        deinterleave<S>(va, vb, &u, &vv);
-        const __m256i sum = csub(_mm256_add_epi64(u, vv), two_qv);
-        const __m256i diff = shoup_lazy(
-            _mm256_sub_epi64(_mm256_add_epi64(u, two_qv), vv), wv, wsv, qv);
-        __m256i ra, rb;
-        interleave<S>(sum, diff, &ra, &rb);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + off), ra);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + off + 4), rb);
-    }
-}
-
-ORION_TARGET_AVX2 void
-ntt_forward(const NttView& v, u64* a)
-{
-    if (v.n < 8) {
-        scalar::ntt_forward(v, a);
-        return;
-    }
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(v.q.value()));
-    const __m256i two_qv =
-        _mm256_set1_epi64x(static_cast<i64>(2 * v.q.value()));
-    const u64 two_q = 2 * v.q.value();
-    (void)two_q;
-    u64 t = v.n;
-    for (u64 m = 1; m < v.n; m <<= 1) {
-        t >>= 1;
-        if (t >= 4) {
-            // Broadcast-twiddle stages: span a multiple of the lane width,
-            // one twiddle per block.
-            for (u64 i = 0; i < m; ++i) {
-                const __m256i wv =
-                    _mm256_set1_epi64x(static_cast<i64>(v.roots[m + i]));
-                const __m256i wsv = _mm256_set1_epi64x(
-                    static_cast<i64>(v.roots_shoup[m + i]));
-                u64* x = a + 2 * i * t;
-                u64* y = x + t;
-                for (u64 j = 0; j < t; j += 4) {
-                    const __m256i u = csub(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(x + j)),
-                        two_qv);
-                    const __m256i vv = shoup_lazy(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(y + j)),
-                        wv, wsv, qv);
-                    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + j),
-                                        _mm256_add_epi64(u, vv));
-                    _mm256_storeu_si256(
-                        reinterpret_cast<__m256i*>(y + j),
-                        _mm256_sub_epi64(_mm256_add_epi64(u, two_qv), vv));
-                }
-            }
-        } else if (t == 2) {
-            fwd_fused<2>(v, a, m, qv, two_qv);
+    // Fused NTT stages, S in {2, 1}: a pair holds 8 elements.
+    template <int S>
+    ORION_KERNEL_TARGET static V
+    load_twiddles(const u64* tab, u64 m, u64 blk)
+    {
+        if constexpr (S == 2) {
+            // Two blocks per vector: each twiddle twice (w0 w0 w1 w1).
+            const __m128i w2 = _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(tab + m + blk));
+            return _mm256_permute4x64_epi64(_mm256_castsi128_si256(w2), 0x50);
         } else {
-            fwd_fused<1>(v, a, m, qv, two_qv);
+            return load(tab + m + blk);
         }
     }
-    normalize_lazy_n(a, v.n, v.q);
-}
-
-ORION_TARGET_AVX2 void
-ntt_inverse(const NttView& v, u64* a)
-{
-    if (v.n < 8) {
-        scalar::ntt_inverse(v, a);
-        return;
-    }
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(v.q.value()));
-    const __m256i two_qv =
-        _mm256_set1_epi64x(static_cast<i64>(2 * v.q.value()));
-    u64 t = 1;
-    for (u64 m = v.n >> 1; m > 1; m >>= 1) {
-        if (t == 1) {
-            inv_fused<1>(v, a, m, qv, two_qv);
-        } else if (t == 2) {
-            inv_fused<2>(v, a, m, qv, two_qv);
-        } else {
-            for (u64 i = 0; i < m; ++i) {
-                const __m256i wv =
-                    _mm256_set1_epi64x(static_cast<i64>(v.inv_roots[m + i]));
-                const __m256i wsv = _mm256_set1_epi64x(
-                    static_cast<i64>(v.inv_roots_shoup[m + i]));
-                u64* x = a + 2 * i * t;
-                u64* y = x + t;
-                for (u64 j = 0; j < t; j += 4) {
-                    const __m256i u = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(x + j));
-                    const __m256i vv = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(y + j));
-                    const __m256i s = csub(_mm256_add_epi64(u, vv), two_qv);
-                    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + j),
-                                        s);
-                    _mm256_storeu_si256(
-                        reinterpret_cast<__m256i*>(y + j),
-                        shoup_lazy(_mm256_sub_epi64(
-                                       _mm256_add_epi64(u, two_qv), vv),
-                                   wv, wsv, qv));
-                }
-            }
-        }
-        t <<= 1;
-    }
+    template <int S>
+    ORION_KERNEL_TARGET static void
+    deinterleave(V va, V vb, V* x, V* y)
     {
-        // Final stage (m == 1, span t == n/2 >= 4) with fused 1/N scaling.
-        const __m256i niv = _mm256_set1_epi64x(static_cast<i64>(v.n_inv));
-        const __m256i nisv =
-            _mm256_set1_epi64x(static_cast<i64>(v.n_inv_shoup));
-        const __m256i lwv =
-            _mm256_set1_epi64x(static_cast<i64>(v.inv_root_last_scaled));
-        const __m256i lwsv = _mm256_set1_epi64x(
-            static_cast<i64>(v.inv_root_last_scaled_shoup));
-        u64* x = a;
-        u64* y = a + t;
-        for (u64 j = 0; j < t; j += 4) {
-            const __m256i u =
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j));
-            const __m256i vv =
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i*>(x + j),
-                shoup_lazy(_mm256_add_epi64(u, vv), niv, nisv, qv));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i*>(y + j),
-                shoup_lazy(_mm256_sub_epi64(_mm256_add_epi64(u, two_qv), vv),
-                           lwv, lwsv, qv));
+        if constexpr (S == 2) {
+            *x = _mm256_permute2x128_si256(va, vb, 0x20);  // e0 e1 | e4 e5
+            *y = _mm256_permute2x128_si256(va, vb, 0x31);  // e2 e3 | e6 e7
+        } else {
+            const V ta = _mm256_permute4x64_epi64(va, 0xD8);  // a0 a2 a1 a3
+            const V tb = _mm256_permute4x64_epi64(vb, 0xD8);
+            *x = _mm256_permute2x128_si256(ta, tb, 0x20);  // e0 e2 e4 e6
+            *y = _mm256_permute2x128_si256(ta, tb, 0x31);  // e1 e3 e5 e7
         }
     }
-    for (u64 j = 0; j < v.n; j += 4) {
-        __m256i av =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-        av = csub(av, qv);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + j), av);
+    template <int S>
+    ORION_KERNEL_TARGET static void
+    interleave(V x, V y, V* va, V* vb)
+    {
+        if constexpr (S == 2) {
+            *va = _mm256_permute2x128_si256(x, y, 0x20);  // x0 x1 y0 y1
+            *vb = _mm256_permute2x128_si256(x, y, 0x31);  // x2 x3 y2 y3
+        } else {
+            const V u0 = _mm256_unpacklo_epi64(x, y);     // x0 y0 x2 y2
+            const V u1 = _mm256_unpackhi_epi64(x, y);     // x1 y1 x3 y3
+            *va = _mm256_permute2x128_si256(u0, u1, 0x20);  // x0 y0 x1 y1
+            *vb = _mm256_permute2x128_si256(u0, u1, 0x31);  // x2 y2 x3 y3
+        }
     }
-}
+};
 
-ORION_TARGET_AVX2 void
-ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
-                 const u64* const* as, u64 num_digits, u64 n, const Modulus& q)
-{
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    const __m256i r0 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_lo()));
-    const __m256i r1 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_hi()));
-    constexpr u64 kChunk = 16;
-    u64 j = 0;
-    for (; j + 4 <= n; j += 4) {
-        // 128-bit lane accumulators as (lo, hi) pairs with manual carries
-        // — the exact decomposition of the scalar u128 sums.
-        __m256i s0_lo =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o0 + j));
-        __m256i s0_hi = _mm256_setzero_si256();
-        __m256i s1_lo =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(o1 + j));
-        __m256i s1_hi = _mm256_setzero_si256();
-        u64 d = 0;
-        while (d < num_digits) {
-            const u64 end = std::min(d + kChunk, num_digits);
-            for (; d < end; ++d) {
-                const __m256i x = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(xs[d] + j));
-                {
-                    const __m256i k = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(bs[d] + j));
-                    const __m256i p_lo = mullo64(x, k);
-                    const __m256i p_hi = mulhi64(x, k);
-                    const __m256i sum = _mm256_add_epi64(s0_lo, p_lo);
-                    const __m256i carry = cmpgt64u(s0_lo, sum);
-                    s0_hi = _mm256_sub_epi64(_mm256_add_epi64(s0_hi, p_hi),
-                                             carry);
-                    s0_lo = sum;
-                }
-                {
-                    const __m256i k = _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(as[d] + j));
-                    const __m256i p_lo = mullo64(x, k);
-                    const __m256i p_hi = mulhi64(x, k);
-                    const __m256i sum = _mm256_add_epi64(s1_lo, p_lo);
-                    const __m256i carry = cmpgt64u(s1_lo, sum);
-                    s1_hi = _mm256_sub_epi64(_mm256_add_epi64(s1_hi, p_hi),
-                                             carry);
-                    s1_lo = sum;
-                }
-            }
-            if (d < num_digits) {
-                s0_lo = reduce128(s0_lo, s0_hi, r0, r1, qv);
-                s0_hi = _mm256_setzero_si256();
-                s1_lo = reduce128(s1_lo, s1_hi, r0, r1, qv);
-                s1_hi = _mm256_setzero_si256();
-            }
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(o0 + j),
-                            reduce128(s0_lo, s0_hi, r0, r1, qv));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(o1 + j),
-                            reduce128(s1_lo, s1_hi, r0, r1, qv));
-    }
-    scalar::ks_inner_product_range(o0, o1, xs, bs, as, num_digits, j, n, q);
-}
-
-ORION_TARGET_AVX2 void
-base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
-              u64 n, const Modulus& q, u64 row_bound)
-{
-    ORION_ASSERT(len >= 0 && len <= 32);
-    ORION_ASSERT(row_bound <= u64(1) << 61);
-    const __m256i qv = _mm256_set1_epi64x(static_cast<i64>(q.value()));
-    const __m256i r0 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_lo()));
-    const __m256i r1 = _mm256_set1_epi64x(static_cast<i64>(q.ratio_hi()));
-    u64 x = 0;
-    for (; x + 4 <= n; x += 4) {
-        __m256i lo = _mm256_setzero_si256();
-        __m256i hi = _mm256_setzero_si256();
-        for (int jj = 0; jj < len; ++jj) {
-            const __m256i lam = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(lams[jj] + x));
-            const __m256i hat =
-                _mm256_set1_epi64x(static_cast<i64>(hats[jj]));
-            const __m256i p_lo = mullo64(lam, hat);
-            const __m256i p_hi = mulhi64(lam, hat);
-            const __m256i sum = _mm256_add_epi64(lo, p_lo);
-            const __m256i carry = cmpgt64u(lo, sum);
-            hi = _mm256_sub_epi64(_mm256_add_epi64(hi, p_hi), carry);
-            lo = sum;
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + x),
-                            reduce128(lo, hi, r0, r1, qv));
-    }
-    scalar::base_conv_acc_range(dst, lams, hats, len, x, n, q);
-}
+#include "src/ckks/kernels_simd.inc"
+#undef ORION_KERNEL_TARGET
 
 }  // namespace avx2
 
-// =====================================================================
-// AVX-512 kernels (8 x u64 lanes)
-//
-// Same word-exact constructions as AVX2 with three upgrades: native
-// 64-bit low multiplies (VPMULLQ, AVX-512DQ), mask registers for the
-// conditional subtractions and carries (no sign-flip compares), and
-// fused in-register stages covering spans 4/2/1 so the entire NTT stays
-// vectorized. Range proofs are unchanged — identical per-lane values.
-// =====================================================================
-
 namespace avx512 {
 
-ORION_TARGET_AVX512 static inline __m512i
+#define ORION_KERNEL_TARGET \
+    __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw")))
+
+ORION_KERNEL_TARGET static inline __m512i
 mulhi64(__m512i a, __m512i b)
 {
     const __m512i lo_mask = _mm512_set1_epi64(0xffffffffLL);
@@ -819,248 +471,192 @@ mulhi64(__m512i a, __m512i b)
                                _mm512_srli_epi64(mid2, 32)));
 }
 
-ORION_TARGET_AVX512 static inline __m512i
-csub(__m512i a, __m512i bound)
+/** Deinterleaved position of butterfly-top k in a 16-element pair. */
+template <int S>
+constexpr i64
+deint_lane(int k)
 {
-    const __mmask8 ge = _mm512_cmpge_epu64_mask(a, bound);
-    return _mm512_mask_sub_epi64(a, ge, a, bound);
+    return 2 * S * (k / S) + k % S;
 }
 
-ORION_TARGET_AVX512 static inline __m512i
-shoup_lazy(__m512i a, __m512i w, __m512i ws, __m512i qv)
+/** Source lane of output element p: x lanes are 0..7, y lanes 8..15. */
+template <int S>
+constexpr i64
+inter_lane(int p)
 {
-    const __m512i hi = mulhi64(a, ws);
-    return _mm512_sub_epi64(_mm512_mullo_epi64(a, w),
-                            _mm512_mullo_epi64(hi, qv));
+    const int b = p / (2 * S);
+    const int r = p % (2 * S);
+    return r < S ? b * S + r : 8 + b * S + r - S;
 }
 
-ORION_TARGET_AVX512 static inline __m512i
-reduce128(__m512i x0, __m512i x1, __m512i r0, __m512i r1, __m512i qv)
+template <int S>
+ORION_KERNEL_TARGET static inline __m512i
+deint_x_idx()
 {
-    __m512i lo = mulhi64(x0, r0);
-    __m512i hi = _mm512_setzero_si512();
+    return _mm512_set_epi64(deint_lane<S>(7), deint_lane<S>(6),
+                            deint_lane<S>(5), deint_lane<S>(4),
+                            deint_lane<S>(3), deint_lane<S>(2),
+                            deint_lane<S>(1), deint_lane<S>(0));
+}
+
+template <int S, int Base>
+ORION_KERNEL_TARGET static inline __m512i
+inter_idx()
+{
+    return _mm512_set_epi64(inter_lane<S>(Base + 7), inter_lane<S>(Base + 6),
+                            inter_lane<S>(Base + 5), inter_lane<S>(Base + 4),
+                            inter_lane<S>(Base + 3), inter_lane<S>(Base + 2),
+                            inter_lane<S>(Base + 1), inter_lane<S>(Base + 0));
+}
+
+struct L {
+    using V = __m512i;
+    static constexpr u64 W = 8;
+    /** 16 products below 2^122 plus a carried-in residue stay below
+     *  2^127. */
+    static constexpr u64 kChunk = 16;
+    /** The 128-bit lane value lo + hi * 2^64. */
+    struct Acc {
+        V lo, hi;
+    };
+
+    ORION_KERNEL_TARGET static V
+    load(const u64* p)
     {
-        const __m512i p_lo = _mm512_mullo_epi64(x0, r1);
-        const __m512i p_hi = mulhi64(x0, r1);
-        const __m512i sum = _mm512_add_epi64(lo, p_lo);
-        const __mmask8 carry = _mm512_cmplt_epu64_mask(sum, lo);
-        hi = _mm512_sub_epi64(_mm512_add_epi64(hi, p_hi),
-                              _mm512_movm_epi64(carry));
-        lo = sum;
+        return _mm512_loadu_si512(p);
     }
+    ORION_KERNEL_TARGET static void
+    store(u64* p, V v)
     {
-        const __m512i p_lo = _mm512_mullo_epi64(x1, r0);
-        const __m512i p_hi = mulhi64(x1, r0);
-        const __m512i sum = _mm512_add_epi64(lo, p_lo);
-        const __mmask8 carry = _mm512_cmplt_epu64_mask(sum, lo);
-        hi = _mm512_sub_epi64(_mm512_add_epi64(hi, p_hi),
-                              _mm512_movm_epi64(carry));
-        lo = sum;
+        _mm512_storeu_si512(p, v);
     }
-    const __m512i q_hat = _mm512_add_epi64(hi, _mm512_mullo_epi64(x1, r1));
-    const __m512i r = _mm512_sub_epi64(x0, _mm512_mullo_epi64(q_hat, qv));
-    return csub(r, qv);
-}
-
-ORION_TARGET_AVX512 void
-add_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i av = _mm512_loadu_si512(a + j);
-        const __m512i bv = _mm512_loadu_si512(b + j);
-        _mm512_storeu_si512(a + j, csub(_mm512_add_epi64(av, bv), qv));
+    ORION_KERNEL_TARGET static V
+    set1(u64 x)
+    {
+        return _mm512_set1_epi64(static_cast<i64>(x));
     }
-    for (; j < n; ++j) a[j] = add_mod(a[j], b[j], q);
-}
-
-ORION_TARGET_AVX512 void
-sub_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i av = _mm512_loadu_si512(a + j);
-        const __m512i bv = _mm512_loadu_si512(b + j);
-        const __mmask8 borrow = _mm512_cmplt_epu64_mask(av, bv);
-        const __m512i d = _mm512_sub_epi64(av, bv);
-        _mm512_storeu_si512(a + j, _mm512_mask_add_epi64(d, borrow, d, qv));
+    ORION_KERNEL_TARGET static V zero() { return _mm512_setzero_si512(); }
+    ORION_KERNEL_TARGET static V
+    add(V a, V b)
+    {
+        return _mm512_add_epi64(a, b);
     }
-    for (; j < n; ++j) a[j] = sub_mod(a[j], b[j], q);
-}
-
-ORION_TARGET_AVX512 void
-mul_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i av = _mm512_loadu_si512(a + j);
-        const __m512i bv = _mm512_loadu_si512(b + j);
-        _mm512_storeu_si512(
-            a + j,
-            reduce128(_mm512_mullo_epi64(av, bv), mulhi64(av, bv), r0, r1,
-                      qv));
+    ORION_KERNEL_TARGET static V
+    sub(V a, V b)
+    {
+        return _mm512_sub_epi64(a, b);
     }
-    for (; j < n; ++j) a[j] = mul_mod(a[j], b[j], q);
-}
 
-ORION_TARGET_AVX512 void
-add_product_n(u64* a, const u64* x, const u64* y, u64 n, const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i av = _mm512_loadu_si512(a + j);
-        const __m512i xv = _mm512_loadu_si512(x + j);
-        const __m512i yv = _mm512_loadu_si512(y + j);
-        const __m512i p_lo = _mm512_mullo_epi64(xv, yv);
-        const __m512i p_hi = mulhi64(xv, yv);
-        const __m512i lo = _mm512_add_epi64(p_lo, av);
+    ORION_KERNEL_TARGET static V
+    csub(V a, V bound)
+    {
+        const __mmask8 ge = _mm512_cmpge_epu64_mask(a, bound);
+        return _mm512_mask_sub_epi64(a, ge, a, bound);
+    }
+    ORION_KERNEL_TARGET static V
+    sub_mod(V a, V b, V qv)
+    {
+        const __mmask8 borrow = _mm512_cmplt_epu64_mask(a, b);
+        const V d = _mm512_sub_epi64(a, b);
+        return _mm512_mask_add_epi64(d, borrow, d, qv);
+    }
+    ORION_KERNEL_TARGET static V
+    shoup_lazy(V a, V w, V ws, V qv)
+    {
+        return _mm512_sub_epi64(_mm512_mullo_epi64(a, w),
+                                _mm512_mullo_epi64(mulhi64(a, ws), qv));
+    }
+
+    ORION_KERNEL_TARGET static Acc acc(V lo) { return {lo, zero()}; }
+    ORION_KERNEL_TARGET static Acc
+    mul_wide(V x, V y)
+    {
+        return {_mm512_mullo_epi64(x, y), mulhi64(x, y)};
+    }
+    ORION_KERNEL_TARGET static Acc
+    mac(Acc s, V x, V y)
+    {
+        const V p_lo = _mm512_mullo_epi64(x, y);
+        const V p_hi = mulhi64(x, y);
+        const V sum = _mm512_add_epi64(s.lo, p_lo);
+        const __mmask8 carry = _mm512_cmplt_epu64_mask(sum, s.lo);
+        return {sum, _mm512_sub_epi64(_mm512_add_epi64(s.hi, p_hi),
+                                      _mm512_movm_epi64(carry))};
+    }
+    /** avx2::L::mad on 8 lanes. */
+    ORION_KERNEL_TARGET static Acc
+    mad(V a, V x, V y)
+    {
+        const V p_lo = _mm512_mullo_epi64(x, y);
+        const V p_hi = mulhi64(x, y);
+        const V lo = _mm512_add_epi64(p_lo, a);
         const __mmask8 carry = _mm512_cmplt_epu64_mask(lo, p_lo);
-        const __m512i hi =
-            _mm512_sub_epi64(p_hi, _mm512_movm_epi64(carry));
-        _mm512_storeu_si512(a + j, reduce128(lo, hi, r0, r1, qv));
+        return {lo, _mm512_sub_epi64(p_hi, _mm512_movm_epi64(carry))};
     }
-    for (; j < n; ++j) {
-        a[j] = q.reduce_128(u128(a[j]) + u128(x[j]) * y[j]);
+    /** avx2::L::reduce's schedule on 8 lanes. */
+    ORION_KERNEL_TARGET static V
+    reduce(Acc s, V r0, V r1, V qv)
+    {
+        const Acc t = mac(mac(acc(mulhi64(s.lo, r0)), s.lo, r1), s.hi, r0);
+        const V q_hat = _mm512_add_epi64(t.hi, _mm512_mullo_epi64(s.hi, r1));
+        return csub(_mm512_sub_epi64(s.lo, _mm512_mullo_epi64(q_hat, qv)),
+                    qv);
     }
-}
 
-ORION_TARGET_AVX512 void
-mul_scalar_shoup_n(u64* a, const u64* src, u64 n, u64 w, u64 w_shoup,
-                   const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i wv = _mm512_set1_epi64(static_cast<i64>(w));
-    const __m512i wsv = _mm512_set1_epi64(static_cast<i64>(w_shoup));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i sv = _mm512_loadu_si512(src + j);
-        _mm512_storeu_si512(a + j, csub(shoup_lazy(sv, wv, wsv, qv), qv));
+    // Fused NTT stages, S in {4, 2, 1}: a pair holds 16 elements, split
+    // and merged by two-source permutes.
+    template <int S>
+    ORION_KERNEL_TARGET static V
+    load_twiddles(const u64* tab, u64 m, u64 blk)
+    {
+        // Reads only the blocks' own entries: the table slice [m, 2m) is
+        // exactly as long as the stage needs.
+        if constexpr (S == 4) {
+            const __m128i w2 = _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(tab + m + blk));
+            const V idx = _mm512_set_epi64(1, 1, 1, 1, 0, 0, 0, 0);
+            return _mm512_permutexvar_epi64(idx, _mm512_castsi128_si512(w2));
+        } else if constexpr (S == 2) {
+            const __m256i w4 = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(tab + m + blk));
+            const V idx = _mm512_set_epi64(3, 3, 2, 2, 1, 1, 0, 0);
+            return _mm512_permutexvar_epi64(idx, _mm512_castsi256_si512(w4));
+        } else {
+            return load(tab + m + blk);
+        }
     }
-    for (; j < n; ++j) a[j] = mul_mod_shoup(src[j], w, w_shoup, q);
-}
-
-ORION_TARGET_AVX512 void
-normalize_lazy_n(u64* a, u64 n, const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i two_qv = _mm512_set1_epi64(static_cast<i64>(2 * q.value()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m512i av = _mm512_loadu_si512(a + j);
-        av = csub(csub(av, two_qv), qv);
-        _mm512_storeu_si512(a + j, av);
+    template <int S>
+    ORION_KERNEL_TARGET static void
+    deinterleave(V va, V vb, V* x, V* y)
+    {
+        const V xi = deint_x_idx<S>();
+        *x = _mm512_permutex2var_epi64(va, xi, vb);
+        *y = _mm512_permutex2var_epi64(va, add(xi, set1(S)), vb);
     }
-    for (; j < n; ++j) a[j] = normalize_lazy(a[j], q);
-}
+    template <int S>
+    ORION_KERNEL_TARGET static void
+    interleave(V x, V y, V* va, V* vb)
+    {
+        *va = _mm512_permutex2var_epi64(x, inter_idx<S, 0>(), y);
+        *vb = _mm512_permutex2var_epi64(x, inter_idx<S, 8>(), y);
+    }
+};
 
-#define ORION_KERNEL_TARGET ORION_TARGET_AVX512
-#include "src/ckks/kernels_avx512_ntt.inc"
+#include "src/ckks/kernels_simd.inc"
 #undef ORION_KERNEL_TARGET
-
-ORION_TARGET_AVX512 void
-ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
-                 const u64* const* as, u64 num_digits, u64 n, const Modulus& q)
-{
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    constexpr u64 kChunk = 16;
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m512i s0_lo = _mm512_loadu_si512(o0 + j);
-        __m512i s0_hi = _mm512_setzero_si512();
-        __m512i s1_lo = _mm512_loadu_si512(o1 + j);
-        __m512i s1_hi = _mm512_setzero_si512();
-        u64 d = 0;
-        while (d < num_digits) {
-            const u64 end = std::min(d + kChunk, num_digits);
-            for (; d < end; ++d) {
-                const __m512i x = _mm512_loadu_si512(xs[d] + j);
-                {
-                    const __m512i k = _mm512_loadu_si512(bs[d] + j);
-                    const __m512i p_lo = _mm512_mullo_epi64(x, k);
-                    const __m512i p_hi = mulhi64(x, k);
-                    const __m512i sum = _mm512_add_epi64(s0_lo, p_lo);
-                    const __mmask8 carry =
-                        _mm512_cmplt_epu64_mask(sum, s0_lo);
-                    s0_hi = _mm512_sub_epi64(_mm512_add_epi64(s0_hi, p_hi),
-                                             _mm512_movm_epi64(carry));
-                    s0_lo = sum;
-                }
-                {
-                    const __m512i k = _mm512_loadu_si512(as[d] + j);
-                    const __m512i p_lo = _mm512_mullo_epi64(x, k);
-                    const __m512i p_hi = mulhi64(x, k);
-                    const __m512i sum = _mm512_add_epi64(s1_lo, p_lo);
-                    const __mmask8 carry =
-                        _mm512_cmplt_epu64_mask(sum, s1_lo);
-                    s1_hi = _mm512_sub_epi64(_mm512_add_epi64(s1_hi, p_hi),
-                                             _mm512_movm_epi64(carry));
-                    s1_lo = sum;
-                }
-            }
-            if (d < num_digits) {
-                s0_lo = reduce128(s0_lo, s0_hi, r0, r1, qv);
-                s0_hi = _mm512_setzero_si512();
-                s1_lo = reduce128(s1_lo, s1_hi, r0, r1, qv);
-                s1_hi = _mm512_setzero_si512();
-            }
-        }
-        _mm512_storeu_si512(o0 + j, reduce128(s0_lo, s0_hi, r0, r1, qv));
-        _mm512_storeu_si512(o1 + j, reduce128(s1_lo, s1_hi, r0, r1, qv));
-    }
-    scalar::ks_inner_product_range(o0, o1, xs, bs, as, num_digits, j, n, q);
-}
-
-ORION_TARGET_AVX512 void
-base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
-              u64 n, const Modulus& q, u64 row_bound)
-{
-    ORION_ASSERT(len >= 0 && len <= 32);
-    ORION_ASSERT(row_bound <= u64(1) << 61);
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    u64 x = 0;
-    for (; x + 8 <= n; x += 8) {
-        __m512i lo = _mm512_setzero_si512();
-        __m512i hi = _mm512_setzero_si512();
-        for (int jj = 0; jj < len; ++jj) {
-            const __m512i lam = _mm512_loadu_si512(lams[jj] + x);
-            const __m512i hat =
-                _mm512_set1_epi64(static_cast<i64>(hats[jj]));
-            const __m512i p_lo = _mm512_mullo_epi64(lam, hat);
-            const __m512i p_hi = mulhi64(lam, hat);
-            const __m512i sum = _mm512_add_epi64(lo, p_lo);
-            const __mmask8 carry = _mm512_cmplt_epu64_mask(sum, lo);
-            hi = _mm512_sub_epi64(_mm512_add_epi64(hi, p_hi),
-                                  _mm512_movm_epi64(carry));
-            lo = sum;
-        }
-        _mm512_storeu_si512(dst + x, reduce128(lo, hi, r0, r1, qv));
-    }
-    scalar::base_conv_acc_range(dst, lams, hats, len, x, n, q);
-}
 
 }  // namespace avx512
 
 // =====================================================================
-// AVX-512 IFMA52 kernels (8 x u64 lanes, moduli below 2^50)
+// AVX-512 IFMA52 table
 //
 // VPMADD52LUQ / VPMADD52HUQ multiply the low 52 bits of two lanes and
 // add the low / high 52 bits of the 104-bit product to a 64-bit lane.
-// Below 2^50 every operand these kernels multiply fits 52 bits, so one
+// Below 2^50 every operand the kernels multiply fits 52 bits, so one
 // instruction replaces the four VPMULUDQ partial products of mulhi64.
-// A limb whose modulus is 2^50 or more (or a base conversion whose rows
-// are 2^52 or more) runs the whole call on the avx512 body instead.
+// The narrow lanes are avx512's with those multiplies; a limb whose
+// modulus is 2^50 or more (or a base conversion whose rows are 2^52 or
+// more) runs the whole call on the avx512 instantiation instead.
 //
 // The outputs are the canonical residues in [0, q), so they equal the
 // other tables' bytes although the lazy intermediates may differ by
@@ -1074,15 +670,13 @@ base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
 //  - Inner products accumulate lo += lo52(x * y) and hi += hi52(x * y).
 //    Canonical operands (< 2^50) keep lo52 < 2^52 and hi52 < 2^48, so
 //    the carried-in value plus 2^11 terms stays below 2^64 in both
-//    lanes. lo + hi * 2^52 is then the exact sum, and reduce128 maps it
-//    to the same canonical residue as the scalar u128 loop.
+//    lanes. lo + hi * 2^52 is then the exact sum, and reduce maps it
+//    to the same canonical residue as the scalar u128 loop. Base
+//    conversion rows below 2^52 and hats below q: 32 terms keep
+//    lo < 2^57 and hi < 2^55.
 // =====================================================================
 
 namespace avx512ifma {
-
-using avx512::csub;
-using avx512::normalize_lazy_n;
-using avx512::reduce128;
 
 /** True when q admits the 52-bit products (lazy values < 4q < 2^52). */
 inline bool
@@ -1091,192 +685,120 @@ fits52(const Modulus& q)
     return q.value() < (u64(1) << 50);
 }
 
-/**
- * Lane-wise lazy Shoup product with 52-bit multiplies: a * w - hi * q
- * with hi = floor(a * (ws >> 12) / 2^52), in [0, 2q) for a < 2^52. The
- * difference is taken modulo 2^52 (its true value is below 2^51).
- */
-ORION_TARGET_AVX512IFMA static inline __m512i
-shoup_lazy(__m512i a, __m512i w, __m512i ws, __m512i qv)
-{
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i hi =
-        _mm512_madd52hi_epu64(zero, a, _mm512_srli_epi64(ws, 12));
-    const __m512i r = _mm512_sub_epi64(_mm512_madd52lo_epu64(zero, a, w),
-                                       _mm512_madd52lo_epu64(zero, hi, qv));
-    return _mm512_and_epi64(r, _mm512_set1_epi64((i64(1) << 52) - 1));
-}
-
-/** reduce128 of the exact lane value lo + hi * 2^52 (lo, hi < 2^64). */
-ORION_TARGET_AVX512IFMA static inline __m512i
-reduce52(__m512i lo, __m512i hi, __m512i r0, __m512i r1, __m512i qv)
-{
-    const __m512i x0 = _mm512_add_epi64(lo, _mm512_slli_epi64(hi, 52));
-    const __mmask8 carry = _mm512_cmplt_epu64_mask(x0, lo);
-    const __m512i top = _mm512_srli_epi64(hi, 12);
-    const __m512i x1 =
-        _mm512_mask_add_epi64(top, carry, top, _mm512_set1_epi64(1));
-    return reduce128(x0, x1, r0, r1, qv);
-}
-
-// The AVX-512 NTT body on the 52-bit Shoup product.
 namespace narrow {
-#define ORION_KERNEL_TARGET ORION_TARGET_AVX512IFMA
-#include "src/ckks/kernels_avx512_ntt.inc"
+
+#define ORION_KERNEL_TARGET \
+    __attribute__((target("avx512f,avx512dq,avx512vl,avx512bw,avx512ifma")))
+
+struct L : avx512::L {
+    static constexpr u64 kChunk = u64(1) << 11;
+
+    /**
+     * a * w - hi * q with hi = floor(a * (ws >> 12) / 2^52), in [0, 2q)
+     * for a < 2^52. The difference is taken modulo 2^52 (its true value
+     * is below 2^51).
+     */
+    ORION_KERNEL_TARGET static V
+    shoup_lazy(V a, V w, V ws, V qv)
+    {
+        const V hi =
+            _mm512_madd52hi_epu64(zero(), a, _mm512_srli_epi64(ws, 12));
+        const V r = _mm512_sub_epi64(_mm512_madd52lo_epu64(zero(), a, w),
+                                     _mm512_madd52lo_epu64(zero(), hi, qv));
+        return _mm512_and_epi64(r, _mm512_set1_epi64((i64(1) << 52) - 1));
+    }
+
+    // An Acc holds the lane value lo + hi * 2^52.
+    ORION_KERNEL_TARGET static Acc
+    mul_wide(V x, V y)
+    {
+        return {_mm512_madd52lo_epu64(zero(), x, y),
+                _mm512_madd52hi_epu64(zero(), x, y)};
+    }
+    ORION_KERNEL_TARGET static Acc
+    mac(Acc s, V x, V y)
+    {
+        return {_mm512_madd52lo_epu64(s.lo, x, y),
+                _mm512_madd52hi_epu64(s.hi, x, y)};
+    }
+    ORION_KERNEL_TARGET static Acc
+    mad(V a, V x, V y)
+    {
+        return mac(acc(a), x, y);
+    }
+    /** avx512::L::reduce of the exact value lo + hi * 2^52. */
+    ORION_KERNEL_TARGET static V
+    reduce(Acc s, V r0, V r1, V qv)
+    {
+        const V x0 = _mm512_add_epi64(s.lo, _mm512_slli_epi64(s.hi, 52));
+        const __mmask8 carry = _mm512_cmplt_epu64_mask(x0, s.lo);
+        const V top = _mm512_srli_epi64(s.hi, 12);
+        const V x1 = _mm512_mask_add_epi64(top, carry, top, set1(1));
+        return avx512::L::reduce({x0, x1}, r0, r1, qv);
+    }
+};
+
+#include "src/ckks/kernels_simd.inc"
 #undef ORION_KERNEL_TARGET
+
 }  // namespace narrow
+
+// Routing: the narrow instantiation where fits52 holds, else avx512.
 
 void
 ntt_forward(const NttView& v, u64* a)
 {
-    if (fits52(v.q)) {
-        narrow::ntt_forward(v, a);
-    } else {
-        avx512::ntt_forward(v, a);
-    }
+    if (fits52(v.q)) return narrow::ntt_forward(v, a);
+    avx512::ntt_forward(v, a);
 }
 
 void
 ntt_inverse(const NttView& v, u64* a)
 {
-    if (fits52(v.q)) {
-        narrow::ntt_inverse(v, a);
-    } else {
-        avx512::ntt_inverse(v, a);
-    }
+    if (fits52(v.q)) return narrow::ntt_inverse(v, a);
+    avx512::ntt_inverse(v, a);
 }
 
-ORION_TARGET_AVX512IFMA void
+void
 mul_mod_n(u64* a, const u64* b, u64 n, const Modulus& q)
 {
-    if (!fits52(q)) return avx512::mul_mod_n(a, b, n, q);
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i av = _mm512_loadu_si512(a + j);
-        const __m512i bv = _mm512_loadu_si512(b + j);
-        _mm512_storeu_si512(a + j,
-                            reduce52(_mm512_madd52lo_epu64(zero, av, bv),
-                                     _mm512_madd52hi_epu64(zero, av, bv), r0,
-                                     r1, qv));
-    }
-    for (; j < n; ++j) a[j] = mul_mod(a[j], b[j], q);
+    if (fits52(q)) return narrow::mul_mod_n(a, b, n, q);
+    avx512::mul_mod_n(a, b, n, q);
 }
 
-ORION_TARGET_AVX512IFMA void
+void
 add_product_n(u64* a, const u64* x, const u64* y, u64 n, const Modulus& q)
 {
-    if (!fits52(q)) return avx512::add_product_n(a, x, y, n, q);
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i av = _mm512_loadu_si512(a + j);
-        const __m512i xv = _mm512_loadu_si512(x + j);
-        const __m512i yv = _mm512_loadu_si512(y + j);
-        _mm512_storeu_si512(a + j,
-                            reduce52(_mm512_madd52lo_epu64(av, xv, yv),
-                                     _mm512_madd52hi_epu64(zero, xv, yv), r0,
-                                     r1, qv));
-    }
-    for (; j < n; ++j) {
-        a[j] = q.reduce_128(u128(a[j]) + u128(x[j]) * y[j]);
-    }
+    if (fits52(q)) return narrow::add_product_n(a, x, y, n, q);
+    avx512::add_product_n(a, x, y, n, q);
 }
 
-ORION_TARGET_AVX512IFMA void
+void
 mul_scalar_shoup_n(u64* a, const u64* src, u64 n, u64 w, u64 w_shoup,
                    const Modulus& q)
 {
-    if (!fits52(q)) {
-        return avx512::mul_scalar_shoup_n(a, src, n, w, w_shoup, q);
-    }
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i wv = _mm512_set1_epi64(static_cast<i64>(w));
-    const __m512i wsv = _mm512_set1_epi64(static_cast<i64>(w_shoup));
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m512i sv = _mm512_loadu_si512(src + j);
-        _mm512_storeu_si512(a + j, csub(shoup_lazy(sv, wv, wsv, qv), qv));
-    }
-    for (; j < n; ++j) a[j] = mul_mod_shoup(src[j], w, w_shoup, q);
+    if (fits52(q)) return narrow::mul_scalar_shoup_n(a, src, n, w, w_shoup, q);
+    avx512::mul_scalar_shoup_n(a, src, n, w, w_shoup, q);
 }
 
-ORION_TARGET_AVX512IFMA void
+void
 ks_inner_product(u64* o0, u64* o1, const u64* const* xs, const u64* const* bs,
                  const u64* const* as, u64 num_digits, u64 n, const Modulus& q)
 {
-    if (!fits52(q)) {
-        return avx512::ks_inner_product(o0, o1, xs, bs, as, num_digits, n, q);
+    if (fits52(q)) {
+        return narrow::ks_inner_product(o0, o1, xs, bs, as, num_digits, n, q);
     }
-    const __m512i zero = _mm512_setzero_si512();
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    constexpr u64 kChunk = u64(1) << 11;
-    u64 j = 0;
-    for (; j + 8 <= n; j += 8) {
-        __m512i s0_lo = _mm512_loadu_si512(o0 + j);
-        __m512i s0_hi = zero;
-        __m512i s1_lo = _mm512_loadu_si512(o1 + j);
-        __m512i s1_hi = zero;
-        u64 d = 0;
-        while (d < num_digits) {
-            const u64 end = std::min(d + kChunk, num_digits);
-            for (; d < end; ++d) {
-                const __m512i x = _mm512_loadu_si512(xs[d] + j);
-                const __m512i kb = _mm512_loadu_si512(bs[d] + j);
-                const __m512i ka = _mm512_loadu_si512(as[d] + j);
-                s0_lo = _mm512_madd52lo_epu64(s0_lo, x, kb);
-                s0_hi = _mm512_madd52hi_epu64(s0_hi, x, kb);
-                s1_lo = _mm512_madd52lo_epu64(s1_lo, x, ka);
-                s1_hi = _mm512_madd52hi_epu64(s1_hi, x, ka);
-            }
-            if (d < num_digits) {
-                s0_lo = reduce52(s0_lo, s0_hi, r0, r1, qv);
-                s0_hi = zero;
-                s1_lo = reduce52(s1_lo, s1_hi, r0, r1, qv);
-                s1_hi = zero;
-            }
-        }
-        _mm512_storeu_si512(o0 + j, reduce52(s0_lo, s0_hi, r0, r1, qv));
-        _mm512_storeu_si512(o1 + j, reduce52(s1_lo, s1_hi, r0, r1, qv));
-    }
-    scalar::ks_inner_product_range(o0, o1, xs, bs, as, num_digits, j, n, q);
+    avx512::ks_inner_product(o0, o1, xs, bs, as, num_digits, n, q);
 }
 
-ORION_TARGET_AVX512IFMA void
+void
 base_conv_acc(u64* dst, const u64* const* lams, const u64* hats, int len,
               u64 n, const Modulus& q, u64 row_bound)
 {
-    // Rows below 2^52 and hats below q < 2^50: 32 terms keep lo < 2^57
-    // and hi < 2^55.
-    if (!fits52(q) || row_bound > u64(1) << 52) {
-        return avx512::base_conv_acc(dst, lams, hats, len, n, q, row_bound);
+    if (fits52(q) && row_bound <= u64(1) << 52) {
+        return narrow::base_conv_acc(dst, lams, hats, len, n, q, row_bound);
     }
-    ORION_ASSERT(len >= 0 && len <= 32);
-    const __m512i qv = _mm512_set1_epi64(static_cast<i64>(q.value()));
-    const __m512i r0 = _mm512_set1_epi64(static_cast<i64>(q.ratio_lo()));
-    const __m512i r1 = _mm512_set1_epi64(static_cast<i64>(q.ratio_hi()));
-    u64 x = 0;
-    for (; x + 8 <= n; x += 8) {
-        __m512i lo = _mm512_setzero_si512();
-        __m512i hi = _mm512_setzero_si512();
-        for (int jj = 0; jj < len; ++jj) {
-            const __m512i lam = _mm512_loadu_si512(lams[jj] + x);
-            const __m512i hat =
-                _mm512_set1_epi64(static_cast<i64>(hats[jj]));
-            lo = _mm512_madd52lo_epu64(lo, lam, hat);
-            hi = _mm512_madd52hi_epu64(hi, lam, hat);
-        }
-        _mm512_storeu_si512(dst + x, reduce52(lo, hi, r0, r1, qv));
-    }
-    scalar::base_conv_acc_range(dst, lams, hats, len, x, n, q);
+    avx512::base_conv_acc(dst, lams, hats, len, n, q, row_bound);
 }
 
 }  // namespace avx512ifma

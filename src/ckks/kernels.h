@@ -11,7 +11,9 @@
  * table returned by active(). Four implementations exist: portable
  * scalar (the reference loops), AVX2, AVX-512, and AVX-512 IFMA52,
  * which runs limbs whose modulus is below 2^50 on native 52-bit
- * multiply-adds and the rest on the AVX-512 bodies. The best one the CPU
+ * multiply-adds and the rest on the AVX-512 kernels. The three vector
+ * tables share one body (kernels_simd.inc), written against lane
+ * primitives that each ISA supplies. The best one the CPU
  * supports is selected once at startup by CPUID, overridable with
  * ORION_SIMD=scalar|avx2|avx512|avx512ifma (requests above what the host
  * supports clamp down) or set_isa() from tests.
@@ -26,8 +28,8 @@
  * (butterfly sums), every u64 addition of two lane values stays below
  * 2^63, and the 16-term chunks of the key-switch digit sum keep the
  * 128-bit accumulators below 2^127, so nothing wraps. The
- * AVX2 and AVX-512 tables perform the scalar u64 operations word for
- * word; the IFMA table's own bounds (lazy values below 4q < 2^52, a
+ * AVX2 and AVX-512 lanes perform the scalar u64 operations word for
+ * word; the IFMA lanes' own bounds (lazy values below 4q < 2^52, a
  * 52-bit Shoup constant, 52-bit split accumulators) are proved in
  * kernels.cpp.
  */

@@ -269,13 +269,4 @@ KeyGenerator::make_galois_keys(std::span<const GaloisKeyRequest> requests,
     return out;
 }
 
-void
-KeyGenerator::add_galois_keys(GaloisKeys& bundle, std::span<const int> steps)
-{
-    for (int step : steps) {
-        const u64 elt = ctx_->galois_elt(step);
-        if (!bundle.has(elt)) bundle.keys.emplace(elt, make_galois_key(elt));
-    }
-}
-
 }  // namespace orion::ckks

@@ -129,8 +129,6 @@ class KeyGenerator {
     GaloisKeys make_galois_keys(std::span<const GaloisKeyRequest> requests,
                                 bool include_conjugation = false,
                                 int conjugation_level = -1);
-    /** Adds any missing step keys to an existing bundle. */
-    void add_galois_keys(GaloisKeys& bundle, std::span<const int> steps);
 
   private:
     /**

@@ -376,11 +376,4 @@ RnsPoly::mod_raise(int new_level) const
     return out;
 }
 
-bool
-RnsPoly::is_zero() const
-{
-    const u64* p = data_.data();
-    return std::all_of(p, p + data_.size(), [](u64 v) { return v == 0; });
-}
-
 }  // namespace orion::ckks

@@ -139,9 +139,6 @@ class RnsPoly {
      */
     RnsPoly mod_raise(int new_level) const;
 
-    /** All-zero check (either form). */
-    bool is_zero() const;
-
   private:
     /**
      * Divides by the moduli of the last k limbs and drops them: the result

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <optional>
 
 namespace orion::ckks::serial {
 
@@ -133,12 +132,12 @@ namespace {
 
 /**
  * Reads and validates the record header from a reader at the record's
- * first byte: magic, kWireVersion, kind (when `expected` is given) and a
- * length prefix equal to the bytes behind the header. Leaves `r` at the
- * payload. Every record decode, in memory or streamed, passes here.
+ * first byte: magic, kWireVersion, kind and a length prefix equal to the
+ * bytes behind the header. Leaves `r` at the payload. Every record
+ * decode, in memory or streamed, passes here.
  */
-RecordKind
-read_header(ByteReader& r, std::optional<RecordKind> expected)
+void
+read_header(ByteReader& r, RecordKind expected)
 {
     ORION_CHECK(r.remaining() >= kRecordHeaderBytes,
                 "wire record too short for its header ("
@@ -153,17 +152,16 @@ read_header(ByteReader& r, std::optional<RecordKind> expected)
                                             << " (this build reads only "
                                             << int(kWireVersion) << ")");
     const RecordKind kind = static_cast<RecordKind>(r.read_u8());
-    ORION_CHECK(!expected || kind == *expected,
+    ORION_CHECK(kind == expected,
                 "wire record kind " << int(static_cast<u8>(kind))
                                     << " where kind "
-                                    << int(static_cast<u8>(*expected))
+                                    << int(static_cast<u8>(expected))
                                     << " was expected");
     const u64 payload_len = r.read_u64();
     ORION_CHECK(payload_len == r.remaining(),
                 "wire length prefix (" << payload_len
                                        << ") does not match payload size ("
                                        << r.remaining() << ")");
-    return kind;
 }
 
 }  // namespace
@@ -184,13 +182,6 @@ open_record(ByteSource& src, RecordKind expected)
     ByteReader r(src);
     read_header(r, expected);
     return r;
-}
-
-RecordKind
-peek_kind(std::span<const u8> bytes)
-{
-    ByteReader r(bytes);
-    return read_header(r, std::nullopt);
 }
 
 // ---------------------------------------------------------------------
@@ -312,7 +303,7 @@ read_poly(ByteReader& r, const Context& ctx)
 }
 
 // ---------------------------------------------------------------------
-// Plaintext / Ciphertext
+// Ciphertext
 // ---------------------------------------------------------------------
 
 namespace {
@@ -328,22 +319,6 @@ read_scale(ByteReader& r, const char* what)
 }
 
 }  // namespace
-
-void
-write_plaintext(ByteWriter& w, const Plaintext& pt)
-{
-    w.put_f64(pt.scale);
-    write_poly(w, pt.poly);
-}
-
-Plaintext
-read_plaintext(ByteReader& r, const Context& ctx)
-{
-    Plaintext pt;
-    pt.scale = read_scale(r, "plaintext");
-    pt.poly = read_poly(r, ctx);
-    return pt;
-}
 
 void
 write_ciphertext(ByteWriter& w, const Ciphertext& ct)
@@ -374,25 +349,6 @@ read_ciphertext(ByteReader& r, const Context& ctx)
 // ---------------------------------------------------------------------
 // Keys
 // ---------------------------------------------------------------------
-
-void
-write_public_key(ByteWriter& w, const PublicKey& pk)
-{
-    write_poly(w, pk.b);
-    write_poly(w, pk.a);
-}
-
-PublicKey
-read_public_key(ByteReader& r, const Context& ctx)
-{
-    PublicKey pk;
-    pk.b = read_poly(r, ctx);
-    pk.a = read_poly(r, ctx);
-    ORION_CHECK(pk.b.level() == pk.a.level() &&
-                    pk.b.extended() == pk.a.extended(),
-                "wire public key: mismatched component polynomials");
-    return pk;
-}
 
 void
 write_kswitch_key(ByteWriter& w, const KswitchKey& k)
@@ -502,54 +458,6 @@ make_record(RecordKind kind, WriteFn&& fn)
 }  // namespace
 
 Bytes
-serialize(const CkksParams& p)
-{
-    return make_record(RecordKind::kParams,
-                       [&](ByteWriter& w) { write_params(w, p); });
-}
-
-CkksParams
-deserialize_params(std::span<const u8> bytes)
-{
-    ByteReader r = open_record(bytes, RecordKind::kParams);
-    const CkksParams p = read_params(r);
-    r.expect_done("params");
-    return p;
-}
-
-Bytes
-serialize(const RnsPoly& p)
-{
-    return make_record(RecordKind::kPoly,
-                       [&](ByteWriter& w) { write_poly(w, p); });
-}
-
-RnsPoly
-deserialize_poly(std::span<const u8> bytes, const Context& ctx)
-{
-    ByteReader r = open_record(bytes, RecordKind::kPoly);
-    RnsPoly p = read_poly(r, ctx);
-    r.expect_done("poly");
-    return p;
-}
-
-Bytes
-serialize(const Plaintext& pt)
-{
-    return make_record(RecordKind::kPlaintext,
-                       [&](ByteWriter& w) { write_plaintext(w, pt); });
-}
-
-Plaintext
-deserialize_plaintext(std::span<const u8> bytes, const Context& ctx)
-{
-    ByteReader r = open_record(bytes, RecordKind::kPlaintext);
-    Plaintext pt = read_plaintext(r, ctx);
-    r.expect_done("plaintext");
-    return pt;
-}
-
-Bytes
 serialize(const Ciphertext& ct)
 {
     return make_record(RecordKind::kCiphertext,
@@ -563,22 +471,6 @@ deserialize_ciphertext(std::span<const u8> bytes, const Context& ctx)
     Ciphertext ct = read_ciphertext(r, ctx);
     r.expect_done("ciphertext");
     return ct;
-}
-
-Bytes
-serialize(const PublicKey& pk)
-{
-    return make_record(RecordKind::kPublicKey,
-                       [&](ByteWriter& w) { write_public_key(w, pk); });
-}
-
-PublicKey
-deserialize_public_key(std::span<const u8> bytes, const Context& ctx)
-{
-    ByteReader r = open_record(bytes, RecordKind::kPublicKey);
-    PublicKey pk = read_public_key(r, ctx);
-    r.expect_done("public key");
-    return pk;
 }
 
 Bytes

@@ -46,11 +46,7 @@ inline constexpr std::size_t kRecordHeaderBytes = 4 + 1 + 1 + 8;
 
 /** Top-level record discriminator (also used by the serve wire layer). */
 enum class RecordKind : u8 {
-    kParams = 1,
-    kPoly = 2,
-    kPlaintext = 3,
     kCiphertext = 4,
-    kPublicKey = 5,
     kKswitchKey = 6,
     kGaloisKeys = 7,
     // Serve-layer messages (src/serve) share the framing.
@@ -144,8 +140,6 @@ ByteReader open_record(std::span<const u8> bytes, RecordKind expected);
 /** Streaming open_record: validates the frame from the source's head and
  *  returns a reader positioned at the payload that pulls on demand. */
 ByteReader open_record(ByteSource& src, RecordKind expected);
-/** The kind of a framed record (validates magic/version/length only). */
-RecordKind peek_kind(std::span<const u8> bytes);
 
 // ---- nested payload building blocks ----
 
@@ -155,14 +149,8 @@ CkksParams read_params(ByteReader& r);
 void write_poly(ByteWriter& w, const RnsPoly& p);
 RnsPoly read_poly(ByteReader& r, const Context& ctx);
 
-void write_plaintext(ByteWriter& w, const Plaintext& pt);
-Plaintext read_plaintext(ByteReader& r, const Context& ctx);
-
 void write_ciphertext(ByteWriter& w, const Ciphertext& ct);
 Ciphertext read_ciphertext(ByteReader& r, const Context& ctx);
-
-void write_public_key(ByteWriter& w, const PublicKey& pk);
-PublicKey read_public_key(ByteReader& r, const Context& ctx);
 
 /**
  * Layout: digit count, a seed flag byte (always 1), the a seed, the key
@@ -179,22 +167,9 @@ GaloisKeys read_galois_keys(ByteReader& r, const Context& ctx);
 
 // ---- top-level records ----
 
-Bytes serialize(const CkksParams& p);
-CkksParams deserialize_params(std::span<const u8> bytes);
-
-Bytes serialize(const RnsPoly& p);
-RnsPoly deserialize_poly(std::span<const u8> bytes, const Context& ctx);
-
-Bytes serialize(const Plaintext& pt);
-Plaintext deserialize_plaintext(std::span<const u8> bytes, const Context& ctx);
-
 Bytes serialize(const Ciphertext& ct);
 Ciphertext deserialize_ciphertext(std::span<const u8> bytes,
                                   const Context& ctx);
-
-Bytes serialize(const PublicKey& pk);
-PublicKey deserialize_public_key(std::span<const u8> bytes,
-                                 const Context& ctx);
 
 Bytes serialize(const KswitchKey& k);
 KswitchKey deserialize_kswitch_key(std::span<const u8> bytes,

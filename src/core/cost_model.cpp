@@ -35,15 +35,6 @@ CostModel::calibrate(double measured_rotation_seconds, int at_level)
     seconds_per_word_op_ *= measured_rotation_seconds / predicted;
 }
 
-void
-CostModel::calibrate_bootstrap(double measured_seconds, int l_eff)
-{
-    const double predicted = bootstrap(l_eff);
-    ORION_CHECK(predicted > 0 && measured_seconds > 0,
-                "bad calibration inputs");
-    seconds_per_word_op_ *= measured_seconds / predicted;
-}
-
 int
 CostModel::num_digits(int level) const
 {

@@ -55,13 +55,6 @@ class CostModel {
 
     /** Calibrates seconds_per_word_op from a measured rotation latency. */
     void calibrate(double measured_rotation_seconds, int at_level);
-    /**
-     * Calibrates seconds_per_word_op so bootstrap(l_eff) equals a measured
-     * full-bootstrap wall-clock. The scaling is uniform across every
-     * primitive, so relative costs (and therefore bootstrap placements)
-     * are unchanged; only the absolute latency scale moves.
-     */
-    void calibrate_bootstrap(double measured_seconds, int l_eff);
 
     // ---- primitive latencies (seconds), as functions of level ----
 

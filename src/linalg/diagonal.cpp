@@ -29,17 +29,4 @@ DiagonalMatrix::apply(const std::vector<double>& x) const
     return y;
 }
 
-u64
-DiagonalMatrix::num_nonzeros() const
-{
-    u64 count = 0;
-    for (const auto& [k, diag] : diags_) {
-        (void)k;
-        for (double v : diag) {
-            if (v != 0.0) ++count;
-        }
-    }
-    return count;
-}
-
 }  // namespace orion::lin

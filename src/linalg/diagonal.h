@@ -105,9 +105,6 @@ class DiagonalMatrix {
     /** Cleartext matvec, for validation: y = M x. */
     std::vector<double> apply(const std::vector<double>& x) const;
 
-    /** Total count of nonzero entries. */
-    u64 num_nonzeros() const;
-
   private:
     u64 dim_;
     std::map<u64, std::vector<double>> diags_;

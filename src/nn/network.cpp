@@ -354,16 +354,6 @@ Network::set_output(int id)
 }
 
 std::vector<int>
-Network::topo_order() const
-{
-    std::vector<int> order(static_cast<std::size_t>(num_layers()));
-    for (int i = 0; i < num_layers(); ++i) {
-        order[static_cast<std::size_t>(i)] = i;  // insertion order is topo
-    }
-    return order;
-}
-
-std::vector<int>
 Network::consumers(int id) const
 {
     std::vector<int> out;

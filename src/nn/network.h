@@ -143,8 +143,6 @@ class Network {
     int output_id() const { return output_; }
     int input_id() const { return input_; }
     const Shape& shape_of(int id) const { return layer(id).out_shape; }
-    /** Layer ids in topological (insertion) order. */
-    std::vector<int> topo_order() const;
     /** Ids of layers consuming the given layer's output. */
     std::vector<int> consumers(int id) const;
 
@@ -164,17 +162,16 @@ class Network {
                                 std::vector<double>* record_max_abs = nullptr)
         const;
 
+  private:
     /**
-     * Cleartext forward where activations use their *polynomial*
-     * approximations and inputs are pre-normalized, mirroring what the
-     * compiled FHE program computes (used by the simulation backend).
+     * One layer of forward() on its input values a (and b, the second
+     * operand of an add). Activations evaluate the exact function
+     * l.act.f, not a polynomial approximation.
      */
     std::vector<double> forward_one_layer(const Layer& l,
                                           const std::vector<double>& a,
-                                          const std::vector<double>& b = {})
+                                          const std::vector<double>& b)
         const;
-
-  private:
     Shape infer_shape(const Layer& l) const;
     int push(Layer l);
     /** Throws a precise error when `id` does not name an existing layer. */

@@ -51,20 +51,6 @@ TEST(CostModel, CalibrationMatchesMeasurement)
     EXPECT_LT(m.rotation(5), target);
 }
 
-TEST(CostModel, BootstrapCalibrationMatchesMeasurement)
-{
-    // The measured-bootstrap calibration path (the 37.851 s N = 2^16
-    // wall-clock is what the default constant was fitted against).
-    CostModel m = CostModel::for_params(u64(1) << 16, 3, 3, 15);
-    const double target = 37.8510701;  // the baseline's total, in seconds
-    m.calibrate_bootstrap(target, 4);
-    EXPECT_NEAR(m.bootstrap(4), target, 1e-9);
-    // Uniform rescale: relative costs (placement inputs) are unchanged.
-    CostModel fresh = CostModel::for_params(u64(1) << 16, 3, 3, 15);
-    EXPECT_NEAR(m.rotation(10) / m.rotation(5),
-                fresh.rotation(10) / fresh.rotation(5), 1e-12);
-}
-
 TEST(CostModel, DefaultConstantPricesPaperBootstrapClosely)
 {
     // The bootstrap measured 37.851 s at N = 2^16, l_eff = 4, l_boot = 15

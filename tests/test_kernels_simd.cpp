@@ -341,6 +341,87 @@ TEST_P(KernelsVsScalar, Ntt)
     }
 }
 
+/**
+ * No entry writes past n. Every output buffer carries sentinel words
+ * behind its n residues, at sizes around both lane widths W = 4 and 8
+ * (W - 1, W, W + 1, 2W + 3) and at the NTT sizes that first reach each
+ * fused span (8 for AVX2's spans 2 and 1, 16 for AVX-512's 4, 2 and 1).
+ * Other tests size their buffers exactly, so a loop-bound slip would
+ * otherwise show only under a sanitizer.
+ */
+TEST_P(KernelsVsScalar, NeverWritesPastN)
+{
+    static constexpr u64 kPad = 16;
+    static constexpr u64 kSentinel = 0x5eadbeefcafef00dULL;
+    const auto padded = [](std::vector<u64> v) {
+        v.insert(v.end(), kPad, kSentinel);
+        return v;
+    };
+    const auto intact = [](const std::vector<u64>& v, u64 n) {
+        return std::all_of(v.begin() + static_cast<std::ptrdiff_t>(n),
+                           v.end(), [](u64 x) { return x == kSentinel; });
+    };
+    for (const k::KernelTable* t : {&ref(), &vec()}) {
+        const std::string table = t == &ref() ? "scalar" : name();
+        for (const Modulus& q : test_moduli()) {
+            const u64 w = q.value() - 1;
+            const u64 w_shoup = shoup_precompute(w, q);
+            for (u64 n : {3, 4, 5, 11, 7, 8, 9, 19}) {
+                const std::string at = table + " q=" +
+                                       std::to_string(q.value()) +
+                                       " n=" + std::to_string(n);
+                const std::vector<u64> a0 = adversarial_residues(n, q, 5 + n);
+                const std::vector<u64> b = adversarial_residues(n, q, 6 + n);
+                const std::vector<u64> c = adversarial_residues(n, q, 7 + n);
+
+                std::vector<u64> v = padded(a0);
+                t->add_mod_n(v.data(), b.data(), n, q);
+                EXPECT_TRUE(intact(v, n)) << "add_mod_n " << at;
+                v = padded(a0);
+                t->sub_mod_n(v.data(), b.data(), n, q);
+                EXPECT_TRUE(intact(v, n)) << "sub_mod_n " << at;
+                v = padded(a0);
+                t->mul_mod_n(v.data(), b.data(), n, q);
+                EXPECT_TRUE(intact(v, n)) << "mul_mod_n " << at;
+                v = padded(a0);
+                t->add_product_n(v.data(), b.data(), c.data(), n, q);
+                EXPECT_TRUE(intact(v, n)) << "add_product_n " << at;
+                v = padded(std::vector<u64>(n, 0));
+                t->mul_scalar_shoup_n(v.data(), a0.data(), n, w, w_shoup, q);
+                EXPECT_TRUE(intact(v, n)) << "mul_scalar_shoup_n " << at;
+                v = padded(adversarial_lazy(n, q, 8 + n));
+                t->normalize_lazy_n(v.data(), n, q);
+                EXPECT_TRUE(intact(v, n)) << "normalize_lazy_n " << at;
+
+                // 17 digits cross the 64-bit tables' 16-term chunks.
+                const std::vector<const u64*> xs(17, a0.data());
+                const std::vector<const u64*> ys(17, b.data());
+                std::vector<u64> o0 = padded(a0), o1 = padded(c);
+                t->ks_inner_product(o0.data(), o1.data(), xs.data(),
+                                    ys.data(), ys.data(), 17, n, q);
+                EXPECT_TRUE(intact(o0, n) && intact(o1, n))
+                    << "ks_inner_product " << at;
+                const u64 hats[3] = {q.value() - 1, 1, q.value() - 2};
+                v = padded(std::vector<u64>(n, 0));
+                t->base_conv_acc(v.data(), xs.data(), hats, 3, n, q,
+                                 q.value());
+                EXPECT_TRUE(intact(v, n)) << "base_conv_acc " << at;
+            }
+            for (u64 n : {8, 16, 32}) {
+                const NttTables tables(n, q);
+                const std::string at = table + " q=" +
+                                       std::to_string(q.value()) +
+                                       " ntt n=" + std::to_string(n);
+                std::vector<u64> v = padded(adversarial_residues(n, q, n));
+                t->ntt_forward(tables.view(), v.data());
+                EXPECT_TRUE(intact(v, n)) << "ntt_forward " << at;
+                t->ntt_inverse(tables.view(), v.data());
+                EXPECT_TRUE(intact(v, n)) << "ntt_inverse " << at;
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(, KernelsVsScalar,
                          ::testing::Values(k::Isa::kAvx2, k::Isa::kAvx512,
                                            k::Isa::kAvx512Ifma),
