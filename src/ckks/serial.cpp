@@ -263,7 +263,7 @@ write_poly(ByteWriter& w, const RnsPoly& p)
     w.put_u64(p.degree());
     const u64 n = p.degree();
     for (int i = 0; i < p.num_limbs(); ++i) {
-        // Raw little-endian u64 residues, like the DiskStore payloads.
+        // Raw little-endian u64 residues.
         w.put_raw(p.limb(i), n * sizeof(u64));
     }
 }
@@ -489,15 +489,6 @@ deserialize_kswitch_key(std::span<const u8> bytes, const Context& ctx)
     return k;
 }
 
-KswitchKey
-deserialize_kswitch_key(ByteSource& src, const Context& ctx)
-{
-    ByteReader r = open_record(src, RecordKind::kKswitchKey);
-    KswitchKey k = read_kswitch_key(r, ctx);
-    r.expect_done("key-switching key");
-    return k;
-}
-
 Bytes
 serialize(const GaloisKeys& g)
 {
@@ -509,15 +500,6 @@ GaloisKeys
 deserialize_galois_keys(std::span<const u8> bytes, const Context& ctx)
 {
     ByteReader r = open_record(bytes, RecordKind::kGaloisKeys);
-    GaloisKeys g = read_galois_keys(r, ctx);
-    r.expect_done("Galois key set");
-    return g;
-}
-
-GaloisKeys
-deserialize_galois_keys(ByteSource& src, const Context& ctx)
-{
-    ByteReader r = open_record(src, RecordKind::kGaloisKeys);
     GaloisKeys g = read_galois_keys(r, ctx);
     r.expect_done("Galois key set");
     return g;

@@ -8,8 +8,8 @@
  * encrypt locally, ship ciphertexts and evaluation keys, get encrypted
  * logits back).
  *
- * Every top-level record is framed the same way as the DiskStore container
- * (magic + explicit lengths, little-endian payloads):
+ * Every top-level record is framed the same way (magic + explicit lengths,
+ * little-endian payloads):
  *
  *   [4]  magic   "ORN1"
  *   [1]  version (kWireVersion; no other version decodes)
@@ -74,10 +74,11 @@ class ByteWriter {
 
 /**
  * Pull interface over record bytes that are NOT resident in memory (e.g. a
- * DiskStore record). A ByteReader over a ByteSource streams payload chunks
- * straight into their destination buffers (RnsPoly limbs), so decoding a
- * multi-gigabyte key set never holds the raw record alongside the decoded
- * keys — the cold-load path stays at ~1x the key bytes instead of 2x.
+ * KeyBundle record in a key-store spill file). A ByteReader over a
+ * ByteSource streams payload chunks straight into their destination
+ * buffers (RnsPoly limbs), so decoding a multi-gigabyte key set never
+ * holds the raw record alongside the decoded keys — the cold-load path
+ * stays at ~1x the key bytes instead of 2x.
  */
 class ByteSource {
   public:
@@ -174,14 +175,10 @@ Ciphertext deserialize_ciphertext(std::span<const u8> bytes,
 Bytes serialize(const KswitchKey& k);
 KswitchKey deserialize_kswitch_key(std::span<const u8> bytes,
                                    const Context& ctx);
-/** Streaming variant: limbs are pulled straight into the key's polys. */
-KswitchKey deserialize_kswitch_key(ByteSource& src, const Context& ctx);
 
 Bytes serialize(const GaloisKeys& g);
 GaloisKeys deserialize_galois_keys(std::span<const u8> bytes,
                                    const Context& ctx);
-/** Streaming variant: limbs are pulled straight into the keys' polys. */
-GaloisKeys deserialize_galois_keys(ByteSource& src, const Context& ctx);
 
 /**
  * True when two parameter sets derive the same moduli chain (and hence

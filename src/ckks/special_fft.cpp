@@ -52,15 +52,6 @@ ComplexDiagMatrix::diagonal_indices() const
     return out;
 }
 
-void
-ComplexDiagMatrix::scale_inplace(std::complex<double> s)
-{
-    for (auto& [k, diag] : diags_) {
-        (void)k;
-        for (std::complex<double>& v : diag) v *= s;
-    }
-}
-
 ComplexDiagMatrix
 ComplexDiagMatrix::compose(const ComplexDiagMatrix& rhs) const
 {

@@ -94,9 +94,6 @@ class ComplexDiagMatrix {
     std::vector<u64> diagonal_indices() const;
     u64 num_diagonals() const { return diags_.size(); }
 
-    /** Multiplies every entry by s. */
-    void scale_inplace(std::complex<double> s);
-
     /**
      * Matrix product this * rhs (rhs is the map applied first). The
      * diagonal representation composes diagonal-wise: diag p of *this

@@ -4,9 +4,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 
-#include "src/ckks/serial.h"
-#include "src/core/disk_store.h"
+#include "src/serve/wire.h"
 
 namespace orion::serve {
 
@@ -14,6 +14,32 @@ namespace {
 
 /** Cap on queued prefetch hints; overflow hints are dropped (best-effort). */
 constexpr std::size_t kPrefetchQueueCap = 1024;
+
+/** Streams a spill file's bytes straight off disk, so deserialization
+ *  never holds the raw record alongside the decoded keys. */
+class SpillFileSource final : public ckks::serial::ByteSource {
+  public:
+    explicit SpillFileSource(const std::string& path)
+        : path_(path), in_(path, std::ios::binary | std::ios::ate)
+    {
+        ORION_CHECK(in_.good(), "cannot open key spill file " << path_);
+        size_ = static_cast<u64>(in_.tellg());
+    }
+
+    void read_at(u64 offset, void* dst, std::size_t bytes) override
+    {
+        in_.seekg(static_cast<std::streamoff>(offset));
+        in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+        ORION_CHECK(in_.good(), "key spill file read failed: " << path_);
+    }
+
+    u64 size() const override { return size_; }
+
+  private:
+    std::string path_;
+    std::ifstream in_;
+    u64 size_ = 0;
+};
 
 }  // namespace
 
@@ -31,7 +57,7 @@ struct KeyStore::Entry {
     ckks::KswitchKey relin;
     ckks::GaloisKeys galois;
     std::size_t bytes = 0;       ///< expanded in-memory size (put-time)
-    std::size_t disk_bytes = 0;  ///< serialized spill-file payload size
+    std::size_t disk_bytes = 0;  ///< spill-file (KeyBundle record) size
     u64 lru_tick = 0;
     int pins = 0;
     bool resident = false;
@@ -101,33 +127,39 @@ KeyStore::~KeyStore()
     } else {
         for (const auto& [id, e] : entries_) {
             (void)e;
-            std::filesystem::remove(entry_path(id), ec);
+            std::filesystem::remove(spill_path(id), ec);
         }
     }
 }
 
 std::string
-KeyStore::entry_path(u64 id) const
+KeyStore::spill_path(u64 id) const
 {
     return spill_dir_ + "/session-" + std::to_string(id) + ".keys";
 }
 
 void
-KeyStore::put(u64 id, ckks::KswitchKey relin, ckks::GaloisKeys galois)
+KeyStore::put(u64 id, std::span<const u8> bundle, ckks::KswitchKey relin,
+              ckks::GaloisKeys galois)
 {
     const std::size_t bytes = relin.byte_size() + galois.byte_size();
     std::size_t disk_bytes = 0;
     if (spill_enabled_) {
-        // Write-once spill: eviction later just drops the memory. The
-        // records carry {seed, b digits} per key, so the file is
-        // roughly half the expanded size.
-        const ckks::serial::Bytes rb = ckks::serial::serialize(relin);
-        const ckks::serial::Bytes gb = ckks::serial::serialize(galois);
-        core::DiskStoreWriter w(entry_path(id));
-        w.put_bytes("relin", rb);
-        w.put_bytes("galois", gb);
-        w.close();
-        disk_bytes = rb.size() + gb.size();
+        // Write-once spill of the registered record itself: eviction
+        // later just drops the memory. The bundle carries {seed, b
+        // digits} per key, so the file is roughly half the expanded size.
+        const std::string path = spill_path(id);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bundle.data()),
+                  static_cast<std::streamsize>(bundle.size()));
+        out.close();
+        if (!out.good()) {
+            // No entry will own the file, so nothing else would remove it.
+            std::error_code ec;
+            std::filesystem::remove(path, ec);
+            ORION_CHECK(false, "cannot write key spill file " << path);
+        }
+        disk_bytes = bundle.size();
     }
     auto e = std::make_shared<Entry>();
     e->id = id;
@@ -181,7 +213,7 @@ KeyStore::erase(u64 id)
     }
     if (spill_enabled_) {
         std::error_code ec;
-        std::filesystem::remove(entry_path(id), ec);
+        std::filesystem::remove(spill_path(id), ec);
     }
     return true;
 }
@@ -260,11 +292,18 @@ KeyStore::acquire_impl(u64 id, bool pin, bool is_prefetch)
         // (and eviction skips it), then read the spill file unlocked.
         e->loading = true;
         lk.unlock();
-        ckks::KswitchKey relin;
-        ckks::GaloisKeys galois;
+        // The spill file is the registered KeyBundle record, decoded by
+        // the same strict decoder as at registration. Seeded a-digits
+        // re-expand limb by limb via expand_kswitch_a, so the loaded keys
+        // are bit-identical to the registered ones. Limbs stream straight
+        // from the file into the decoded polys: a cold Galois-key load
+        // peaks at ~1x the key bytes instead of transiently doubling
+        // resident memory.
+        KeyBundle loaded;
         std::exception_ptr err;
         try {
-            load_from_disk(*e, relin, galois);
+            SpillFileSource src(spill_path(id));
+            loaded = decode_key_bundle(src, *ctx_);
         } catch (...) {
             err = std::current_exception();
         }
@@ -277,8 +316,8 @@ KeyStore::acquire_impl(u64 id, bool pin, bool is_prefetch)
             if (e->erased) return nullptr;
             std::rethrow_exception(err);
         }
-        e->relin = std::move(relin);
-        e->galois = std::move(galois);
+        e->relin = std::move(loaded.relin);
+        e->galois = std::move(loaded.galois);
         e->resident = true;
         e->lru_tick = ++tick_;
         if (!e->erased) {
@@ -301,49 +340,6 @@ KeyStore::acquire_impl(u64 id, bool pin, bool is_prefetch)
         evict_locked();
         return e;
     }
-}
-
-namespace {
-
-/** Streams one spill record's bytes straight off disk, so deserialization
- *  never holds the raw record alongside the decoded keys. */
-class SpillRecordSource final : public ckks::serial::ByteSource {
-  public:
-    SpillRecordSource(core::DiskStoreReader& reader, std::string name)
-        : reader_(&reader), name_(std::move(name)),
-          size_(reader.bytes_size(name_))
-    {
-    }
-
-    void read_at(u64 offset, void* dst, std::size_t bytes) override
-    {
-        reader_->get_bytes_at(name_, offset, dst, bytes);
-    }
-
-    u64 size() const override { return size_; }
-
-  private:
-    core::DiskStoreReader* reader_;
-    std::string name_;
-    u64 size_;
-};
-
-}  // namespace
-
-void
-KeyStore::load_from_disk(const Entry& e, ckks::KswitchKey& relin,
-                         ckks::GaloisKeys& galois) const
-{
-    // Deserialization re-expands seeded a-digits limb by limb via
-    // expand_kswitch_a, so the loaded keys are bit-identical to the
-    // originally registered ones. Limbs stream straight from the spill
-    // file into the decoded polys: a cold Galois-key load peaks at ~1x
-    // the key bytes instead of transiently doubling resident memory.
-    core::DiskStoreReader reader(entry_path(e.id));
-    SpillRecordSource relin_src(reader, "relin");
-    relin = ckks::serial::deserialize_kswitch_key(relin_src, *ctx_);
-    SpillRecordSource galois_src(reader, "galois");
-    galois = ckks::serial::deserialize_galois_keys(galois_src, *ctx_);
 }
 
 void

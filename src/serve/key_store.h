@@ -9,12 +9,15 @@
  * client; keeping every bundle's expanded keys resident makes server RSS
  * grow linearly with registered sessions, which is what limits
  * registration count in practice. The KeyStore fixes that: every bundle
- * is spilled once to a per-session DiskStore file (seed-compressed serial
- * records, so disk holds roughly half the expanded bytes), and only a
- * least-recently-used working set bounded by `cache_bytes` stays in
- * memory. Requests acquire keys through pin-counted leases: a pinned
- * entry is never evicted, and a missing entry is reloaded from its spill
- * file (re-expanding seeded a-digits limb by limb) before the executor
+ * is spilled once, verbatim, to a per-session file that holds exactly the
+ * KeyBundle wire record the client registered (seed-compressed, so disk
+ * holds roughly half the expanded bytes), and only a least-recently-used
+ * working set bounded by `cache_bytes` stays in memory. There is no
+ * second container format: a cold load runs the same strict
+ * decode_key_bundle that guards registration, streaming limbs off the
+ * file and re-expanding seeded a-digits limb by limb. Requests acquire
+ * keys through pin-counted leases: a pinned entry is never evicted, and a
+ * missing entry is reloaded from its spill file before the executor
  * binds it. A background thread serves prefetch hints so a request
  * decoded at submit time usually finds its keys already resident.
  *
@@ -28,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -45,7 +49,7 @@ struct KeyStoreStats {
     u64 prefetches = 0;   ///< background loads from prefetch hints
     u64 resident_bytes = 0;     ///< expanded key bytes currently in memory
     u64 resident_sessions = 0;  ///< registered sessions with resident keys
-    u64 disk_bytes = 0;         ///< serialized bytes across spill files
+    u64 disk_bytes = 0;         ///< KeyBundle record bytes across spill files
     /**
      * Expanded bytes of erased-but-still-pinned entries, kept alive only
      * for in-flight leases. Counted here — not in resident_bytes — so an
@@ -60,9 +64,10 @@ class KeyStore {
   public:
     /**
      * `cache_bytes` bounds resident expanded-key bytes (0 = unbounded, no
-     * spilling). `spill_dir` receives the per-session store files; empty
-     * means a fresh private directory under the system temp path, removed
-     * by the destructor.
+     * spilling). `spill_dir` receives the per-session spill files; empty
+     * means a fresh private directory under the system temp path. The
+     * destructor removes every spill file it wrote (and a private
+     * directory with them), so no file outlives its store.
      */
     KeyStore(const ckks::Context& ctx, std::size_t cache_bytes,
              std::string spill_dir = {});
@@ -123,11 +128,14 @@ class KeyStore {
     };
 
     /**
-     * Registers keys under `id` (must be fresh): spills them to disk
-     * (when bounded) and installs them resident, evicting older unpinned
-     * entries if the cache bound is now exceeded.
+     * Registers keys under `id` (must be fresh): writes `bundle`, the
+     * encoded KeyBundle record that `relin` and `galois` were decoded
+     * from, verbatim to the spill file (when bounded) and installs the
+     * keys resident, evicting older unpinned entries if the cache bound
+     * is now exceeded.
      */
-    void put(u64 id, ckks::KswitchKey relin, ckks::GaloisKeys galois);
+    void put(u64 id, std::span<const u8> bundle, ckks::KswitchKey relin,
+             ckks::GaloisKeys galois);
 
     /**
      * Removes an entry and its spill file. Idempotent: false when the id
@@ -157,15 +165,14 @@ class KeyStore {
     KeyStoreStats stats() const;
     std::size_t cache_bytes() const { return cache_bytes_; }
     const std::string& spill_dir() const { return spill_dir_; }
+    /** The spill file of `id` (written only when spilling is on). */
+    std::string spill_path(u64 id) const;
 
   private:
     std::shared_ptr<Entry> acquire_impl(u64 id, bool pin, bool is_prefetch);
-    void load_from_disk(const Entry& e, ckks::KswitchKey& relin,
-                        ckks::GaloisKeys& galois) const;
     /** Drops LRU unpinned entries until the resident bound holds. */
     void evict_locked();
     void release(Entry* e);
-    std::string entry_path(u64 id) const;
     void prefetch_loop();
 
     const ckks::Context* ctx_;

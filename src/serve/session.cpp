@@ -19,7 +19,8 @@ SessionManager::register_session(
     // Keys first, session second: find() resolves the session map before
     // the key store, so this order means a published session always has
     // its keys registered.
-    keys_.put(session->id, std::move(bundle.relin), std::move(bundle.galois));
+    keys_.put(session->id, key_bundle, std::move(bundle.relin),
+              std::move(bundle.galois));
     std::lock_guard<std::mutex> lk(mu_);
     sessions_.emplace(session->id, session);
     return session->id;

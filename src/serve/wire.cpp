@@ -25,10 +25,12 @@ encode_key_bundle(const KeyBundle& b)
     return encode_key_bundle(b.params, b.relin, b.galois);
 }
 
+namespace {
+
+/** The one KeyBundle payload decoder, behind either open_record. */
 KeyBundle
-decode_key_bundle(std::span<const u8> bytes, const ckks::Context& ctx)
+read_key_bundle(ByteReader r, const ckks::Context& ctx)
 {
-    ByteReader r = open_record(bytes, RecordKind::kKeyBundle);
     KeyBundle b;
     b.params = ckks::serial::read_params(r);
     ORION_CHECK(ckks::serial::params_compatible(b.params, ctx.params()),
@@ -41,6 +43,20 @@ decode_key_bundle(std::span<const u8> bytes, const ckks::Context& ctx)
     b.galois = ckks::serial::read_galois_keys(r, ctx);
     r.expect_done("key bundle");
     return b;
+}
+
+}  // namespace
+
+KeyBundle
+decode_key_bundle(std::span<const u8> bytes, const ckks::Context& ctx)
+{
+    return read_key_bundle(open_record(bytes, RecordKind::kKeyBundle), ctx);
+}
+
+KeyBundle
+decode_key_bundle(ckks::serial::ByteSource& src, const ckks::Context& ctx)
+{
+    return read_key_bundle(open_record(src, RecordKind::kKeyBundle), ctx);
 }
 
 Bytes

@@ -62,6 +62,13 @@ ckks::serial::Bytes encode_key_bundle(const KeyBundle& b);
 /** Validates the bundle's parameters against `ctx` (ring compatibility). */
 KeyBundle decode_key_bundle(std::span<const u8> bytes,
                             const ckks::Context& ctx);
+/**
+ * The same decoder over a streaming source (a key-store spill file): key
+ * limbs are pulled straight into the decoded polys, so the raw record is
+ * never held in memory alongside the keys.
+ */
+KeyBundle decode_key_bundle(ckks::serial::ByteSource& src,
+                            const ckks::Context& ctx);
 
 ckks::serial::Bytes encode_request(const Request& r);
 Request decode_request(std::span<const u8> bytes, const ckks::Context& ctx);

@@ -2,11 +2,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "src/ckks/serial.h"
 #include "src/serve/key_store.h"
-#include "tests/test_util.h"
+#include "src/serve/session.h"
+#include "tests/serve_env.h"
 
 namespace orion::test {
 namespace {
@@ -18,6 +22,7 @@ using serve::KeyStoreStats;
 struct KeyFixture {
     ckks::KswitchKey relin;
     ckks::GaloisKeys galois;
+    ckks::serial::Bytes bundle;  ///< the KeyBundle record of (relin, galois)
     std::size_t bytes = 0;  ///< expanded size of one (relin, galois) pair
 
     KeyFixture()
@@ -28,6 +33,7 @@ struct KeyFixture {
         const std::vector<int> steps = {1, 2};
         galois = keygen.make_galois_keys(std::span<const int>(steps));
         bytes = relin.byte_size() + galois.byte_size();
+        bundle = serve::encode_key_bundle(env.ctx.params(), relin, galois);
     }
 
     static KeyFixture&
@@ -40,7 +46,7 @@ struct KeyFixture {
     void
     put(KeyStore& store, u64 id) const
     {
-        store.put(id, relin, galois);
+        store.put(id, bundle, relin, galois);
     }
 };
 
@@ -160,6 +166,119 @@ TEST(KeyStore, SpillReloadIsBitExact)
     ASSERT_TRUE(static_cast<bool>(lease));
     EXPECT_EQ(ckks::serial::serialize(lease.relin()), relin_bytes);
     EXPECT_EQ(ckks::serial::serialize(lease.galois()), galois_bytes);
+}
+
+ckks::serial::Bytes
+read_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+write_file(const std::string& path, const ckks::serial::Bytes& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(KeyStore, SpillFileIsTheRegisteredBundle)
+{
+    // Registration spills the client's bundle bytes verbatim: there is
+    // no second container, and a cold load decodes the very record the
+    // registration decoder accepted.
+    ServeEnv& senv = ServeEnv::shared();
+    CkksEnv& env = CkksEnv::shared();
+    serve::ServeClient client(senv.cn, env.ctx, /*seed=*/23);
+    const ckks::serial::Bytes bundle = client.key_bundle();
+    const std::size_t per_session = client.relin_key().byte_size() +
+                                    client.galois_keys().byte_size();
+
+    // Room for one session: the second registration evicts the first.
+    serve::SessionManager sessions(env.ctx, per_session);
+    const u64 a = sessions.register_session(bundle);
+    const u64 b = sessions.register_session(bundle);
+    const KeyStore& store = sessions.key_store();
+    ASSERT_FALSE(store.resident(a));
+    ASSERT_TRUE(store.resident(b));
+    EXPECT_EQ(read_file(store.spill_path(a)), bundle);
+    EXPECT_EQ(read_file(store.spill_path(b)), bundle);
+    EXPECT_EQ(sessions.key_stats().disk_bytes, 2 * bundle.size());
+
+    const serve::SessionLease lease = sessions.find(a);
+    ASSERT_TRUE(static_cast<bool>(lease));
+    EXPECT_EQ(ckks::serial::serialize(lease.keys.relin()),
+              ckks::serial::serialize(client.relin_key()));
+    EXPECT_EQ(ckks::serial::serialize(lease.keys.galois()),
+              ckks::serial::serialize(client.galois_keys()));
+}
+
+TEST(KeyStore, CorruptSpillFileFailsCleanly)
+{
+    CkksEnv& env = CkksEnv::shared();
+    KeyFixture& keys = KeyFixture::shared();
+    KeyStore store(env.ctx, keys.bytes);
+    keys.put(store, 1);
+    keys.put(store, 2);  // evicts 1
+    ASSERT_FALSE(store.resident(1));
+    const std::string path = store.spill_path(1);
+    ASSERT_EQ(read_file(path), keys.bundle);
+
+    // The Galois payload follows the header, the params and the relin key.
+    ckks::serial::ByteWriter head;
+    ckks::serial::write_params(head, env.ctx.params());
+    ckks::serial::write_kswitch_key(head, keys.relin);
+    const std::size_t galois_at =
+        ckks::serial::kRecordHeaderBytes + head.size();
+    ASSERT_LT(galois_at, keys.bundle.size());
+
+    const ckks::serial::Bytes cut(
+        keys.bundle.begin(),
+        keys.bundle.begin() + static_cast<std::ptrdiff_t>(
+                                  (galois_at + keys.bundle.size()) / 2));
+    ckks::serial::Bytes bad_version = keys.bundle;
+    bad_version[4] = ckks::serial::kWireVersion + 1;
+    ckks::serial::Bytes longer = keys.bundle;
+    longer.push_back(0);
+
+    const KeyStoreStats before = store.stats();
+    const std::pair<const ckks::serial::Bytes*, const char*> damages[] = {
+        {&cut, "does not match payload size"},
+        {&bad_version, "unsupported wire version"},
+        {&longer, "does not match payload size"},
+    };
+    for (const auto& [bytes, needle] : damages) {
+        write_file(path, *bytes);
+        // A second acquire would block forever if the failed load left
+        // the entry marked as loading; each damage runs two.
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            expect_throw_contains<Error>([&] { (void)store.acquire(1); },
+                                         needle);
+        }
+        EXPECT_FALSE(store.resident(1));
+
+        // The healthy session is untouched by its neighbour's failure.
+        KeyStore::Lease lease = store.acquire(2);
+        ASSERT_TRUE(static_cast<bool>(lease));
+        EXPECT_TRUE(lease.relin().valid());
+    }
+
+    // Failed loads count as neither hit nor miss and move no gauge.
+    const KeyStoreStats after = store.stats();
+    EXPECT_EQ(after.hits, before.hits + 3);  // the three acquires of 2
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.evictions, before.evictions);
+    EXPECT_EQ(after.resident_sessions, 1u);
+    EXPECT_EQ(after.resident_bytes, keys.bytes);
+    EXPECT_EQ(after.disk_bytes, 2 * keys.bundle.size());
+
+    // A session whose loads failed still erases, file and gauge alike.
+    EXPECT_TRUE(store.erase(1));
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_EQ(store.stats().disk_bytes, keys.bundle.size());
+    EXPECT_FALSE(static_cast<bool>(store.acquire(1)));
 }
 
 TEST(KeyStore, EraseIsIdempotentAndHonorsOutstandingLeases)

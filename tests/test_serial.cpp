@@ -649,5 +649,73 @@ TEST(Serial, BothHeaderPathsRejectHostileFrames)
     EXPECT_TRUE(serial::open_record(bare_src, kind).done());
 }
 
+/** The message decode_key_bundle throws on `bytes` through the span path
+ *  and through a VectorSource, in that order. */
+std::pair<std::string, std::string>
+key_bundle_errors(const Bytes& bytes, const ckks::Context& ctx)
+{
+    std::pair<std::string, std::string> out;
+    try {
+        (void)serve::decode_key_bundle(bytes, ctx);
+    } catch (const Error& e) {
+        out.first = e.what();
+    }
+    VectorSource src(bytes);
+    try {
+        (void)serve::decode_key_bundle(src, ctx);
+    } catch (const Error& e) {
+        out.second = e.what();
+    }
+    return out;
+}
+
+TEST(Serial, KeyBundleDecodesAlikeFromSpanAndSource)
+{
+    ServeEnv& senv = ServeEnv::shared();
+    CkksEnv& env = CkksEnv::shared();
+    serve::ServeClient client(senv.cn, env.ctx, /*seed=*/7);
+    const Bytes good = client.key_bundle();
+
+    const serve::KeyBundle from_span =
+        serve::decode_key_bundle(good, env.ctx);
+    VectorSource src(good);
+    const serve::KeyBundle from_source =
+        serve::decode_key_bundle(src, env.ctx);
+    // Re-encoding both decodes reproduces the record: same params, same
+    // keys, bit for bit.
+    EXPECT_EQ(serve::encode_key_bundle(from_span), good);
+    EXPECT_EQ(serve::encode_key_bundle(from_source), good);
+
+    // Cut the record in the middle of its Galois payload, which follows
+    // the header, the params and the relin key.
+    serial::ByteWriter head;
+    serial::write_params(head, env.ctx.params());
+    serial::write_kswitch_key(head, client.relin_key());
+    const std::size_t galois_at = serial::kRecordHeaderBytes + head.size();
+    ASSERT_LT(galois_at, good.size());
+    const std::size_t cut_at = (galois_at + good.size()) / 2;
+    Bytes cut(good.begin(),
+              good.begin() + static_cast<std::ptrdiff_t>(cut_at));
+
+    // As cut, the frame's length prefix no longer matches.
+    std::pair<std::string, std::string> errors =
+        key_bundle_errors(cut, env.ctx);
+    EXPECT_NE(errors.first.find("does not match payload size"),
+              std::string::npos)
+        << errors.first;
+    EXPECT_EQ(errors.first, errors.second);
+
+    // With the prefix patched to fit, the Galois decoder itself runs out
+    // of bytes, on the streaming path too.
+    const u64 payload = cut.size() - serial::kRecordHeaderBytes;
+    for (std::size_t i = 0; i < 8; ++i) {
+        cut[6 + i] = static_cast<u8>(payload >> (8 * i));
+    }
+    errors = key_bundle_errors(cut, env.ctx);
+    EXPECT_NE(errors.first.find("truncated"), std::string::npos)
+        << errors.first;
+    EXPECT_EQ(errors.first, errors.second);
+}
+
 }  // namespace
 }  // namespace orion::test
